@@ -38,7 +38,6 @@ from scipy.interpolate import CubicSpline
 
 from .sampling import (
     SampledFunction,
-    NonFiniteValues,
     cumulative_integral,
     derivative,
     make_grid,

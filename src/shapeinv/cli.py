@@ -14,7 +14,8 @@ Exit codes: 0 pass, 1 verification failure, 2 usage or validation error,
 digits; JSON is key-sorted and byte-deterministic for fixed inputs.
 File-producing commands write into --out (or $SIP_OUT_DIR, default
 ./sip-out) along with a run manifest.  --batch runs one command per line
-of a job file concurrently and prints outputs in file order.
+of a job file in file order and prints each one's output in its own
+section.
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +39,7 @@ from .catalog import (
     get_family,
     list_families,
 )
-from .sampling import make_grid
+from .sampling import make_grid, write_csv
 from .verify import ANALYTIC_TOL, verify_shape_invariance
 
 EXIT_PASS = 0
@@ -214,10 +213,7 @@ def cmd_construct(args, out) -> int:
     desc_path = outdir / "constructed.json"
     desc_path.write_text(_dump_json(descriptor) + "\n")
     csv_path = outdir / "superpotential.csv"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("x,W\n")
-        for x, w in zip(grid, cons.W(grid)):
-            fh.write(f"{x:.12g},{w:.12g}\n")
+    write_csv(csv_path, ["x", "W"], [grid, cons.W(grid)], eol="\n")
     manifest = RunManifest(
         command="construct",
         inputs={"K": args.K, "branch": args.branch, "alpha": args.alpha,
@@ -353,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Shape-invariant potentials: catalog, certification, spectra.",
     )
     parser.add_argument("--batch", metavar="FILE", default=None,
-                        help="run one subcommand per line of FILE concurrently")
+                        help="run one subcommand per line of FILE, in file order")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("list", help="list catalog families")
@@ -438,24 +434,34 @@ def run_command(argv, out) -> int:
         return EXIT_USAGE
 
 
+def _selects_batch(argv) -> bool:
+    """Whether argv selects --batch, also spelled --batch=FILE or --bat.
+
+    The top-level parser reads only the options before the subcommand, and
+    --batch is the only one of them that starts with --b.
+    """
+    for arg in argv:
+        if not arg.startswith("-"):
+            return False
+        if arg.startswith("--b"):
+            return True
+    return False
+
+
 def _run_batch(path: str, out) -> int:
     import shlex
 
     lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
     jobs = [shlex.split(ln) for ln in lines if ln and not ln.startswith("#")]
-
-    def run(argv):
-        buf = StringIO()
-        code = run_command(argv, buf)
-        return code, buf.getvalue()
-
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(jobs)))) as pool:
-        results = list(pool.map(run, jobs))
     severity = {EXIT_PASS: 0, EXIT_TRUNCATED: 1, EXIT_FAIL: 2, EXIT_USAGE: 3}
     worst = EXIT_PASS
-    for argv, (code, text) in zip(jobs, results):
+    for argv in jobs:
         print(f"$ sip {' '.join(argv)}", file=out)
-        out.write(text)
+        if _selects_batch(argv):
+            print("error: nested --batch is not allowed", file=out)
+            code = EXIT_USAGE
+        else:
+            code = run_command(argv, out)
         print(f"[exit {code}]", file=out)
         if severity.get(code, 3) > severity.get(worst, 3):
             worst = code

@@ -26,13 +26,13 @@ scope here: the certificates are about the potential fields themselves.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .verify import VerificationReport
+from .sampling import write_csv
+from .verify import VerificationReport, _constancy_report
 
 __all__ = [
     "Region",
@@ -68,21 +68,22 @@ class Region:
 #: default working region: off-origin, off-axis, matching the shipped demos
 DEFAULT_REGION = Region(0.5, 1.5, 0.3, 2.8)
 
+#: flatness bound of the ladder certificate
+LADDER_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class ScalarField2D:
     """Closed-form axially symmetric field with analytic derivatives.
 
-    K is the Helmholtz constant of the seed equation
-    nabla^2 chi + K chi = 0 (zero for harmonic seeds).  The laplacian
-    callable must be the spherical Laplacian of value; consistency is
+    evaluate(r, theta) returns the arrays (chi, d chi/dr, d chi/dtheta,
+    nabla^2 chi) from one pass over the grid.  K is the Helmholtz constant
+    of the seed equation nabla^2 chi + K chi = 0 (zero for harmonic seeds).
+    The Laplacian must be the spherical Laplacian of chi; consistency is
     spot-checked by finite differences at construction sites, not here.
     """
 
-    value: Callable
-    d_r: Callable
-    d_theta: Callable
-    laplacian: Callable
+    evaluate: Callable
     region: Region
     K: float = 0.0
     terms: tuple = ()
@@ -143,7 +144,7 @@ def laplace_seed(terms, region: Region = DEFAULT_REGION) -> ScalarField2D:
     seed = LegendreSeed(tuple((int(n), float(a), float(b)) for n, a, b in terms))
     n_max = max(n for n, _, _ in seed.terms)
 
-    def parts(r, theta):
+    def evaluate(r, theta):
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
         P, dT, d2T = _legendre_theta(n_max, theta)
@@ -161,26 +162,10 @@ def laplace_seed(terms, region: Region = DEFAULT_REGION) -> ScalarField2D:
             v_rr = v_rr + rad_rr * P[n]
             v_t = v_t + rad * dT[n]
             v_tt = v_tt + rad * d2T[n]
-        return val, v_r, v_rr, v_t, v_tt
+        lap = v_rr + 2.0 * v_r / r + (v_tt + v_t / np.tan(theta)) / r**2
+        return val, v_r, v_t, lap
 
-    def value(r, theta):
-        return parts(r, theta)[0]
-
-    def d_r(r, theta):
-        return parts(r, theta)[1]
-
-    def d_theta(r, theta):
-        return parts(r, theta)[3]
-
-    def laplacian(r, theta):
-        r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        val, v_r, v_rr, v_t, v_tt = parts(r, theta)
-        return v_rr + 2.0 * v_r / r + (v_tt + v_t / np.tan(theta)) / r**2
-
-    field = ScalarField2D(value=value, d_r=d_r, d_theta=d_theta,
-                          laplacian=laplacian, region=region, K=0.0,
-                          terms=seed.terms)
+    field = ScalarField2D(evaluate=evaluate, region=region, K=0.0, terms=seed.terms)
     _check_seed(field)
     return field
 
@@ -189,34 +174,27 @@ def plane_wave_seed(k: float, region: Region = DEFAULT_REGION) -> ScalarField2D:
     """chi = exp(k z) = exp(k r cos theta); nabla^2 chi = k^2 chi, so K = -k^2."""
     k = float(k)
 
-    def value(r, theta):
-        return np.exp(k * np.asarray(r, float) * np.cos(theta))
+    def evaluate(r, theta):
+        value = np.exp(k * np.asarray(r, float) * np.cos(theta))
+        d_r = k * np.cos(theta) * value
+        d_theta = -k * np.asarray(r, float) * np.sin(theta) * value
+        return value, d_r, d_theta, k * k * value
 
-    def d_r(r, theta):
-        return k * np.cos(theta) * value(r, theta)
-
-    def d_theta(r, theta):
-        return -k * np.asarray(r, float) * np.sin(theta) * value(r, theta)
-
-    def laplacian(r, theta):
-        return k * k * value(r, theta)
-
-    field = ScalarField2D(value=value, d_r=d_r, d_theta=d_theta,
-                          laplacian=laplacian, region=region, K=-k * k)
+    field = ScalarField2D(evaluate=evaluate, region=region, K=-k * k)
     _check_seed(field)
     return field
 
 
 def _check_seed(field: ScalarField2D, n: int = 128) -> None:
     R, TH = make_grid2d(field.region, n, n)
-    chi = field.value(R, TH)
+    chi, _, _, lap = field.evaluate(R, TH)
     if np.min(chi) <= 0:
         bad = np.unravel_index(int(np.argmin(chi)), chi.shape)
         raise ValueError(
             f"seed is not positive on its region (chi <= 0 near r={R[bad]:.3f}, "
             f"theta={TH[bad]:.3f})"
         )
-    res = np.abs(field.laplacian(R, TH) + field.K * chi)
+    res = np.abs(lap + field.K * chi)
     if np.max(res / np.abs(chi)) > 1e-10:
         raise ValueError("seed violates its Helmholtz equation on the region")
 
@@ -227,11 +205,18 @@ def make_grid2d(region: Region, n_r: int = 128, n_theta: int = 128):
     return np.meshgrid(r, th, indexing="ij")
 
 
-def _log_gradient_squared(field: ScalarField2D, R, TH):
-    chi = field.value(R, TH)
-    gr = field.d_r(R, TH) / chi
-    gt = field.d_theta(R, TH) / (R * chi)
-    return gr * gr + gt * gt, chi
+def _log_derivatives(R, chi, chi_r, chi_theta, lap_chi):
+    """(|grad F|^2, nabla^2 F) for F = log chi from one seed evaluation."""
+    if np.min(chi) <= 0:
+        raise ValueError("chi must be positive on the grid (log undefined)")
+    gr = chi_r / chi
+    gt = chi_theta / (R * chi)
+    g2 = gr * gr + gt * gt
+    return g2, lap_chi / chi - g2
+
+
+def _ladder_report(R, g2, lap_f, lam, mu, tolerance) -> VerificationReport:
+    return _constancy_report(R, (lam * lam - mu * mu) * g2 + (lam + mu) * lap_f, tolerance)
 
 
 def prepotential_riccati_residual(chi: ScalarField2D, grid2d) -> float:
@@ -243,10 +228,10 @@ def prepotential_riccati_residual(chi: ScalarField2D, grid2d) -> float:
     chi = r) report an order-one residual rather than having it masked.
     """
     R, TH = grid2d
-    val = chi.value(R, TH)
+    val, _, _, lap = chi.evaluate(R, TH)
     if np.min(val) <= 0:
         raise ValueError("chi must be positive on the grid (log undefined)")
-    return float(np.max(np.abs(chi.laplacian(R, TH) / val + chi.K)))
+    return float(np.max(np.abs(lap / val + chi.K)))
 
 
 def partner_fields(chi: ScalarField2D, lam: float, grid2d, mu: float = None):
@@ -257,20 +242,16 @@ def partner_fields(chi: ScalarField2D, lam: float, grid2d, mu: float = None):
     report for V_plus(lam) - V_minus(mu) (see verify_3d_shape_invariance).
     """
     R, TH = grid2d
-    g2, val = _log_gradient_squared(chi, R, TH)
-    if np.min(val) <= 0:
-        raise ValueError("chi must be positive on the grid (log undefined)")
-    lap_f = chi.laplacian(R, TH) / val - g2
+    g2, lap_f = _log_derivatives(R, *chi.evaluate(R, TH))
     vminus = lam * lam * g2 - lam * lap_f
     vplus = lam * lam * g2 + lam * lap_f
     if mu is None:
         return vminus, vplus
-    report = verify_3d_shape_invariance(chi, lam, mu, grid2d)
-    return vminus, vplus, report
+    return vminus, vplus, _ladder_report(R, g2, lap_f, lam, mu, LADDER_TOL)
 
 
 def verify_3d_shape_invariance(chi: ScalarField2D, lam: float, mu: float,
-                               grid2d, tolerance: float = 1e-8) -> VerificationReport:
+                               grid2d, tolerance: float = LADDER_TOL) -> VerificationReport:
     """Certify that V_plus(lam) - V_minus(mu) is constant over the region.
 
     For a Helmholtz seed the difference field is
@@ -279,34 +260,14 @@ def verify_3d_shape_invariance(chi: ScalarField2D, lam: float, mu: float,
     carries the refit constant either way so other steps can be probed.
     """
     R, TH = grid2d
-    g2, val = _log_gradient_squared(chi, R, TH)
-    if np.min(val) <= 0:
-        raise ValueError("chi must be positive on the grid (log undefined)")
-    lap_f = chi.laplacian(R, TH) / val - g2
-    d = (lam * lam - mu * mu) * g2 + (lam + mu) * lap_f
-    mean = float(np.mean(d))
-    max_res = float(np.max(np.abs(d - mean)))
-    return VerificationReport(
-        max_residual=max_res,
-        mean=mean,
-        estimated_constant=mean,
-        passed=max_res < tolerance,
-        tolerance=tolerance,
-    )
+    g2, lap_f = _log_derivatives(R, *chi.evaluate(R, TH))
+    return _ladder_report(R, g2, lap_f, lam, mu, tolerance)
 
 
 def fields_to_csv(path, grid2d, vminus, vplus) -> None:
     """RFC-4180 CSV with columns r, theta, Vminus, Vplus."""
     R, TH = grid2d
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "theta", "Vminus", "Vplus"])
-        for i in range(R.shape[0]):
-            for j in range(R.shape[1]):
-                writer.writerow([
-                    f"{R[i, j]:.12g}", f"{TH[i, j]:.12g}",
-                    f"{vminus[i, j]:.12g}", f"{vplus[i, j]:.12g}",
-                ])
+    write_csv(path, ["r", "theta", "Vminus", "Vplus"], [R, TH, vminus, vplus])
 
 
 def seed_manifest(chi: ScalarField2D, lam: float) -> dict:

@@ -27,14 +27,13 @@ checked against values that share nothing with the operator code.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .sampling import derivative, make_grid
+from .sampling import derivative, make_grid, write_csv
 from .spectral import Wavefunction
 
 __all__ = [
@@ -227,11 +226,4 @@ def spherical_bessel_oracle(ell: int, r: float):
 
 def intertwine_to_csv(path, r, psi, lowered, reference) -> None:
     """RFC-4180 CSV with columns r, psi, Bpsi, reference."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "psi", "Bpsi", "reference"])
-        for i in range(len(r)):
-            writer.writerow([
-                f"{r[i]:.12g}", f"{psi[i]:.12g}",
-                f"{lowered[i]:.12g}", f"{reference[i]:.12g}",
-            ])
+    write_csv(path, ["r", "psi", "Bpsi", "reference"], [r, psi, lowered, reference])

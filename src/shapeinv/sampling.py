@@ -67,11 +67,6 @@ def make_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def sample(f, lo: float, hi: float, n: int) -> SampledFunction:
-    x = make_grid(lo, hi, n)
-    return SampledFunction(x, np.asarray(f(x), dtype=float))
-
-
 def require_finite(x, values, what="values"):
     """Raise NonFiniteValues listing grid locations of any NaN/inf."""
     values = np.asarray(values, dtype=float)
@@ -136,6 +131,25 @@ def normalize(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     if nrm == 0 or not np.isfinite(nrm):
         raise ValueError("cannot normalize: zero or non-finite norm")
     return np.asarray(values) / nrm
+
+
+#: rows formatted per write: fast like one whole-file join, without its memory
+_CSV_BLOCK_ROWS = 4096
+
+
+def write_csv(path, header, columns, eol="\r\n") -> None:
+    """CSV of equal-length numeric columns under a header row.
+
+    Every value is written as %.12g, arrays in row-major order.  The
+    default line ending is the csv module's RFC-4180 one.
+    """
+    table = np.column_stack([np.asarray(c, dtype=float).ravel() for c in columns])
+    row = ",".join(["%.12g"] * table.shape[1]) + eol
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + eol)
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start:start + _CSV_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def fix_sign(values: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ O(h^4) in the grid spacing.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +27,7 @@ from .sampling import (
     fix_sign,
     l2_norm,
     normalize,
+    write_csv,
 )
 
 __all__ = [
@@ -94,11 +94,6 @@ class Wavefunction:
 
     def nodes(self) -> int:
         return count_nodes(self.values)
-
-    def boundary_decay(self) -> float:
-        """max |psi| at the two grid endpoints over the peak value."""
-        peak = np.abs(self.values).max()
-        return float(max(abs(self.values[0]), abs(self.values[-1])) / peak)
 
     def inner(self, other: "Wavefunction") -> float:
         return float(np.trapezoid(self.values * other.values, self.x))
@@ -220,9 +215,5 @@ def wavefunctions_to_csv(path, wavefunctions) -> None:
     """RFC-4180 CSV with columns x, psi0, psi1, ..."""
     if not wavefunctions:
         raise ValueError("nothing to export")
-    x = wavefunctions[0].x
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x"] + [f"psi{w.level}" for w in wavefunctions])
-        for i in range(x.size):
-            writer.writerow([f"{x[i]:.12g}"] + [f"{w.values[i]:.12g}" for w in wavefunctions])
+    write_csv(path, ["x"] + [f"psi{w.level}" for w in wavefunctions],
+              [wavefunctions[0].x] + [w.values for w in wavefunctions])

@@ -161,3 +161,15 @@ def test_batch_runs_jobs_in_order(outdir, tmp_path):
     third = text.index("$ sip verify morse --A -1")
     assert first < second < third
     assert "[exit 0]" in text and "[exit 3]" in text and "[exit 2]" in text
+
+
+@pytest.mark.parametrize("form", ["--batch {}", "--batch={}", "--bat {}"])
+def test_nested_batch_is_refused(outdir, tmp_path, form):
+    jobfile = tmp_path / "jobs.txt"
+    nested = form.format(jobfile)
+    jobfile.write_text(f"verify shifted-oscillator --omega 2 --b 0\n{nested}\n")
+    code, text = run(["--batch", str(jobfile)])
+    assert code == EXIT_USAGE
+    assert text.count("$ sip ") == 2
+    assert text.endswith(f"$ sip {nested}\nerror: nested --batch is not allowed\n[exit 2]\n")
+    assert "[exit 0]" in text  # the job before it still ran

@@ -1,8 +1,12 @@
+from io import StringIO
+
 import numpy as np
 import pytest
 
 from shapeinv import multidim as md
+from shapeinv.cli import EXIT_PASS, run_command
 from shapeinv.radial import GeneralizedFactorization, generalized_partners, r_squared_weight
+from shapeinv.sampling import NonFiniteValues
 
 
 @pytest.fixture(scope="module")
@@ -29,8 +33,8 @@ def test_legendre_table_against_known_polynomials():
 def test_constant_seed(grid):
     chi = md.laplace_seed([(0, 1.0, 0.0)])
     R, TH = grid
-    assert np.allclose(chi.value(R, TH), 1.0)
-    assert np.max(np.abs(chi.laplacian(R, TH))) < 1e-14
+    assert np.allclose(chi.evaluate(R, TH)[0], 1.0)
+    assert np.max(np.abs(chi.evaluate(R, TH)[3])) < 1e-14
     vm, vp = md.partner_fields(chi, 2.0, grid)
     assert np.max(np.abs(vm)) == 0.0 and np.max(np.abs(vp)) == 0.0
 
@@ -49,10 +53,11 @@ def test_worked_two_term_seed(grid):
     # chi = 2 + r cos(theta): harmonic with analytic derivatives
     chi = md.laplace_seed([(0, 2.0, 0.0), (1, 1.0, 0.0)])
     R, TH = grid
-    assert np.max(np.abs(chi.value(R, TH) - (2 + R * np.cos(TH)))) < 1e-14
-    assert np.max(np.abs(chi.d_r(R, TH) - np.cos(TH))) < 1e-14
-    assert np.max(np.abs(chi.d_theta(R, TH) + R * np.sin(TH))) < 1e-14
-    assert np.max(np.abs(chi.laplacian(R, TH))) < 1e-13
+    val, d_r, d_theta, lap = chi.evaluate(R, TH)
+    assert np.max(np.abs(val - (2 + R * np.cos(TH)))) < 1e-14
+    assert np.max(np.abs(d_r - np.cos(TH))) < 1e-14
+    assert np.max(np.abs(d_theta + R * np.sin(TH))) < 1e-14
+    assert np.max(np.abs(lap)) < 1e-13
     assert md.prepotential_riccati_residual(chi, grid) < 1e-10
 
 
@@ -60,29 +65,64 @@ def test_derivatives_match_finite_differences(grid):
     chi = md.laplace_seed([(0, 2.0, 0.0), (1, 1.0, 0.0), (2, 0.3, 0.1)])
     r0, t0 = 0.9, 1.3
     h = 1e-5
-    dr_fd = (chi.value(r0 + h, t0) - chi.value(r0 - h, t0)) / (2 * h)
-    dt_fd = (chi.value(r0, t0 + h) - chi.value(r0, t0 - h)) / (2 * h)
-    assert dr_fd == pytest.approx(chi.d_r(r0, t0), abs=1e-6)
-    assert dt_fd == pytest.approx(chi.d_theta(r0, t0), abs=1e-6)
+
+    def value(r, t):
+        return chi.evaluate(r, t)[0]
+
+    _, d_r, d_theta, lap = chi.evaluate(r0, t0)
+    dr_fd = (value(r0 + h, t0) - value(r0 - h, t0)) / (2 * h)
+    dt_fd = (value(r0, t0 + h) - value(r0, t0 - h)) / (2 * h)
+    assert dr_fd == pytest.approx(d_r, abs=1e-6)
+    assert dt_fd == pytest.approx(d_theta, abs=1e-6)
     # spherical laplacian by finite differences of the value map; second
     # differences need a larger step or roundoff (eps/h^2) dominates
     h2 = 1e-4
-    vrr = (chi.value(r0 + h2, t0) - 2 * chi.value(r0, t0) + chi.value(r0 - h2, t0)) / h2**2
-    vtt = (chi.value(r0, t0 + h2) - 2 * chi.value(r0, t0) + chi.value(r0, t0 - h2)) / h2**2
+    vrr = (value(r0 + h2, t0) - 2 * value(r0, t0) + value(r0 - h2, t0)) / h2**2
+    vtt = (value(r0, t0 + h2) - 2 * value(r0, t0) + value(r0, t0 - h2)) / h2**2
     lap_fd = (vrr + 2 / r0 * dr_fd + (vtt + dt_fd / np.tan(t0)) / r0**2)
-    assert lap_fd == pytest.approx(chi.laplacian(r0, t0), abs=1e-6)
+    assert lap_fd == pytest.approx(lap, abs=1e-6)
 
 
 def test_non_harmonic_field_reports_order_one_residual(grid):
     bad = md.ScalarField2D(
-        value=lambda r, t: np.asarray(r, float) + 0 * t,
-        d_r=lambda r, t: np.ones_like(np.asarray(r, float) + 0 * t),
-        d_theta=lambda r, t: np.zeros_like(np.asarray(r, float) + 0 * t),
-        laplacian=lambda r, t: 2.0 / np.asarray(r, float) + 0 * t,
+        evaluate=lambda r, t: (
+            np.asarray(r, float) + 0 * t,
+            np.ones_like(np.asarray(r, float) + 0 * t),
+            np.zeros_like(np.asarray(r, float) + 0 * t),
+            2.0 / np.asarray(r, float) + 0 * t,
+        ),
         region=md.DEFAULT_REGION,
         K=0.0,
     )
     assert md.prepotential_riccati_residual(bad, grid) > 0.5
+
+
+def test_non_finite_difference_field_raises(grid):
+    def evaluate(r, t):
+        r = np.asarray(r, float) + 0 * t
+        return np.ones_like(r), np.where(r > 1.4, np.nan, 0.0), np.zeros_like(r), np.zeros_like(r)
+
+    chi = md.ScalarField2D(evaluate=evaluate, region=md.DEFAULT_REGION)
+    with pytest.raises(NonFiniteValues) as exc:
+        md.verify_3d_shape_invariance(chi, 2.0, 1.0, grid)
+    assert min(exc.value.locations) > 1.4
+
+
+def test_sip_3d_evaluates_the_seed_at_most_three_times(tmp_path, monkeypatch):
+    calls = []
+    field = md.ScalarField2D
+
+    def counting_field(evaluate, **kwargs):
+        def counted(r, theta):
+            calls.append((r, theta))
+            return evaluate(r, theta)
+        return field(evaluate=counted, **kwargs)
+
+    monkeypatch.setattr(md, "ScalarField2D", counting_field)
+    argv = ["3d", "--seed", "a0=2,a1=1", "--lambda", "2", "--mu", "1",
+            "--grid", "16x16", "--out", str(tmp_path)]
+    assert run_command(argv, StringIO()) == EXIT_PASS
+    assert 1 <= len(calls) <= 3
 
 
 def test_seed_rejects_sign_changing_combination():
