@@ -56,8 +56,8 @@ print(f"  weighted:   V- -> {vm_w[0] * r[0] ** 2:.1f}, V+ -> {vp_w[0] * r[0] ** 
       f"   (ell(ell+1), (ell+1)(ell+2))\n")
 
 # The product scheme's B = d/dr + (ell+1)/r lowers j_ell to j_{ell-1}.
-j2 = np.array([spherical_bessel_oracle(2, rv)[0] for rv in r])
-j1 = np.array([spherical_bessel_oracle(1, rv)[0] for rv in r])
+j2 = spherical_bessel_oracle(2, r)[0]
+j1 = spherical_bessel_oracle(1, r)[0]
 lowered = radial_intertwine(2, Wavefunction(x=r, values=j2, level=2))
 dev = np.max(np.abs(lowered.values - j1)) / np.max(np.abs(j1))
 print(f"B j_2 vs j_1 on r in [0.5, 20]: max deviation {dev:.2e} of peak")

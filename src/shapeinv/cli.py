@@ -294,17 +294,14 @@ def cmd_radial(args, out) -> int:
     rows = []
     all_ok = True
     if args.check_bessel:
-        ells = range(1, 6)
-        rvals = (0.5, 1.0, 2.0, 5.0, 10.0)
+        rvals = np.array([0.5, 1.0, 2.0, 5.0, 10.0])
         h = 1e-5
-        for l in ells:
-            worst = 0.0
-            for rv in rvals:
-                jp = (radial.spherical_bessel_oracle(l, rv + h)[0]
-                      - radial.spherical_bessel_oracle(l, rv - h)[0]) / (2 * h)
-                jl, nl = radial.spherical_bessel_oracle(l, rv)
-                jm1, _ = radial.spherical_bessel_oracle(l - 1, rv)
-                worst = max(worst, abs(jp + (l + 1) / rv * jl - jm1))
+        probes = np.concatenate([rvals + h, rvals - h, rvals])
+        # j[l] holds j_l at r + h, r - h and r, one row each
+        j = [radial.spherical_bessel_oracle(l, probes)[0].reshape(3, -1) for l in range(6)]
+        for l in range(1, 6):
+            jp = (j[l][0] - j[l][1]) / (2 * h)
+            worst = float(np.max(np.abs(jp + (l + 1) / rvals * j[l][2] - j[l - 1][2])))
             ok = worst < 1e-8
             all_ok &= ok
             rows.append((l, worst, ok))
@@ -313,9 +310,9 @@ def cmd_radial(args, out) -> int:
             print(f"{l:>4}  {_fmt(worst):>24}  {ok}", file=out)
     lo, hi, n = _parse_grid(args.grid) if args.grid else (0.5, 20.0, 4096)
     r = make_grid(lo, hi, n)
-    psi = np.array([radial.spherical_bessel_oracle(ell, rv)[0] for rv in r])
+    psi = radial.spherical_bessel_oracle(ell, r)[0]
     lowered = radial.radial_intertwine(ell, spectral.Wavefunction(x=r, values=psi, level=ell))
-    reference = np.array([radial.spherical_bessel_oracle(ell - 1, rv)[0] for rv in r])
+    reference = radial.spherical_bessel_oracle(ell - 1, r)[0]
     dev = float(np.max(np.abs(lowered.values - reference)) / np.max(np.abs(reference)))
     ok = dev < 1e-5
     all_ok &= ok
@@ -343,8 +340,24 @@ def _add_param_flags(sub):
         sub.add_argument(f"--{flag}", type=float, default=None)
 
 
+class _UsageError(Exception):
+    """A command line argparse rejected, as the usage and error lines it prints."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that hands usage errors to its caller.
+
+    argparse prints them to sys.stderr and exits; raising instead lets
+    run_command write them to the stream of the job that made them.
+    Subparsers inherit the class.
+    """
+
+    def error(self, message):
+        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sip",
         description="Shape-invariant potentials: catalog, certification, spectra.",
     )
@@ -416,11 +429,19 @@ _HANDLERS = {
 }
 
 
-def run_command(argv, out) -> int:
+def run_command(argv, out, err=None) -> int:
+    """Run one sip command line, writing its output to out.
+
+    Usage errors go to err, sys.stderr by default; a --batch job passes its
+    own section's stream.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse uses 2 for usage errors
+    except _UsageError as exc:
+        print(exc, end="", file=sys.stderr if err is None else err)
+        return EXIT_USAGE
+    except SystemExit as exc:  # --help
         return int(exc.code) if exc.code else EXIT_PASS
     if args.batch:
         return _run_batch(args.batch, out)
@@ -461,7 +482,7 @@ def _run_batch(path: str, out) -> int:
             print("error: nested --batch is not allowed", file=out)
             code = EXIT_USAGE
         else:
-            code = run_command(argv, out)
+            code = run_command(argv, out, err=out)
         print(f"[exit {code}]", file=out)
         if severity.get(code, 3) > severity.get(worst, 3):
             worst = code
@@ -469,7 +490,14 @@ def _run_batch(path: str, out) -> int:
 
 
 def main(argv=None) -> int:
-    code = run_command(sys.argv[1:] if argv is None else argv, sys.stdout)
+    try:
+        code = run_command(sys.argv[1:] if argv is None else argv, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (sip ... | head); point stdout at
+        # devnull so that the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     return code
 
 

@@ -215,8 +215,9 @@ def _log_derivatives(R, chi, chi_r, chi_theta, lap_chi):
     return g2, lap_chi / chi - g2
 
 
-def _ladder_report(R, g2, lap_f, lam, mu, tolerance) -> VerificationReport:
-    return _constancy_report(R, (lam * lam - mu * mu) * g2 + (lam + mu) * lap_f, tolerance)
+def _ladder_report(R, TH, g2, lap_f, lam, mu, tolerance) -> VerificationReport:
+    return _constancy_report((R, TH), (lam * lam - mu * mu) * g2 + (lam + mu) * lap_f,
+                             tolerance)
 
 
 def prepotential_riccati_residual(chi: ScalarField2D, grid2d) -> float:
@@ -247,7 +248,7 @@ def partner_fields(chi: ScalarField2D, lam: float, grid2d, mu: float = None):
     vplus = lam * lam * g2 + lam * lap_f
     if mu is None:
         return vminus, vplus
-    return vminus, vplus, _ladder_report(R, g2, lap_f, lam, mu, LADDER_TOL)
+    return vminus, vplus, _ladder_report(R, TH, g2, lap_f, lam, mu, LADDER_TOL)
 
 
 def verify_3d_shape_invariance(chi: ScalarField2D, lam: float, mu: float,
@@ -261,7 +262,7 @@ def verify_3d_shape_invariance(chi: ScalarField2D, lam: float, mu: float,
     """
     R, TH = grid2d
     g2, lap_f = _log_derivatives(R, *chi.evaluate(R, TH))
-    return _ladder_report(R, g2, lap_f, lam, mu, tolerance)
+    return _ladder_report(R, TH, g2, lap_f, lam, mu, tolerance)
 
 
 def fields_to_csv(path, grid2d, vminus, vplus) -> None:

@@ -22,7 +22,9 @@ B psi = psi' + ((ell+1)/r) psi = r^(-(ell+1)) d/dr (r^(ell+1) psi) lowers
 the spherical Bessel index by one.  The module carries its own spherical
 Bessel oracle: j_ell by downward (Miller) recurrence renormalized at
 j_0 = sin(r)/r, n_ell by upward recurrence, so the intertwining claim is
-checked against values that share nothing with the operator code.
+checked against values that share nothing with the operator code.  The
+oracle takes a scalar r or an array of r and runs one recurrence sweep
+over all points.
 """
 
 from __future__ import annotations
@@ -161,67 +163,110 @@ def radial_intertwine(ell: int, psi_minus: Wavefunction) -> Wavefunction:
 # spherical Bessel oracle
 # ---------------------------------------------------------------------------
 
-def _miller_down(ell_max: int, r: float, margin: int) -> np.ndarray:
-    start = ell_max + margin + math.ceil(r)
-    jj = np.zeros(start + 2)
-    jj[start + 1] = 0.0
-    jj[start] = 1e-30
-    for l in range(start, 0, -1):
-        jj[l - 1] = (2 * l + 1) / r * jj[l] - jj[l + 1]
-        if abs(jj[l - 1]) > 1e250:  # renormalize mid-run to dodge overflow
-            jj[: start + 2] /= jj[l - 1]
-    # renormalize against whichever closed form is better conditioned:
-    # pinning to j_0 alone blows up at the zeros of sin(r)
-    j0e = math.sin(r) / r
-    j1e = math.sin(r) / r**2 - math.cos(r) / r
-    scale = j0e / jj[0] if abs(j0e) >= abs(j1e) else j1e / jj[1]
-    return jj[: ell_max + 1] * scale
+def _miller_down(ell_max: int, r: np.ndarray, margin: int) -> np.ndarray:
+    """Unscaled rows j_0..j_ell_max of Miller's recurrence, a column per point.
+
+    Each point starts at its own index ell_max + margin + ceil(r) with
+    j_start = 1e-30, j_start+1 = 0; the sweep runs down from the largest
+    start and leaves a point at exactly 0 until its start is reached.  Only
+    the stored rows and the two running rows are kept, and a column whose
+    value passes 1e250 is divided through on its own, so every column
+    holds the same bits as a recurrence run for that point alone.
+    """
+    start = ell_max + margin + np.ceil(r).astype(int)
+    starts = set(start.tolist())
+    rows = np.zeros((ell_max + 1, r.size))
+    upper = np.zeros(r.size)  # j_{l+1}
+    cur = np.zeros(r.size)  # j_l
+    for l in range(max(starts) + 1, 0, -1):
+        low = (2 * l + 1) / r * cur - upper  # j_{l-1}
+        if l - 1 in starts:
+            low[start == l - 1] = 1e-30
+        if np.abs(low).max() > 1e250:  # renormalize mid-run to dodge overflow
+            big = np.abs(low) > 1e250
+            scale = low[big]
+            rows[:, big] /= scale
+            cur[big] /= scale
+            low[big] /= scale
+        if l - 1 <= ell_max:
+            rows[l - 1] = low
+        upper, cur = cur, low
+    return rows
 
 
-def spherical_bessel_table(ell_max: int, r: float):
-    """(j_0..j_ell_max, n_0..n_ell_max) at a single r > 0.
+def spherical_bessel_table(ell_max: int, r):
+    """(j_0..j_ell_max, n_0..n_ell_max) at r > 0, a scalar or an array.
+
+    Each returned array has shape (ell_max + 1,) + shape(r): row l holds
+    j_l (or n_l) at every point of r.
 
     j: Miller's downward recurrence renormalized against j_0 = sin(r)/r
     (upward recurrence for j is unstable below the turning point
-    ell ~ r).  The start index begins at ell_max + 16 + ceil(r) and the
-    margin doubles until the recurrence reproduces the closed-form
-    j_1 = sin(r)/r^2 - cos(r)/r to near machine precision: a fixed margin
-    loses accuracy as r grows and jumps discontinuously with ceil(r),
-    which matters once the table gets differentiated.  n: upward
-    recurrence from n_0, n_1, the stable direction for the irregular
-    solution.
+    ell ~ r), run for all points in one sweep.  Each point's start index
+    is ell_max + margin + ceil(r) with margin 16; the margin doubles, up
+    to 256 and for the failing points only, until the recurrence
+    reproduces the closed-form j_1 = sin(r)/r^2 - cos(r)/r to near machine
+    precision: a fixed margin loses accuracy as r grows and jumps
+    discontinuously with ceil(r), which matters once the table gets
+    differentiated.  n: upward recurrence from n_0, n_1, the stable
+    direction for the irregular solution.
     """
-    if r <= 0:
+    r = np.asarray(r, dtype=float)
+    shape = r.shape
+    r = r.reshape(-1)
+    if not np.all(r > 0):
         raise ValueError("r must be positive")
     if ell_max < 0 or ell_max > 25:
         raise ValueError("ell must be within 0..25")
-    j0e = math.sin(r) / r
-    j1e = math.sin(r) / r**2 - math.cos(r) / r
-    tol = 1e-14 * max(abs(j0e), abs(j1e))
-    check = 1 if abs(j0e) >= abs(j1e) else 0  # the index not used for scaling
-    exact = (j0e, j1e)
-    margin = 16
+    # sin, cos and r**2 come from libm one point at a time: numpy's SIMD
+    # sin/cos and its r*r may round a last bit differently, and the table
+    # must hold the bits of the scalar closed forms on every machine
+    xs = r.tolist()
+    sin = np.array([math.sin(x) for x in xs])
+    cos = np.array([math.cos(x) for x in xs])
+    r2 = np.array([x**2 for x in xs])
+    j0e = sin / r
+    j1e = sin / r2 - cos / r
+    tol = 1e-14 * np.maximum(np.abs(j0e), np.abs(j1e))
+    # renormalize against whichever closed form is better conditioned
+    # (pinning to j_0 alone blows up at the zeros of sin(r)) and check
+    # the table against the other one
+    on_j0 = np.abs(j0e) >= np.abs(j1e)
+    pin = np.where(on_j0, j0e, j1e)
+    exact = np.where(on_j0, j1e, j0e)
     table_max = max(ell_max, 1)
-    while True:
-        j = _miller_down(table_max, r, margin)
-        if abs(j[check] - exact[check]) <= tol or margin >= 256:
+    j = np.empty((table_max + 1, r.size))
+    todo = np.arange(r.size)
+    margin = 16
+    while todo.size:
+        rows = _miller_down(table_max, r[todo], margin)
+        pinned = on_j0[todo]
+        j[:, todo] = rows * (pin[todo] / np.where(pinned, rows[0], rows[1]))
+        if margin >= 256:
             break
+        check = np.where(pinned, j[1, todo], j[0, todo])
+        todo = todo[~(np.abs(check - exact[todo]) <= tol[todo])]
         margin *= 2
     j = j[: ell_max + 1]
 
-    n = np.zeros(ell_max + 1)
-    n[0] = -math.cos(r) / r
+    n = np.zeros((ell_max + 1, r.size))
+    n[0] = -cos / r
     if ell_max >= 1:
-        n[1] = -math.cos(r) / r**2 - math.sin(r) / r
+        n[1] = -cos / r2 - sin / r
         for l in range(1, ell_max):
             n[l + 1] = (2 * l + 1) / r * n[l] - n[l - 1]
-    return j, n
+    return j.reshape((ell_max + 1,) + shape), n.reshape((ell_max + 1,) + shape)
 
 
-def spherical_bessel_oracle(ell: int, r: float):
-    """(j_ell(r), n_ell(r)) for r > 0, 0 <= ell <= 25."""
+def spherical_bessel_oracle(ell: int, r):
+    """(j_ell(r), n_ell(r)) for r > 0, 0 <= ell <= 25.
+
+    Floats for a scalar r, arrays of r's shape for an array r.
+    """
     j, n = spherical_bessel_table(ell, r)
-    return float(j[ell]), float(n[ell])
+    if np.ndim(r) == 0:
+        return float(j[ell]), float(n[ell])
+    return j[ell], n[ell]
 
 
 def intertwine_to_csv(path, r, psi, lowered, reference) -> None:

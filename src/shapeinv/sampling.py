@@ -16,11 +16,17 @@ ParamSet = dict
 
 
 class NonFiniteValues(ValueError):
-    """Raised when a grid evaluation produces NaN/inf; carries the offending x."""
+    """Raised when a grid evaluation produces NaN/inf.
+
+    locations holds the offending x values, or (r, theta) pairs for a
+    field on a 2D grid.
+    """
 
     def __init__(self, message, locations=()):
         super().__init__(message)
-        self.locations = tuple(float(v) for v in locations)
+        self.locations = tuple(
+            tuple(float(c) for c in v) if isinstance(v, tuple) else float(v)
+            for v in locations)
 
 
 @dataclass(frozen=True)
@@ -68,11 +74,19 @@ def make_grid(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def require_finite(x, values, what="values"):
-    """Raise NonFiniteValues listing grid locations of any NaN/inf."""
+    """Raise NonFiniteValues listing grid locations of any NaN/inf.
+
+    x is the grid, or the pair (R, TH) of a 2D grid, whose locations are
+    then reported as (r, theta) pairs.
+    """
     values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        bad = np.asarray(x)[~np.isfinite(values)]
-        raise NonFiniteValues(f"{what} contain NaN/inf on grid", bad)
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        if isinstance(x, tuple):
+            locations = list(zip(*(np.asarray(g)[bad].tolist() for g in x)))
+        else:
+            locations = np.asarray(x)[bad]
+        raise NonFiniteValues(f"{what} contain NaN/inf on grid", locations)
     return values
 
 

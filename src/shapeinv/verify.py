@@ -57,7 +57,10 @@ class VerificationReport:
 
 
 def _constancy_report(x, d, tolerance, pole_exclusions=()) -> VerificationReport:
-    """Report on whether the field d(x) is x-independent."""
+    """Report on whether the field d(x) is x-independent.
+
+    x is the grid, or the pair (R, TH) for a field on a 2D grid.
+    """
     d = require_finite(x, d, "difference field")
     mean = float(np.mean(d))
     max_res = float(np.max(np.abs(d - mean)))

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from io import StringIO
+from pathlib import Path
 
 import pytest
 
@@ -173,3 +177,40 @@ def test_nested_batch_is_refused(outdir, tmp_path, form):
     assert text.count("$ sip ") == 2
     assert text.endswith(f"$ sip {nested}\nerror: nested --batch is not allowed\n[exit 2]\n")
     assert "[exit 0]" in text  # the job before it still ran
+
+
+def test_batch_parse_error_goes_to_the_job_section(outdir, tmp_path, capsys):
+    jobfile = tmp_path / "jobs.txt"
+    jobfile.write_text("verify morse --bogus 1\nlist\n")
+    code, text = run(["--batch", str(jobfile)])
+    assert code == EXIT_USAGE
+    section = text[:text.index("$ sip list")]
+    assert section.startswith("$ sip verify morse --bogus 1\nusage: sip ")
+    assert section.endswith("sip: error: unrecognized arguments: --bogus 1\n[exit 2]\n")
+    assert capsys.readouterr().err == ""
+
+
+def test_standalone_parse_error_goes_to_stderr(capsys):
+    code, text = run(["verify", "morse", "--bogus", "1"])
+    assert code == EXIT_USAGE
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sip ")
+    assert err.endswith("sip: error: unrecognized arguments: --bogus 1\n")
+
+
+def test_closed_pipe_exits_quietly(tmp_path):
+    # far more output than the pipe buffer holds, so writes go on after
+    # the reader has gone
+    jobfile = tmp_path / "jobs.txt"
+    jobfile.write_text("list --json\n" * 60)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "shapeinv.cli", "--batch", str(jobfile)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                            cwd=tmp_path)
+    assert proc.stdout.readline() == b"$ sip list --json\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == EXIT_FAIL
+    assert err == b""

@@ -37,6 +37,8 @@ CASES = {
            "--grid", "48x40", "--json", "--out", "out"],
     "radial": ["radial", "--ell", "3", "--check-bessel", "--grid", "0.5:20:512",
                "--out", "out"],
+    "radial-ell25": ["radial", "--ell", "25", "--check-bessel", "--grid", "0.01:60:2048",
+                     "--out", "out"],
 }
 
 

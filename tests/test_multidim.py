@@ -105,7 +105,9 @@ def test_non_finite_difference_field_raises(grid):
     chi = md.ScalarField2D(evaluate=evaluate, region=md.DEFAULT_REGION)
     with pytest.raises(NonFiniteValues) as exc:
         md.verify_3d_shape_invariance(chi, 2.0, 1.0, grid)
-    assert min(exc.value.locations) > 1.4
+    rs, thetas = zip(*exc.value.locations)
+    assert min(rs) > 1.4
+    assert set(thetas) == set(grid[1][0].tolist())
 
 
 def test_sip_3d_evaluates_the_seed_at_most_three_times(tmp_path, monkeypatch):

@@ -1,7 +1,12 @@
+import math
+from io import StringIO
+
 import numpy as np
 import pytest
 
+from shapeinv import radial
 from shapeinv.catalog import get_family
+from shapeinv.cli import EXIT_PASS, run_command
 from shapeinv.radial import (
     GeneralizedFactorization,
     generalized_partners,
@@ -116,7 +121,7 @@ def test_product_scheme_reproduces_radial_operator():
 
 def test_intertwine_lowers_regular_solution():
     r = make_grid(0.5, 20, 4096)
-    j1 = np.array([spherical_bessel_oracle(1, rv)[0] for rv in r])
+    j1 = spherical_bessel_oracle(1, r)[0]
     lowered = radial_intertwine(1, Wavefunction(x=r, values=j1, level=1))
     j0 = np.sin(r) / r
     assert np.max(np.abs(lowered.values - j0)) / np.max(np.abs(j0)) < 1e-6
@@ -124,7 +129,7 @@ def test_intertwine_lowers_regular_solution():
 
 def test_intertwine_lowers_irregular_solution():
     r = make_grid(0.5, 20, 4096)
-    n1 = np.array([spherical_bessel_oracle(1, rv)[1] for rv in r])
+    n1 = spherical_bessel_oracle(1, r)[1]
     lowered = radial_intertwine(1, Wavefunction(x=r, values=n1, level=1))
     n0 = -np.cos(r) / r
     dev = np.abs(lowered.values - n0) / np.max(np.abs(n0))
@@ -208,7 +213,7 @@ def test_radial_eigen_residual(k):
     r = make_grid(0.5, 20, 4096)
     h = r[1] - r[0]
     for ell in (1, 2, 3):
-        jl = np.array([spherical_bessel_oracle(ell, k * rv)[0] for rv in r])
+        jl = spherical_bessel_oracle(ell, k * r)[0]
         res = (-second_derivative(jl, h) - 2.0 / r * derivative(jl, h, order=4)
                + ell * (ell + 1) / r**2 * jl - k * k * jl)
         assert np.max(np.abs(res[2:-2])) < 1e-6, (ell, k)
@@ -221,3 +226,99 @@ def test_csv_export(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "r,psi,Bpsi,reference"
     assert len(lines) == 65
+
+
+def _reference_miller_down(ell_max, r, margin, renormalized):
+    start = ell_max + margin + math.ceil(r)
+    jj = np.zeros(start + 2)
+    jj[start + 1] = 0.0
+    jj[start] = 1e-30
+    for l in range(start, 0, -1):
+        jj[l - 1] = (2 * l + 1) / r * jj[l] - jj[l + 1]
+        if abs(jj[l - 1]) > 1e250:
+            renormalized.add(r)
+            jj[: start + 2] /= jj[l - 1]
+    j0e = math.sin(r) / r
+    j1e = math.sin(r) / r**2 - math.cos(r) / r
+    scale = j0e / jj[0] if abs(j0e) >= abs(j1e) else j1e / jj[1]
+    return jj[: ell_max + 1] * scale
+
+
+def _reference_table(ell_max, r, renormalized, doubled):
+    """The Miller table for one point at a time, which the array sweep must
+    reproduce bit for bit; notes the r values that renormalized mid-run or
+    needed a margin above 16."""
+    j0e = math.sin(r) / r
+    j1e = math.sin(r) / r**2 - math.cos(r) / r
+    tol = 1e-14 * max(abs(j0e), abs(j1e))
+    check = 1 if abs(j0e) >= abs(j1e) else 0
+    exact = (j0e, j1e)
+    margin = 16
+    while True:
+        j = _reference_miller_down(max(ell_max, 1), r, margin, renormalized)
+        if abs(j[check] - exact[check]) <= tol or margin >= 256:
+            break
+        margin *= 2
+        doubled.add(r)
+    n = np.zeros(ell_max + 1)
+    n[0] = -math.cos(r) / r
+    if ell_max >= 1:
+        n[1] = -math.cos(r) / r**2 - math.sin(r) / r
+        for l in range(1, ell_max):
+            n[l + 1] = (2 * l + 1) / r * n[l] - n[l - 1]
+    return j[: ell_max + 1], n
+
+
+def _assert_same_bits(ell_max, r, renormalized, doubled):
+    j, n = spherical_bessel_table(ell_max, r)
+    for i, rv in enumerate(r.tolist()):
+        jr, nr = _reference_table(ell_max, rv, renormalized, doubled)
+        assert j[:, i].tobytes() == jr.tobytes(), (ell_max, rv)
+        assert n[:, i].tobytes() == nr.tobytes(), (ell_max, rv)
+
+
+PROBES = (1e-6, 1e-4, 0.01, np.pi, 2 * np.pi, 50.0, 99.5, 300.0)
+
+
+def test_array_table_matches_point_by_point_recurrence():
+    grid = make_grid(0.5, 20, 8192)
+    # every 32nd grid point, the points where libm's r**2 and r*r round
+    # apart, and the probes
+    sample = np.concatenate([grid[::32], [x for x in grid if x * x != x**2], PROBES])
+    renormalized, doubled = set(), set()
+    for ell in range(26):
+        _assert_same_bits(ell, sample, renormalized, doubled)
+    assert 1e-6 in renormalized
+    assert {1e-6, 50.0, 99.5, 300.0} <= doubled
+    _assert_same_bits(13, grid, set(), set())
+    for rv in PROBES:
+        j, n = spherical_bessel_table(25, rv)
+        jr, nr = _reference_table(25, rv, set(), set())
+        assert j.tobytes() == jr.tobytes() and n.tobytes() == nr.tobytes()
+        assert spherical_bessel_oracle(25, rv) == (float(jr[25]), float(nr[25]))
+
+
+def test_table_shapes():
+    j, n = spherical_bessel_table(4, np.full((2, 3), 1.5))
+    assert j.shape == n.shape == (5, 2, 3)
+    j, n = spherical_bessel_table(4, 1.5)
+    assert j.shape == n.shape == (5,)
+    jl, nl = spherical_bessel_oracle(4, 1.5)
+    assert type(jl) is float and type(nl) is float
+    assert spherical_bessel_oracle(4, make_grid(0.5, 2, 7))[0].shape == (7,)
+
+
+@pytest.mark.parametrize("ell, n", [(3, 512), (13, 8192)])
+def test_sip_radial_builds_at_most_twelve_tables(ell, n, tmp_path, monkeypatch):
+    calls = []
+    table = radial.spherical_bessel_table
+
+    def counted(ell_max, r):
+        calls.append(ell_max)
+        return table(ell_max, r)
+
+    monkeypatch.setattr(radial, "spherical_bessel_table", counted)
+    argv = ["radial", "--ell", str(ell), "--check-bessel", "--grid", f"0.5:20:{n}",
+            "--out", str(tmp_path)]
+    assert run_command(argv, StringIO()) == EXIT_PASS
+    assert 1 <= len(calls) <= 12
