@@ -34,7 +34,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .sampling import (
     SampledFunction,
@@ -342,6 +341,8 @@ def extend_second_solution(base: ConstructedSuperpotential, C: float, D: float) 
 
 
 def _phi_by_quadrature(seed: SeedSolution, C: float, D: float, n: int = 4097):
+    from scipy.interpolate import CubicSpline
+
     if seed.interval is None:
         raise ValueError("custom seed without antiderivative needs a working interval")
     lo, hi = seed.interval

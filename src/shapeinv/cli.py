@@ -344,16 +344,23 @@ class _UsageError(Exception):
     """A command line argparse rejected, as the usage and error lines it prints."""
 
 
-class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that hands usage errors to its caller.
+class _HelpRequested(Exception):
+    """A --help, as the help text argparse prints for it."""
 
-    argparse prints them to sys.stderr and exits; raising instead lets
-    run_command write them to the stream of the job that made them.
-    Subparsers inherit the class.
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that hands usage errors and --help to its caller.
+
+    argparse prints them to sys.stderr and sys.stdout and exits; raising
+    instead lets run_command write them to the stream of the job that made
+    them.  Subparsers inherit the class.
     """
 
     def error(self, message):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,7 +440,7 @@ def run_command(argv, out, err=None) -> int:
     """Run one sip command line, writing its output to out.
 
     Usage errors go to err, sys.stderr by default; a --batch job passes its
-    own section's stream.
+    own section's stream.  --help goes to out.
     """
     parser = build_parser()
     try:
@@ -441,8 +448,9 @@ def run_command(argv, out, err=None) -> int:
     except _UsageError as exc:
         print(exc, end="", file=sys.stderr if err is None else err)
         return EXIT_USAGE
-    except SystemExit as exc:  # --help
-        return int(exc.code) if exc.code else EXIT_PASS
+    except _HelpRequested as exc:
+        print(exc, end="", file=out)
+        return EXIT_PASS
     if args.batch:
         return _run_batch(args.batch, out)
     if not args.command:

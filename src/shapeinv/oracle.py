@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .sampling import fix_sign, normalize
 from .spectral import Spectrum, Wavefunction
@@ -63,6 +62,8 @@ class OracleResult:
 
 
 def _solve_once(V: Callable, lo: float, hi: float, n: int, k: int, shift: float):
+    from scipy.linalg import eigh_tridiagonal
+
     # interior points only; psi = 0 at the walls lo, hi
     x = np.linspace(lo, hi, n + 2)[1:-1]
     h = x[1] - x[0]

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 #: parameter sets are plain name -> value maps (e.g. {"omega": 2.0, "b": 0.0})
 ParamSet = dict
@@ -131,9 +130,52 @@ def second_derivative(values: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
+def _simpson_panels(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Simpson integral over the first interval of each three-point window."""
+    x21 = dx[:-1]
+    x32 = dx[1:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21_x32 = x21 / x32
+    x21x21_x31x32 = x21_x31 * x21_x32
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+    return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
+
+
 def cumulative_integral(values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cumulative composite-Simpson antiderivative, zero at x[0]."""
-    return cumulative_simpson(np.asarray(values, dtype=float), x=np.asarray(x), initial=0.0)
+    """Cumulative composite-Simpson antiderivative, zero at x[0].
+
+    A numpy port of scipy.integrate.cumulative_simpson(values, x=x,
+    initial=0.0), in its operation order, so every value is bit-identical
+    to it; keeping it here spares every sip command the scipy.integrate
+    import.  scipy is loaded only for the oracle eigensolve (scipy.linalg)
+    and for custom-seed quadrature and integration (scipy.interpolate,
+    scipy.integrate).  Needs at least 3 samples on a strictly increasing
+    grid.
+    """
+    y = np.asarray(values, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if y.ndim != 1 or x.shape != y.shape:
+        raise ValueError("values and grid must be 1-D of equal length")
+    if y.size < 3:
+        raise ValueError("need at least 3 samples")
+    dx = np.diff(x)
+    if np.any(dx <= 0):
+        raise ValueError("grid must be strictly increasing")
+    # intervals 0, 2, 4, ... integrate the three-point window that starts
+    # at them; the others, and the last, the window that ends at them (the
+    # same formula on the reversed grid)
+    forward = _simpson_panels(y, dx)
+    backward = _simpson_panels(y[::-1], dx[::-1])[::-1]
+    panels = np.empty(y.size - 1)
+    panels[:-1:2] = forward[::2]
+    panels[1::2] = backward[::2]
+    panels[-1] = backward[-1]
+    total = np.cumsum(panels)
+    total += 0.0  # as scipy adds `initial`: turns -0.0 into 0.0
+    return np.concatenate(([0.0], total))
 
 
 def l2_norm(values: np.ndarray, x: np.ndarray) -> float:

@@ -12,6 +12,7 @@ from shapeinv.cli import (
     EXIT_PASS,
     EXIT_TRUNCATED,
     EXIT_USAGE,
+    main,
     run_command,
 )
 
@@ -190,6 +191,25 @@ def test_batch_parse_error_goes_to_the_job_section(outdir, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_batch_help_goes_to_the_job_section(outdir, tmp_path, capsys):
+    jobfile = tmp_path / "jobs.txt"
+    jobfile.write_text("list --help\nlist\n")
+    code, text = run(["--batch", str(jobfile)])
+    assert code == EXIT_PASS
+    section = text[:text.index("$ sip list\n")]
+    assert section.startswith("$ sip list --help\nusage: sip list ")
+    assert "--family FAMILY" in section
+    assert section.endswith("\n[exit 0]\n")
+    assert capsys.readouterr().out == ""
+
+
+def test_standalone_help_goes_to_stdout(capsys):
+    assert main(["list", "--help"]) == EXIT_PASS
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: sip list ")
+    assert captured.err == ""
+
+
 def test_standalone_parse_error_goes_to_stderr(capsys):
     code, text = run(["verify", "morse", "--bogus", "1"])
     assert code == EXIT_USAGE
@@ -199,18 +219,97 @@ def test_standalone_parse_error_goes_to_stderr(capsys):
     assert err.endswith("sip: error: unrecognized arguments: --bogus 1\n")
 
 
+def _fresh_env():
+    """Environment for a fresh interpreter that imports this checkout's shapeinv."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+
+
 def test_closed_pipe_exits_quietly(tmp_path):
     # far more output than the pipe buffer holds, so writes go on after
     # the reader has gone
     jobfile = tmp_path / "jobs.txt"
     jobfile.write_text("list --json\n" * 60)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.Popen([sys.executable, "-m", "shapeinv.cli", "--batch", str(jobfile)],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_fresh_env(),
                             cwd=tmp_path)
     assert proc.stdout.readline() == b"$ sip list --json\n"
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == EXIT_FAIL
     assert err == b""
+
+
+_SCIPY_MODULES_AFTER = """
+import json, sys
+from io import StringIO
+from shapeinv.cli import run_command
+codes = [run_command(argv, StringIO()) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+def _scipy_modules_after(jobs, tmp_path):
+    """Exit codes of jobs run in a fresh interpreter, and the scipy modules it then holds."""
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_MODULES_AFTER, json.dumps(jobs)],
+                          capture_output=True, text=True, env=_fresh_env(), cwd=tmp_path,
+                          timeout=120, check=True)
+    result = json.loads(proc.stdout)
+    return result["codes"], set(result["scipy"])
+
+
+def test_cold_start_imports_no_scipy(tmp_path):
+    out = str(tmp_path / "sip-out")
+    jobs = [
+        ["list"],
+        ["verify", "morse"],
+        ["construct", "--K", "0", "--branch", "linear", "--alpha", "1", "--lambda", "1",
+         "--out", out],
+        ["3d", "--seed", "a0=2,a1=1", "--lambda", "2", "--mu", "1", "--out", out],
+        ["radial", "--ell", "3", "--check-bessel", "--out", out],
+    ]
+    codes, scipy_modules = _scipy_modules_after(jobs, tmp_path)
+    assert codes == [EXIT_PASS] * len(jobs)
+    assert scipy_modules == set()
+
+
+_THREADS_AFTER = """
+import json, os, sys
+from io import StringIO
+import shapeinv
+from shapeinv.cli import run_command
+code = run_command(["spectrum", "morse", "--oracle"], StringIO())
+print(json.dumps({"code": code, "env": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "threads": len(os.listdir("/proc/self/task"))}))
+"""
+
+
+def _threads_after_oracle(tmp_path, blas_threads):
+    env = _fresh_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run([sys.executable, "-c", _THREADS_AFTER], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cold_start_runs_one_thread(tmp_path):
+    # numpy and scipy.linalg both loaded, neither with a BLAS thread pool
+    result = _threads_after_oracle(tmp_path, None)
+    assert result == {"code": EXIT_PASS, "env": "1", "threads": 1}
+
+
+def test_chosen_blas_thread_count_is_kept(tmp_path):
+    result = _threads_after_oracle(tmp_path, "2")
+    assert result["code"] == EXIT_PASS
+    assert result["env"] == "2"
+
+
+def test_oracle_imports_only_scipy_linalg(tmp_path):
+    codes, scipy_modules = _scipy_modules_after([["spectrum", "morse", "--oracle"]], tmp_path)
+    assert codes == [EXIT_PASS]
+    assert "scipy.linalg" in scipy_modules
+    assert not scipy_modules & {"scipy.integrate", "scipy.interpolate", "scipy.special"}
