@@ -45,7 +45,7 @@ print(f"  R(p)          = {energy_shift(morse, p):.6f}   (= A^2 - (A-a)^2)")
 print("\nShape-invariance certificates (512-point grids):")
 for name, _, _ in list_families():
     fam = get_family(name)
-    grid = make_grid(*fam.si_interval, 512)
+    grid = make_grid(*fam.domain(fam.reference_params).si_interval, 512)
     rep = verify_shape_invariance(fam.W, fam.Wprime, fam.reference_params,
                                   fam.tau, grid)
     stored = energy_shift(fam, fam.reference_params)

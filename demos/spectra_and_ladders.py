@@ -32,7 +32,7 @@ for name, p, levels in [
 ]:
     fam = get_family(name)
     alg = algebraic_spectrum(fam, p, levels)
-    cfg = OracleConfig(box=fam.oracle_box, n_points=2000, n_levels=levels)
+    cfg = OracleConfig(box=fam.domain(p).oracle_box, n_points=2000, n_levels=levels)
     res = eigensolve(lambda x: fam.W(p, x) ** 2 - fam.Wprime(p, x), cfg)
     cmp = compare_spectra(alg, res.spectrum, mode="relative-gap", tolerance=1e-3)
     print(f"{name} ({levels} levels)")
@@ -52,7 +52,7 @@ print(f"morse at A=2: requested 10 levels, got {s.energies} "
 # (-d/dx + W) back down.  Node counts label the levels.
 fam = get_family("morse")
 p = {"A": 4.0, "B": 4.0, "a": 1.0}
-cfg = OracleConfig(box=fam.oracle_box, n_points=2400, n_levels=4)
+cfg = OracleConfig(box=fam.domain(p).oracle_box, n_points=2400, n_levels=4)
 res = eigensolve(lambda x: fam.W(p, x) ** 2 - fam.Wprime(p, x), cfg)
 wfs = ladder_wavefunctions(fam, p, 4, res.wavefunctions[0].x)
 print("morse ladder wavefunctions vs oracle eigenvectors:")

@@ -19,12 +19,16 @@ Conventions
   when either check does not hold.
 - Reference parameters are small integers (or simple fractions) chosen
   inside each family's validity region so analytic cross-checks stay
-  human-verifiable.
+  human-verifiable; their keys, in order, are the family's parameter names.
+- domain(p) holds the open interval, the default verify grid and the
+  default oracle box at p; for the trigonometric families all three scale
+  with 1/a.  A parameter's descriptor lists every constraint naming it.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -56,26 +60,56 @@ class InvalidParameters(ValueError):
 
 
 class DomainViolation(ValueError):
-    """Evaluation point lies outside the family's domain interval."""
+    """Evaluation point, grid or box lies outside the family's domain interval."""
 
 
 @dataclass(frozen=True)
 class DomainInterval:
+    """The open interval (lo, hi) a family lives on, with its default windows.
+
+    ``si_interval`` is the grid for shape-invariance checks and lies inside
+    the open interval; ``oracle_box`` is the eigensolver's Dirichlet box and
+    may reach the endpoints, because the oracle evaluates V only at points
+    strictly between its walls.
+    """
+
     lo: float
     hi: float
-    kind: str  # "full-line" | "half-line" | "finite"
+    si_interval: tuple
+    oracle_box: tuple
 
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError("domain requires lo < hi")
         if self.kind == "half-line" and self.lo != 0.0:
             raise ValueError("half-line domains start at 0")
+        self.require_grid(*self.si_interval)
+        self.require_box(*self.oracle_box)
+
+    @property
+    def kind(self) -> str:
+        """Read off the endpoints: finite, half-line or full-line."""
+        if np.isfinite(self.lo) and np.isfinite(self.hi):
+            return "finite"
+        if np.isfinite(self.lo) or np.isfinite(self.hi):
+            return "half-line"
+        return "full-line"
 
     def contains(self, x, margin: float = ENDPOINT_MARGIN) -> bool:
         x = np.asarray(x, dtype=float)
         lo = self.lo + margin if np.isfinite(self.lo) else self.lo
         hi = self.hi - margin if np.isfinite(self.hi) else self.hi
         return bool(np.all(x > lo) and np.all(x < hi))
+
+    def require_grid(self, lo: float, hi: float) -> None:
+        """Raise DomainViolation unless a grid from lo to hi stays inside the open domain."""
+        if not self.contains((lo, hi)):
+            raise DomainViolation(f"grid {lo}:{hi} leaves the domain ({self.lo}, {self.hi})")
+
+    def require_box(self, lo: float, hi: float) -> None:
+        """Raise DomainViolation unless the box [lo, hi] lies within the closed domain."""
+        if not (self.lo <= lo and hi <= self.hi):
+            raise DomainViolation(f"box [{lo}, {hi}] leaves the domain [{self.lo}, {self.hi}]")
 
 
 @dataclass(frozen=True)
@@ -84,12 +118,11 @@ class PotentialFamily:
 
     W, Wprime accept (params, x) with x scalar or ndarray.  ``domain`` is a
     function of the parameters because the trigonometric families live on
-    intervals whose endpoints scale with 1/a.
+    intervals whose endpoints, and so default windows, scale with 1/a.
     """
 
     name: str
-    param_names: tuple
-    constraints: tuple  # human-readable, parallel to nothing in particular
+    constraints: tuple  # human-readable, each naming the parameters it bounds
     W: Callable
     Wprime: Callable
     tau: Callable
@@ -97,8 +130,10 @@ class PotentialFamily:
     domain: Callable  # ParamSet -> DomainInterval
     is_valid: Callable  # ParamSet -> bool
     reference_params: dict
-    si_interval: tuple  # documented grid for shape-invariance checks
-    oracle_box: tuple  # documented Dirichlet box for the eigensolver
+
+    @property
+    def param_names(self) -> tuple:
+        return tuple(self.reference_params)
 
     def validate(self, p: ParamSet) -> None:
         missing = [k for k in self.param_names if k not in p]
@@ -121,17 +156,14 @@ def _shifted_oscillator() -> PotentialFamily:
     # W = (omega/2) x - b; trivial ladder, R = omega
     return PotentialFamily(
         name="shifted-oscillator",
-        param_names=("omega", "b"),
         constraints=("omega > 0",),
         W=lambda p, x: 0.5 * p["omega"] * np.asarray(x, float) - p["b"],
         Wprime=lambda p, x: 0.5 * p["omega"] * np.ones_like(np.asarray(x, float)),
         tau=lambda p: dict(p),
         R=lambda p: p["omega"],
-        domain=lambda p: DomainInterval(-np.inf, np.inf, "full-line"),
+        domain=lambda p: DomainInterval(-np.inf, np.inf, (-8.0, 8.0), (-10.0, 10.0)),
         is_valid=lambda p: p["omega"] > 0,
         reference_params={"omega": 2.0, "b": 0.0},
-        si_interval=(-8.0, 8.0),
-        oracle_box=(-10.0, 10.0),
     )
 
 
@@ -139,7 +171,6 @@ def _radial_oscillator() -> PotentialFamily:
     # W = (omega/2) r - (ell+1)/r; ell -> ell + 1, R = 2 omega
     return PotentialFamily(
         name="radial-oscillator",
-        param_names=("omega", "ell"),
         constraints=("omega > 0", "ell >= 0"),
         W=lambda p, x: 0.5 * p["omega"] * np.asarray(x, float)
         - (p["ell"] + 1.0) / np.asarray(x, float),
@@ -147,11 +178,9 @@ def _radial_oscillator() -> PotentialFamily:
         + (p["ell"] + 1.0) / np.asarray(x, float) ** 2,
         tau=lambda p: {**p, "ell": p["ell"] + 1.0},
         R=lambda p: 2.0 * p["omega"],
-        domain=lambda p: DomainInterval(0.0, np.inf, "half-line"),
+        domain=lambda p: DomainInterval(0.0, np.inf, (0.1, 10.0), (1e-5, 10.0)),
         is_valid=lambda p: p["omega"] > 0 and p["ell"] >= 0,
         reference_params={"omega": 2.0, "ell": 0.0},
-        si_interval=(0.1, 10.0),
-        oracle_box=(1e-5, 10.0),
     )
 
 
@@ -163,18 +192,15 @@ def _coulomb() -> PotentialFamily:
 
     return PotentialFamily(
         name="coulomb",
-        param_names=("e2", "ell"),
         constraints=("e2 > 0", "ell >= 0"),
         W=lambda p, x: 0.5 * p["e2"] / (p["ell"] + 1.0)
         - (p["ell"] + 1.0) / np.asarray(x, float),
         Wprime=lambda p, x: (p["ell"] + 1.0) / np.asarray(x, float) ** 2,
         tau=lambda p: {**p, "ell": p["ell"] + 1.0},
         R=R,
-        domain=lambda p: DomainInterval(0.0, np.inf, "half-line"),
+        domain=lambda p: DomainInterval(0.0, np.inf, (0.1, 30.0), (1e-5, 50.0)),
         is_valid=lambda p: p["e2"] > 0 and p["ell"] >= 0,
         reference_params={"e2": 2.0, "ell": 0.0},
-        si_interval=(0.1, 30.0),
-        oracle_box=(1e-5, 50.0),
     )
 
 
@@ -182,17 +208,14 @@ def _morse() -> PotentialFamily:
     # W = A - B exp(-a x); A -> A - a, R = A^2 - (A-a)^2
     return PotentialFamily(
         name="morse",
-        param_names=("A", "B", "a"),
         constraints=("A > 0", "B > 0", "a > 0"),
         W=lambda p, x: p["A"] - p["B"] * np.exp(-p["a"] * np.asarray(x, float)),
         Wprime=lambda p, x: p["a"] * p["B"] * np.exp(-p["a"] * np.asarray(x, float)),
         tau=lambda p: {**p, "A": p["A"] - p["a"]},
         R=lambda p: p["A"] ** 2 - (p["A"] - p["a"]) ** 2,
-        domain=lambda p: DomainInterval(-np.inf, np.inf, "full-line"),
+        domain=lambda p: DomainInterval(-np.inf, np.inf, (-3.0, 10.0), (-3.0, 10.0)),
         is_valid=lambda p: p["A"] > 0 and p["B"] > 0 and p["a"] > 0,
         reference_params={"A": 4.0, "B": 4.0, "a": 1.0},
-        si_interval=(-3.0, 10.0),
-        oracle_box=(-3.0, 10.0),
     )
 
 
@@ -208,17 +231,14 @@ def _scarf_ii() -> PotentialFamily:
 
     return PotentialFamily(
         name="scarf-II-hyperbolic",
-        param_names=("A", "B", "a"),
         constraints=("A > 0", "a > 0"),
         W=W,
         Wprime=Wp,
         tau=lambda p: {**p, "A": p["A"] - p["a"]},
         R=lambda p: p["A"] ** 2 - (p["A"] - p["a"]) ** 2,
-        domain=lambda p: DomainInterval(-np.inf, np.inf, "full-line"),
+        domain=lambda p: DomainInterval(-np.inf, np.inf, (-8.0, 8.0), (-10.0, 10.0)),
         is_valid=lambda p: p["A"] > 0 and p["a"] > 0,
         reference_params={"A": 4.0, "B": 4.0, "a": 1.0},
-        si_interval=(-8.0, 8.0),
-        oracle_box=(-10.0, 10.0),
     )
 
 
@@ -230,17 +250,14 @@ def _rosen_morse_ii() -> PotentialFamily:
 
     return PotentialFamily(
         name="rosen-morse-II-hyperbolic",
-        param_names=("A", "B", "a"),
         constraints=("A > 0", "a > 0", "A^2 > |B|"),
         W=lambda p, x: p["A"] * np.tanh(p["a"] * np.asarray(x, float)) + p["B"] / p["A"],
         Wprime=lambda p, x: p["a"] * p["A"] / np.cosh(p["a"] * np.asarray(x, float)) ** 2,
         tau=lambda p: {**p, "A": p["A"] - p["a"]},
         R=R,
-        domain=lambda p: DomainInterval(-np.inf, np.inf, "full-line"),
+        domain=lambda p: DomainInterval(-np.inf, np.inf, (-8.0, 8.0), (-12.0, 12.0)),
         is_valid=lambda p: p["A"] > 0 and p["a"] > 0 and p["A"] ** 2 > abs(p["B"]),
         reference_params={"A": 4.0, "B": 4.0, "a": 1.0},
-        si_interval=(-8.0, 8.0),
-        oracle_box=(-12.0, 12.0),
     )
 
 
@@ -252,17 +269,14 @@ def _eckart() -> PotentialFamily:
 
     return PotentialFamily(
         name="eckart",
-        param_names=("A", "B", "a"),
         constraints=("A > 0", "a > 0", "B > A^2"),
         W=lambda p, x: -p["A"] / np.tanh(p["a"] * np.asarray(x, float)) + p["B"] / p["A"],
         Wprime=lambda p, x: p["a"] * p["A"] / np.sinh(p["a"] * np.asarray(x, float)) ** 2,
         tau=lambda p: {**p, "A": p["A"] + p["a"]},
         R=R,
-        domain=lambda p: DomainInterval(0.0, np.inf, "half-line"),
+        domain=lambda p: DomainInterval(0.0, np.inf, (0.1, 12.0), (1e-3, 30.0)),
         is_valid=lambda p: p["A"] > 0 and p["a"] > 0 and p["B"] > p["A"] ** 2,
         reference_params={"A": 1.0, "B": 3.0, "a": 0.5},
-        si_interval=(0.1, 12.0),
-        oracle_box=(1e-3, 30.0),
     )
 
 
@@ -278,19 +292,19 @@ def _scarf_i() -> PotentialFamily:
 
     return PotentialFamily(
         name="scarf-I-trigonometric",
-        param_names=("A", "B", "a"),
         constraints=("a > 0", "A > |B|"),
         W=W,
         Wprime=Wp,
         tau=lambda p: {**p, "A": p["A"] + p["a"]},
         R=lambda p: (p["A"] + p["a"]) ** 2 - p["A"] ** 2,
         domain=lambda p: DomainInterval(
-            -0.5 * np.pi / p["a"], 0.5 * np.pi / p["a"], "finite"
+            -0.5 * np.pi / p["a"],
+            0.5 * np.pi / p["a"],
+            (-1.45 / p["a"], 1.45 / p["a"]),
+            ((-np.pi / 2 + 1e-4) / p["a"], (np.pi / 2 - 1e-4) / p["a"]),
         ),
         is_valid=lambda p: p["a"] > 0 and p["A"] > abs(p["B"]),
         reference_params={"A": 4.0, "B": 1.0, "a": 1.0},
-        si_interval=(-1.45, 1.45),
-        oracle_box=(-np.pi / 2 + 1e-4, np.pi / 2 - 1e-4),
     )
 
 
@@ -306,17 +320,14 @@ def _gen_poschl_teller() -> PotentialFamily:
 
     return PotentialFamily(
         name="gen-poschl-teller",
-        param_names=("A", "B", "a"),
         constraints=("a > 0", "B > A > 0"),
         W=W,
         Wprime=Wp,
         tau=lambda p: {**p, "A": p["A"] - p["a"]},
         R=lambda p: p["A"] ** 2 - (p["A"] - p["a"]) ** 2,
-        domain=lambda p: DomainInterval(0.0, np.inf, "half-line"),
+        domain=lambda p: DomainInterval(0.0, np.inf, (0.1, 12.0), (1e-4, 14.0)),
         is_valid=lambda p: p["a"] > 0 and 0 < p["A"] < p["B"],
         reference_params={"A": 3.0, "B": 4.0, "a": 1.0},
-        si_interval=(0.1, 12.0),
-        oracle_box=(1e-4, 14.0),
     )
 
 
@@ -328,17 +339,19 @@ def _rosen_morse_i() -> PotentialFamily:
 
     return PotentialFamily(
         name="rosen-morse-I-trigonometric",
-        param_names=("A", "B", "a"),
         constraints=("A > 0", "a > 0"),
         W=lambda p, x: -p["A"] / np.tan(p["a"] * np.asarray(x, float)) - p["B"] / p["A"],
         Wprime=lambda p, x: p["a"] * p["A"] / np.sin(p["a"] * np.asarray(x, float)) ** 2,
         tau=lambda p: {**p, "A": p["A"] + p["a"]},
         R=R,
-        domain=lambda p: DomainInterval(0.0, np.pi / p["a"], "finite"),
+        domain=lambda p: DomainInterval(
+            0.0,
+            np.pi / p["a"],
+            (0.15 / p["a"], (np.pi - 0.15) / p["a"]),
+            (1e-4 / p["a"], (np.pi - 1e-4) / p["a"]),
+        ),
         is_valid=lambda p: p["A"] > 0 and p["a"] > 0,
         reference_params={"A": 1.0, "B": 1.0, "a": 1.0},
-        si_interval=(0.15, np.pi - 0.15),
-        oracle_box=(1e-4, np.pi - 1e-4),
     )
 
 
@@ -368,7 +381,7 @@ def _validate_family(fam: PotentialFamily, n: int = 512) -> None:
     V_plus(p) - V_minus(tau(p)) (constant to 1e-10).
     """
     p = fam.reference_params
-    lo, hi = fam.si_interval
+    lo, hi = fam.domain(p).si_interval
     x = make_grid(lo, hi, n)
 
     # differencing near a singular endpoint inflates the h^2 truncation term,
@@ -453,14 +466,12 @@ def energy_shift(fam: PotentialFamily, p: ParamSet) -> float:
 def family_descriptor(fam: PotentialFamily) -> dict:
     """JSON-ready descriptor; domain endpoints at the reference parameters."""
     dom = fam.domain(fam.reference_params)
-    constraint_by_param = {}
-    for name in fam.param_names:
-        hits = [c for c in fam.constraints if name in c.replace("|", " ").split() or c.startswith(name)]
-        constraint_by_param[name] = "; ".join(hits) if hits else "real"
+    hits = {name: [] for name in fam.param_names}
+    for c in fam.constraints:
+        for name in hits.keys() & set(re.findall(r"[A-Za-z_]\w*", c)):
+            hits[name].append(c)
     return {
         "name": fam.name,
-        "parameters": [
-            {"name": n, "constraint": constraint_by_param[n]} for n in fam.param_names
-        ],
+        "parameters": [{"name": n, "constraint": "; ".join(cs) or "real"} for n, cs in hits.items()],
         "domain": {"lo": float(dom.lo), "hi": float(dom.hi), "kind": dom.kind},
     }

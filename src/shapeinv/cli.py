@@ -47,8 +47,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_TRUNCATED = 3
 
-PARAM_FLAGS = ("omega", "b", "A", "B", "a", "ell", "e2")
-
 
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
@@ -96,9 +94,14 @@ class RunManifest:
         return path
 
 
+def _param_flags() -> tuple:
+    """Every family's parameter names, each once, in catalog order."""
+    return tuple(dict.fromkeys(n for name in FAMILY_NAMES for n in get_family(name).param_names))
+
+
 def _collect_params(args, fam) -> dict:
     p = dict(fam.reference_params)
-    for flag in PARAM_FLAGS:
+    for flag in _param_flags():
         val = getattr(args, flag, None)
         if val is not None:
             if flag not in fam.param_names:
@@ -136,10 +139,12 @@ def cmd_verify(args, out) -> int:
     fam = get_family(args.family)
     p = _collect_params(args, fam)
     fam.validate(p)
+    dom = fam.domain(p)
     if args.grid:
         lo, hi, n = _parse_grid(args.grid)
+        dom.require_grid(lo, hi)
     else:
-        lo, hi = fam.si_interval
+        lo, hi = dom.si_interval
         n = 512
     report = verify_shape_invariance(
         fam.W, fam.Wprime, p, fam.tau, make_grid(lo, hi, n), tolerance=args.tolerance
@@ -167,7 +172,9 @@ def cmd_spectrum(args, out) -> int:
         lines.append(f"{n:>3}  {_fmt(e + args.offset):>16}")
     comparison = None
     if args.oracle:
-        box = fam.oracle_box if args.box is None else tuple(args.box)
+        dom = fam.domain(p)
+        box = dom.oracle_box if args.box is None else tuple(args.box)
+        dom.require_box(*box)
         cfg = oracle.OracleConfig(box=box, n_points=args.points,
                                   n_levels=len(spec.energies))
         res = oracle.eigensolve(lambda x: fam.W(p, x) ** 2 - fam.Wprime(p, x), cfg)
@@ -336,7 +343,7 @@ def cmd_radial(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_param_flags(sub):
-    for flag in PARAM_FLAGS:
+    for flag in _param_flags():
         sub.add_argument(f"--{flag}", type=float, default=None)
 
 

@@ -34,8 +34,9 @@ def test_criterion_1_catalog_si_certification():
     worst = 0.0
     for name in FAMILY_NAMES:
         fam = get_family(name)
-        rep = verify_shape_invariance(fam.W, fam.Wprime, fam.reference_params,
-                                      fam.tau, make_grid(*fam.si_interval, 512),
+        p = fam.reference_params
+        rep = verify_shape_invariance(fam.W, fam.Wprime, p,
+                                      fam.tau, make_grid(*fam.domain(p).si_interval, 512),
                                       tolerance=1e-10)
         assert rep.passed, (name, rep.max_residual)
         worst = max(worst, rep.max_residual)
@@ -75,7 +76,7 @@ def test_criterion_3_spectrum_agreement():
         fam = get_family(name)
         alg = spectral.algebraic_spectrum(fam, p, levels)
         assert alg.energies == gaps
-        cfg = oracle.OracleConfig(box=fam.oracle_box, n_points=2000, n_levels=levels)
+        cfg = oracle.OracleConfig(box=fam.domain(p).oracle_box, n_points=2000, n_levels=levels)
         res = oracle.eigensolve(lambda x: fam.W(p, x) ** 2 - fam.Wprime(p, x), cfg)
         cmp = oracle.compare_spectra(alg, res.spectrum, mode="relative-gap",
                                      tolerance=1e-3)
@@ -94,7 +95,7 @@ def test_criterion_4_intertwining_ladder():
     for name in FAMILY_NAMES:
         fam = get_family(name)
         p = fam.reference_params
-        g = make_grid(*fam.si_interval, 4096)
+        g = make_grid(*fam.domain(p).si_interval, 4096)
         psi0 = spectral.ground_state(lambda x: fam.W(p, x), g)
         ratio = spectral.apply_A(lambda x: fam.W(p, x), psi0).norm() / psi0.norm()
         assert ratio < 1e-5, (name, ratio)
@@ -104,7 +105,7 @@ def test_criterion_4_intertwining_ladder():
     for name, levels in (("shifted-oscillator", 4), ("morse", 4)):
         fam = get_family(name)
         p = fam.reference_params
-        cfg = oracle.OracleConfig(box=fam.oracle_box, n_points=2400, n_levels=levels)
+        cfg = oracle.OracleConfig(box=fam.domain(p).oracle_box, n_points=2400, n_levels=levels)
         res = oracle.eigensolve(lambda x: fam.W(p, x) ** 2 - fam.Wprime(p, x), cfg)
         wfs = spectral.ladder_wavefunctions(fam, p, levels, res.wavefunctions[0].x)
         for n, w in enumerate(wfs):

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from shapeinv import catalog
 from shapeinv.catalog import (
+    DomainInterval,
     DomainViolation,
     InvalidParameters,
     FAMILY_NAMES,
@@ -108,7 +111,7 @@ def test_energy_shift_matches_grid_difference(name):
     fam = get_family(name)
     p = fam.reference_params
     q = parameter_step(fam, p)
-    x = make_grid(*fam.si_interval, 512)
+    x = make_grid(*fam.domain(p).si_interval, 512)
     _, vp = partner_potentials(fam, p, x)
     vm, _ = partner_potentials(fam, q, x)
     diff = vp - vm
@@ -132,16 +135,21 @@ def test_parameter_step_flags_ladder_end():
         parameter_step(mo, {"A": 1.0, "B": 4.0, "a": 1.0})  # A would hit 0
 
 
+#: valid parameters whose ladders have two rungs, for the families whose
+#: reference ladders stop after one step
+TWO_RUNG_PARAMS = {
+    "rosen-morse-II-hyperbolic": {"A": 4.0, "B": 1.0, "a": 1.0},
+    "eckart": {"A": 1.0, "B": 5.0, "a": 0.5},
+}
+
+
 @pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))
 def test_translation_structure_is_uniform(name):
     # stepping twice moves each parameter by the same increment as stepping once
     fam = get_family(name)
-    p = fam.reference_params
-    try:
-        q = parameter_step(fam, p)
-        qq = parameter_step(fam, q)
-    except InvalidParameters:
-        pytest.skip("reference ladder too short for a double step")
+    p = TWO_RUNG_PARAMS.get(name, fam.reference_params)
+    q = parameter_step(fam, p)
+    qq = parameter_step(fam, q)
     for key in fam.param_names:
         assert qq[key] - q[key] == pytest.approx(q[key] - p[key], abs=1e-12)
 
@@ -162,11 +170,73 @@ def test_wprime_matches_central_differences():
     for name in EXPECTED_NAMES:
         fam = get_family(name)
         p = fam.reference_params
-        lo, hi = fam.si_interval
+        lo, hi = fam.domain(p).si_interval
         pad = 0.1 * (hi - lo)
         x = make_grid(lo + pad, hi - pad, 256)
         fd = (fam.W(p, x + h) - fam.W(p, x - h)) / (2 * h)
         assert np.max(np.abs(fd - fam.Wprime(p, x))) < 1e-6, name
+
+
+def _scaled_params(fam):
+    """The reference parameters, and for families with a scale a also a = 1/4 and a = 4."""
+    ref = fam.reference_params
+    return [ref] + ([{**ref, "a": 0.25}, {**ref, "a": 4.0}] if "a" in ref else [])
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))
+def test_windows_lie_in_the_domain(name):
+    fam = get_family(name)
+    for p in _scaled_params(fam):
+        fam.validate(p)
+        dom = fam.domain(p)
+        assert dom.contains(dom.si_interval), (p, dom)
+        lo, hi = dom.oracle_box
+        assert dom.lo <= lo < hi <= dom.hi, (p, dom)
+
+
+@pytest.mark.parametrize("name", ["scarf-I-trigonometric", "rosen-morse-I-trigonometric"])
+def test_trigonometric_windows_scale_with_the_domain(name):
+    fam = get_family(name)
+    ref = fam.domain(fam.reference_params)
+    for p in _scaled_params(fam)[1:]:
+        dom = fam.domain(p)
+        for got, want in [((dom.lo, dom.hi), (ref.lo, ref.hi)),
+                          (dom.si_interval, ref.si_interval),
+                          (dom.oracle_box, ref.oracle_box)]:
+            assert np.allclose(np.multiply(got, p["a"]), want, rtol=1e-15, atol=0)
+
+
+def test_domain_rejects_windows_outside_it():
+    # the oracle box may reach the open endpoints, the verify grid may not
+    DomainInterval(0.0, np.pi, si_interval=(0.1, 3.0), oracle_box=(0.0, np.pi))
+    with pytest.raises(DomainViolation):
+        DomainInterval(0.0, np.pi, si_interval=(0.0, 3.0), oracle_box=(0.0, np.pi))
+    with pytest.raises(DomainViolation):
+        DomainInterval(0.0, np.pi, si_interval=(0.1, 3.5), oracle_box=(0.0, np.pi))
+    with pytest.raises(DomainViolation):
+        DomainInterval(0.0, np.pi, si_interval=(0.1, 3.0), oracle_box=(-1.0, 3.0))
+    with pytest.raises(DomainViolation):
+        DomainInterval(0.0, np.inf, si_interval=(-1.0, 3.0), oracle_box=(1e-5, 3.0))
+
+
+def test_domain_kind_is_read_off_the_endpoints():
+    assert DomainInterval(-np.inf, np.inf, (-1.0, 1.0), (-1.0, 1.0)).kind == "full-line"
+    assert DomainInterval(0.0, np.inf, (1.0, 2.0), (0.0, 2.0)).kind == "half-line"
+    assert DomainInterval(0.0, np.pi, (1.0, 2.0), (0.0, 2.0)).kind == "finite"
+    with pytest.raises(ValueError, match="half-line domains start at 0"):
+        DomainInterval(-np.inf, 0.0, (-2.0, -1.0), (-2.0, -1.0))
+
+
+def test_descriptor_lists_each_constraint_under_every_parameter_it_names():
+    for name in FAMILY_NAMES:
+        fam = get_family(name)
+        listed = {e["name"]: e["constraint"] for e in family_descriptor(fam)["parameters"]}
+        assert list(listed) == list(fam.param_names)
+        for key in fam.param_names:
+            want = [c for c in fam.constraints if re.search(rf"\b{key}\b", c)]
+            assert listed[key] == ("; ".join(want) or "real"), (name, key)
+    eckart = family_descriptor(get_family("eckart"))["parameters"]
+    assert eckart[0] == {"name": "A", "constraint": "A > 0; B > A^2"}
 
 
 def test_descriptor_schema():

@@ -1,4 +1,6 @@
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,11 +9,13 @@ from pathlib import Path
 
 import pytest
 
+from shapeinv.catalog import FAMILY_NAMES, get_family
 from shapeinv.cli import (
     EXIT_FAIL,
     EXIT_PASS,
     EXIT_TRUNCATED,
     EXIT_USAGE,
+    build_parser,
     main,
     run_command,
 )
@@ -74,6 +78,55 @@ def test_verify_bad_parameters_exit_two():
 def test_verify_unknown_family_usage_error():
     code, _ = run(["verify", "not-a-family"])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("a", [0.25, 0.5, 2.0, 4.0])
+def test_trigonometric_families_verify_at_every_scale(a):
+    # the default grid shrinks with the domain (-pi/2a, pi/2a) or (0, pi/a);
+    # closed forms at the reference A = 4, B = 1 and A = B = 1
+    shifts = {"scarf-I-trigonometric": (4 + a) ** 2 - 4**2,
+              "rosen-morse-I-trigonometric": (1 + a) ** 2 - 1 / (1 + a) ** 2}
+    for name, shift in shifts.items():
+        code, text = run(["verify", name, "--a", str(a), "--json"])
+        assert code == EXIT_PASS, (name, text)
+        assert json.loads(text)["estimated_constant"] == pytest.approx(shift, rel=1e-9)
+
+
+def test_verify_grid_outside_the_domain_is_a_usage_error():
+    # Scarf I at a = 1 lives on (-pi/2, pi/2): this grid crosses both poles
+    code, text = run(["verify", "scarf-I-trigonometric", "--grid=-2:2:512"])
+    assert code == EXIT_USAGE
+    assert text.startswith("error: ")
+
+
+def test_oracle_box_outside_the_domain_is_a_usage_error():
+    code, text = run(["spectrum", "rosen-morse-I-trigonometric", "--oracle", "--box", "-1", "4"])
+    assert code == EXIT_USAGE
+    assert text.startswith("error: ")
+
+
+def test_oracle_box_may_reach_the_domain_endpoints():
+    # the oracle evaluates V only between its walls, and walls on the
+    # endpoints match the states' own zeros there
+    code, text = run(["spectrum", "rosen-morse-I-trigonometric", "--oracle",
+                      "--box", "0", repr(math.pi), "--json"])
+    assert code == EXIT_PASS
+    assert json.loads(text)["comparison"]["passed"] is True
+
+
+def _options(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [s[2:] for a in sub.choices[command]._actions for s in a.option_strings
+            if s.startswith("--")]
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+def test_parameter_flags_are_the_catalog_parameters(command):
+    # every family's parameter names, each once, in catalog order
+    names = list(dict.fromkeys(n for f in FAMILY_NAMES for n in get_family(f).param_names))
+    options = _options(command)
+    assert options[1:1 + len(names)] == names
+    assert not set(options[1 + len(names):]) & set(names)
 
 
 def test_spectrum_table():

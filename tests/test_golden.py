@@ -28,7 +28,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = {
     "list": ["list", "--json"],
     "verify-morse": ["verify", "morse", "--json"],
-    "verify-scarf-I-fails": ["verify", "scarf-I-trigonometric", "--a", "2", "--json"],
+    "verify-scarf-I-a2": ["verify", "scarf-I-trigonometric", "--a", "2", "--json"],
     "spectrum-morse-oracle": ["spectrum", "morse", "--oracle", "--json"],
     "spectrum-eckart-oracle": ["spectrum", "eckart", "--oracle", "--json"],
     "construct": ["construct", "--K", "1", "--branch", "sin", "--alpha", "1",

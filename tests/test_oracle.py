@@ -46,7 +46,7 @@ def test_morse_box_matches_algebraic_levels():
     fam = get_family("morse")
     p = {"A": 4.0, "B": 4.0, "a": 1.0}
     alg = algebraic_spectrum(fam, p, 4)
-    cfg = OracleConfig(box=fam.oracle_box, n_points=2000, n_levels=4)
+    cfg = OracleConfig(box=fam.domain(p).oracle_box, n_points=2000, n_levels=4)
     res = eigensolve(lambda x: fam.W(p, x) ** 2 - fam.Wprime(p, x), cfg)
     cmp = compare_spectra(alg, res.spectrum, mode="relative-gap", tolerance=1e-3)
     assert cmp.passed, cmp.deviations

@@ -115,7 +115,7 @@ def test_annihilation_all_catalog_families(name):
     # inner wall keeps singular superpotentials resolvable by quadrature
     fam = get_family(name)
     p = fam.reference_params
-    g = make_grid(*fam.si_interval, 4096)
+    g = make_grid(*fam.domain(p).si_interval, 4096)
     psi0 = ground_state(lambda x: fam.W(p, x), g)
     ratio = apply_A(lambda x: fam.W(p, x), psi0).norm() / psi0.norm()
     assert ratio < 1e-5, (name, ratio)
@@ -157,7 +157,7 @@ def test_ladder_eigen_residual(name, levels):
     # amplifies machine noise by 1/h, so ever-finer grids get worse here.
     fam = get_family(name)
     p = fam.reference_params
-    g = make_grid(*fam.si_interval, 2048)
+    g = make_grid(*fam.domain(p).si_interval, 2048)
     h = g[1] - g[0]
     spec = algebraic_spectrum(fam, p, levels)
     wfs = ladder_wavefunctions(fam, p, levels, g)

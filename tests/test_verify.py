@@ -46,8 +46,9 @@ def test_shape_invariance_morse():
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_all_catalog_families_certify(name):
     fam = get_family(name)
-    rep = verify_shape_invariance(fam.W, fam.Wprime, fam.reference_params,
-                                  fam.tau, make_grid(*fam.si_interval, 512))
+    p = fam.reference_params
+    rep = verify_shape_invariance(fam.W, fam.Wprime, p,
+                                  fam.tau, make_grid(*fam.domain(p).si_interval, 512))
     assert rep.passed, (name, rep.max_residual)
 
 
@@ -90,7 +91,7 @@ def test_qhj_self_consistency_for_catalog(name):
         lambda x: fam.Wprime(p, x),
         lambda x: fam.W(p, x) ** 2 - fam.Wprime(p, x),
         0.0,
-        make_grid(*fam.si_interval, 256),
+        make_grid(*fam.domain(p).si_interval, 256),
         tolerance=1e-12,
     )
     assert rep.passed, name
@@ -150,7 +151,7 @@ def test_non_finite_values_raise_with_locations():
 
 def test_reports_are_bit_deterministic():
     fam = get_family("gen-poschl-teller")
-    grid = make_grid(*fam.si_interval, 512)
+    grid = make_grid(*fam.domain(fam.reference_params).si_interval, 512)
     a = verify_shape_invariance(fam.W, fam.Wprime, fam.reference_params, fam.tau, grid)
     b = verify_shape_invariance(fam.W, fam.Wprime, fam.reference_params, fam.tau, grid)
     assert a == b  # dataclass equality on floats: bit-identical
