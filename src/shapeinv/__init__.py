@@ -10,8 +10,9 @@ and factorization of measure-weighted radial operators with a spherical
 Bessel oracle.
 
 Everything is pure and deterministic: identical inputs give bit-identical
-outputs, and there is no shared mutable state, so concurrent use needs no
-coordination.
+outputs.  The only state shared within a process is the CLI's one argument
+parser, built on first use, which parsing only reads, so concurrent use
+needs no coordination.
 """
 
 __version__ = "0.1.0"

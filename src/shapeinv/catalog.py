@@ -51,7 +51,8 @@ __all__ = [
     "family_descriptor",
 ]
 
-#: margin by which evaluations must stay inside open domain endpoints
+#: margin by which evaluations must stay inside open domain endpoints, for a
+#: domain of width 1 or more (see DomainInterval.margin)
 ENDPOINT_MARGIN = 1e-6
 
 
@@ -95,10 +96,21 @@ class DomainInterval:
             return "half-line"
         return "full-line"
 
-    def contains(self, x, margin: float = ENDPOINT_MARGIN) -> bool:
+    @property
+    def margin(self) -> float:
+        """ENDPOINT_MARGIN, scaled down for a domain narrower than 1.
+
+        The trigonometric domains shrink as 1/a, and with them their
+        default grids; an absolute margin would reject those grids at
+        large a.
+        """
+        return ENDPOINT_MARGIN * min(1.0, self.hi - self.lo)
+
+    def contains(self, x) -> bool:
+        """Whether every x lies inside the open interval, margin from its finite ends."""
         x = np.asarray(x, dtype=float)
-        lo = self.lo + margin if np.isfinite(self.lo) else self.lo
-        hi = self.hi - margin if np.isfinite(self.hi) else self.hi
+        lo = self.lo + self.margin if np.isfinite(self.lo) else self.lo
+        hi = self.hi - self.margin if np.isfinite(self.hi) else self.hi
         return bool(np.all(x > lo) and np.all(x < hi))
 
     def require_grid(self, lo: float, hi: float) -> None:
@@ -429,7 +441,7 @@ def _check_point(fam: PotentialFamily, p: ParamSet, x) -> None:
     dom = fam.domain(p)
     if not dom.contains(x):
         raise DomainViolation(
-            f"{fam.name}: x outside ({dom.lo}, {dom.hi}) by margin {ENDPOINT_MARGIN}"
+            f"{fam.name}: x outside ({dom.lo}, {dom.hi}) by margin {dom.margin}"
         )
 
 

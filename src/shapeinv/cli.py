@@ -433,6 +433,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use.
+
+    Parsing only reads it: parse_args returns a fresh namespace each call,
+    so jobs cannot leak options into each other.
+    """
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 _HANDLERS = {
     "list": cmd_list,
     "verify": cmd_verify,
@@ -449,7 +464,7 @@ def run_command(argv, out, err=None) -> int:
     Usage errors go to err, sys.stderr by default; a --batch job passes its
     own section's stream.  --help goes to out.
     """
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

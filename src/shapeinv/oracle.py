@@ -2,9 +2,12 @@
 
 Uniform-grid finite differences with Dirichlet walls: the symmetric
 tridiagonal matrix has 2/h^2 + V(x_i) on the diagonal and -1/h^2 off it.
-The lowest eigenpairs are extracted with a deterministic bisection plus
-inverse-iteration routine (no randomized methods), eigenvectors normalized
-by the trapezoid rule.
+The lowest eigenvalues come from a deterministic bisection (no randomized
+methods).  Eigenvectors cost an inverse iteration and a normalization per
+level on top of that, and most callers read only the energies, so they are
+computed on the first read of ``OracleResult.wavefunctions``: the same
+solve run again with vectors, each normalized by the trapezoid rule and
+sign-fixed.
 
 This is the validation oracle for every algebraic result in the package;
 it shares nothing with the ladder construction except the potential.  Its
@@ -16,7 +19,8 @@ convergence check flags levels that fail to do so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -55,15 +59,36 @@ class OracleConfig:
 
 @dataclass
 class OracleResult:
+    """Energies of an eigensolve, with its eigenfunctions on demand.
+
+    The energies, and the convergence check when asked for, are computed by
+    eigensolve.  The eigenfunctions are computed on the first read of
+    ``wavefunctions``, which solves again with vectors for the potential
+    and config kept here, and are cached from then on.
+    """
+
     spectrum: Spectrum
-    wavefunctions: list
+    potential: Callable = field(repr=False, compare=False)
+    config: OracleConfig = field(repr=False, compare=False)
     convergence_deltas: Optional[np.ndarray] = None
     converged: Optional[bool] = None
 
+    @functools.cached_property
+    def wavefunctions(self) -> list:
+        """Normalized eigenfunctions, leftmost maximum of |psi| positive."""
+        from scipy.linalg import eigh_tridiagonal
 
-def _solve_once(V: Callable, lo: float, hi: float, n: int, k: int, shift: float):
-    from scipy.linalg import eigh_tridiagonal
+        cfg = self.config
+        x, diag, off = _matrix(self.potential, *cfg.box, cfg.n_points, cfg.shift)
+        # the bisection of _energies, then inverse iteration for the vectors
+        _, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, cfg.n_levels - 1))
+        return [Wavefunction(x=x, values=fix_sign(normalize(v[:, n], x)), level=n,
+                             normalized=True)
+                for n in range(cfg.n_levels)]
 
+
+def _matrix(V: Callable, lo: float, hi: float, n: int, shift: float):
+    """Interior grid, diagonal and off-diagonal of the box Hamiltonian."""
     # interior points only; psi = 0 at the walls lo, hi
     x = np.linspace(lo, hi, n + 2)[1:-1]
     h = x[1] - x[0]
@@ -71,32 +96,40 @@ def _solve_once(V: Callable, lo: float, hi: float, n: int, k: int, shift: float)
     if not np.all(np.isfinite(diag)):
         raise ValueError("V is singular or non-finite inside the box")
     off = np.full(n - 1, -1.0 / h**2)
-    w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
-    return x, w, v
+    return x, diag, off
+
+
+def _energies(V: Callable, lo: float, hi: float, n: int, k: int, shift: float):
+    """Lowest k eigenvalues by bisection (LAPACK stebz).
+
+    The vector solve runs the same bisection before its inverse iteration,
+    so its energies are bit-identical to these.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    _, diag, off = _matrix(V, lo, hi, n, shift)
+    return eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, k - 1))
 
 
 def eigensolve(V: Callable, cfg: OracleConfig) -> OracleResult:
-    """Lowest cfg.n_levels eigenpairs of -d^2/dx^2 + V + shift on the box.
+    """Lowest cfg.n_levels eigenvalues of -d^2/dx^2 + V + shift on the box.
 
     With check_convergence, the energies are recomputed at twice the
     resolution and levels moving by more than convergence_tol are flagged
     (converged=False); the result itself always comes from the requested
-    resolution.
+    resolution.  The eigenfunctions are solved for when the result's
+    ``wavefunctions`` is first read, evaluating V again on the same grid.
     """
     lo, hi = cfg.box
-    x, w, v = _solve_once(V, lo, hi, cfg.n_points, cfg.n_levels, cfg.shift)
-    wavefunctions = []
-    for n in range(cfg.n_levels):
-        vals = fix_sign(normalize(v[:, n], x))
-        wavefunctions.append(Wavefunction(x=x, values=vals, level=n, normalized=True))
+    w = _energies(V, lo, hi, cfg.n_points, cfg.n_levels, cfg.shift)
     deltas = None
     converged = None
     if cfg.check_convergence:
-        _, w2, _ = _solve_once(V, lo, hi, 2 * cfg.n_points, cfg.n_levels, cfg.shift)
+        w2 = _energies(V, lo, hi, 2 * cfg.n_points, cfg.n_levels, cfg.shift)
         deltas = np.abs(w2 - w)
         converged = bool(np.all(deltas < cfg.convergence_tol))
     spectrum = Spectrum(energies=list(w), provenance="oracle")
-    return OracleResult(spectrum=spectrum, wavefunctions=wavefunctions,
+    return OracleResult(spectrum=spectrum, potential=V, config=cfg,
                         convergence_deltas=deltas, converged=converged)
 
 
@@ -110,8 +143,7 @@ def convergence_factors(V: Callable, cfg: OracleConfig, doublings: int = 2) -> n
     runs = []
     n = cfg.n_points
     for _ in range(doublings + 1):
-        _, w, _ = _solve_once(V, lo, hi, n, cfg.n_levels, cfg.shift)
-        runs.append(w)
+        runs.append(_energies(V, lo, hi, n, cfg.n_levels, cfg.shift))
         n *= 2
     diffs = [np.abs(b - a) for a, b in zip(runs[:-1], runs[1:])]
     return np.asarray([d1 / d2 for d1, d2 in zip(diffs[:-1], diffs[1:])])

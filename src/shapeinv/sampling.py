@@ -211,18 +211,17 @@ def write_csv(path, header, columns, eol="\r\n") -> None:
 def fix_sign(values: np.ndarray) -> np.ndarray:
     """Flip sign so the leftmost interior maximum of |psi| is positive.
 
+    The maximum is the first interior point at least as large as both
+    neighbours and above 1% of the peak; without one, the peak itself.
     Makes independently computed eigenfunctions directly comparable.
     """
     v = np.asarray(values, dtype=float)
     a = np.abs(v)
     floor = 0.01 * a.max()
-    idx = None
-    for i in range(1, v.size - 1):
-        if a[i] >= a[i - 1] and a[i] >= a[i + 1] and a[i] > floor:
-            idx = i
-            break
-    if idx is None:
-        idx = int(np.argmax(a))
+    mid = a[1:-1]
+    # interior local maxima above the floor; a NaN compares false, as in a scan
+    peaks = np.flatnonzero((mid >= a[:-2]) & (mid >= a[2:]) & (mid > floor))
+    idx = peaks[0] + 1 if peaks.size else np.argmax(a)
     return -v if v[idx] < 0 else v
 
 

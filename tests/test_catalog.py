@@ -206,6 +206,26 @@ def test_trigonometric_windows_scale_with_the_domain(name):
             assert np.allclose(np.multiply(got, p["a"]), want, rtol=1e-15, atol=0)
 
 
+@pytest.mark.parametrize("a", [1e5, 1e6, 1e8])
+@pytest.mark.parametrize("name", ["scarf-I-trigonometric", "rosen-morse-I-trigonometric"])
+def test_narrow_domains_scale_the_endpoint_margin(name, a):
+    # an absolute 1e-6 would reject the family's own grid from a of about 1.2e5
+    fam = get_family(name)
+    p = {**fam.reference_params, "a": a}
+    dom = fam.domain(p)
+    assert dom.margin == catalog.ENDPOINT_MARGIN * (dom.hi - dom.lo)
+    assert dom.contains(dom.si_interval)
+    x = dom.lo + 0.5 * dom.margin
+    with pytest.raises(DomainViolation, match=re.escape(f"by margin {dom.margin}")):
+        partner_potentials(fam, p, x)
+
+
+def test_domains_of_width_one_or_more_keep_the_absolute_margin():
+    for name in FAMILY_NAMES:
+        fam = get_family(name)
+        assert fam.domain(fam.reference_params).margin == catalog.ENDPOINT_MARGIN, name
+
+
 def test_domain_rejects_windows_outside_it():
     # the oracle box may reach the open endpoints, the verify grid may not
     DomainInterval(0.0, np.pi, si_interval=(0.1, 3.0), oracle_box=(0.0, np.pi))

@@ -92,6 +92,16 @@ def test_trigonometric_families_verify_at_every_scale(a):
         assert json.loads(text)["estimated_constant"] == pytest.approx(shift, rel=1e-9)
 
 
+@pytest.mark.parametrize("a", ["1e5", "1e6", "1e8"])
+def test_trigonometric_families_verify_inside_their_domain_at_large_scale(a):
+    # the verdict may still fail on the absolute tolerance; the grid must not
+    # be refused as leaving the domain (exit 2)
+    for name in ("scarf-I-trigonometric", "rosen-morse-I-trigonometric"):
+        code, text = run(["verify", name, "--a", a, "--json"])
+        assert code in (EXIT_PASS, EXIT_FAIL), (name, text)
+        assert json.loads(text)["estimated_constant"] > 0
+
+
 def test_verify_grid_outside_the_domain_is_a_usage_error():
     # Scarf I at a = 1 lives on (-pi/2, pi/2): this grid crosses both poles
     code, text = run(["verify", "scarf-I-trigonometric", "--grid=-2:2:512"])
@@ -219,6 +229,38 @@ def test_batch_runs_jobs_in_order(outdir, tmp_path):
     third = text.index("$ sip verify morse --A -1")
     assert first < second < third
     assert "[exit 0]" in text and "[exit 3]" in text and "[exit 2]" in text
+
+
+def test_one_parser_per_process(outdir, tmp_path, monkeypatch):
+    from shapeinv import cli
+
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    jobfile = tmp_path / "jobs.txt"
+    jobfile.write_text("list\nverify morse\nspectrum morse -n 2\n")
+    assert run(["--batch", str(jobfile)])[0] == EXIT_PASS
+    assert run(["verify", "morse", "--json"])[0] == EXIT_PASS
+    assert run(["list", "--help"])[0] == EXIT_PASS
+    assert len(built) == 1
+
+
+def test_batch_jobs_do_not_share_options(outdir, tmp_path):
+    jobs = [["spectrum", "morse", "--json"],
+            ["verify", "morse", "--A", "3"],
+            ["verify", "morse"]]
+    jobfile = tmp_path / "jobs.txt"
+    jobfile.write_text("".join(" ".join(argv) + "\n" for argv in jobs))
+    _, text = run(["--batch", str(jobfile)])
+    alone = []
+    for argv in jobs:
+        code, body = run(argv)
+        alone.append(f"$ sip {' '.join(argv)}\n{body}[exit {code}]\n")
+    assert text == "".join(alone)
+    # the third job reads the reference A = 4, not the 3 the second one set
+    assert "parameters:         {A: 3, B: 4, a: 1}\n" in alone[1]
+    assert "parameters:         {A: 4, B: 4, a: 1}\n" in alone[2]
 
 
 @pytest.mark.parametrize("form", ["--batch {}", "--batch={}", "--bat {}"])

@@ -1,13 +1,17 @@
+from io import StringIO
+
 import numpy as np
 import pytest
 
-from shapeinv.catalog import get_family
+from shapeinv.catalog import FAMILY_NAMES, get_family
+from shapeinv.cli import run_command
 from shapeinv.oracle import (
     OracleConfig,
     compare_spectra,
     convergence_factors,
     eigensolve,
 )
+from shapeinv.sampling import fix_sign, normalize
 from shapeinv.spectral import Spectrum, algebraic_spectrum
 
 
@@ -95,3 +99,73 @@ def test_compare_spectra_truncation_flag():
     b = Spectrum(energies=[0.0, 2.0], provenance="oracle")
     cmp = compare_spectra(a, b)
     assert cmp.truncated and len(cmp.deviations) == 2
+
+
+def _vector_solve(V, cfg):
+    """The oracle's eigenpairs as one vector solve, normalized and sign-fixed."""
+    from scipy.linalg import eigh_tridiagonal
+
+    x = np.linspace(*cfg.box, cfg.n_points + 2)[1:-1]
+    h = x[1] - x[0]
+    diag = 2.0 / h**2 + np.asarray(V(x), dtype=float) + cfg.shift
+    off = np.full(cfg.n_points - 1, -1.0 / h**2)
+    w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, cfg.n_levels - 1))
+    return x, w, [fix_sign(normalize(v[:, n], x)) for n in range(cfg.n_levels)]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("n_points", [2000, 8000])
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_energies_and_states_match_one_vector_solve(name, n_points):
+    fam = get_family(name)
+    p = fam.reference_params
+    V = lambda x: fam.W(p, x) ** 2 - fam.Wprime(p, x)
+    cfg = OracleConfig(box=fam.domain(p).oracle_box, n_points=n_points, n_levels=4)
+    res = eigensolve(V, cfg)
+    x, w, states = _vector_solve(V, cfg)
+    np.testing.assert_array_equal(_bits(res.spectrum.energies), _bits(w))
+    assert [psi.level for psi in res.wavefunctions] == [0, 1, 2, 3]
+    for psi, want in zip(res.wavefunctions, states):
+        assert psi.normalized
+        np.testing.assert_array_equal(_bits(psi.x), _bits(x))
+        np.testing.assert_array_equal(_bits(psi.values), _bits(want))
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts of scipy tridiagonal solves without and with eigenvectors."""
+    import scipy.linalg
+
+    counts = {"energies": 0, "vectors": 0}
+    real = scipy.linalg.eigh_tridiagonal
+
+    def counting(*args, **kwargs):
+        counts["energies" if kwargs.get("eigvals_only") else "vectors"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+    return counts
+
+
+def test_spectrum_command_solves_no_eigenvectors(solves):
+    code = run_command(["spectrum", "morse", "--oracle", "--json"], StringIO())
+    assert code == 0
+    assert solves == {"energies": 1, "vectors": 0}
+
+
+def test_convergence_checks_solve_no_eigenvectors(solves):
+    cfg = OracleConfig(box=(-10.0, 10.0), n_points=2000, n_levels=3, check_convergence=True)
+    res = eigensolve(lambda x: x * x, cfg)
+    assert res.converged is True
+    convergence_factors(lambda x: x * x, cfg)
+    assert solves == {"energies": 2 + 3, "vectors": 0}
+
+
+def test_wavefunctions_are_solved_once_on_first_read(solves):
+    res = eigensolve(lambda x: x * x, OracleConfig(box=(-10.0, 10.0), n_levels=2))
+    assert solves["vectors"] == 0
+    assert res.wavefunctions is res.wavefunctions
+    assert solves == {"energies": 1, "vectors": 1}

@@ -1,7 +1,12 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from shapeinv.sampling import cumulative_integral
+from shapeinv import oracle, spectral
+from shapeinv.catalog import get_family
+from shapeinv.sampling import cumulative_integral, fix_sign
 
 LENGTHS = [3, 4, 5, 6, 7, 8, 64, 65, 1000, 1001, 4096, 4097, 40000, 40001]
 
@@ -47,3 +52,69 @@ def test_cumulative_integral_rejects_short_or_non_increasing_grid(x):
     x = np.asarray(x)
     with pytest.raises(ValueError):
         cumulative_integral(np.ones_like(x), x)
+
+
+def _fix_sign_loop(values):
+    """The scan fix_sign replaced, kept as its reference."""
+    v = np.asarray(values, dtype=float)
+    a = np.abs(v)
+    floor = 0.01 * a.max()
+    idx = None
+    for i in range(1, v.size - 1):
+        if a[i] >= a[i - 1] and a[i] >= a[i + 1] and a[i] > floor:
+            idx = i
+            break
+    if idx is None:
+        idx = int(np.argmax(a))
+    return -v if v[idx] < 0 else v
+
+
+def _assert_fix_sign_matches_loop(values):
+    try:
+        want = _fix_sign_loop(values)
+    except ValueError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            fix_sign(values)
+        return
+    got = fix_sign(values)
+    # int64 views compare every bit: NaN payloads and the sign of zero too
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# few magnitudes, either sign, so that draws repeat them into plateaus whose
+# sign changes; 0.01 is exactly the 1% floor under a peak of 1
+_FEW = st.builds(lambda m, s: s * m, st.sampled_from([0.0, 0.01, 1.0, 2.0, np.nan, np.inf]),
+                 st.sampled_from([1.0, -1.0]))
+_ENTRY = st.one_of(_FEW, st.floats(allow_nan=True, allow_infinity=True))
+_ARRAYS = st.one_of(
+    st.lists(_FEW, max_size=64),
+    st.lists(_ENTRY, max_size=64),
+    st.tuples(_ENTRY, st.integers(0, 64)).map(lambda t: [t[0]] * t[1]),  # all equal
+)
+
+
+@settings(max_examples=500)
+@given(_ARRAYS)
+def test_fix_sign_matches_the_loop(values):
+    _assert_fix_sign_matches_loop(np.array(values, dtype=float))
+
+
+@pytest.mark.parametrize("values", [[], [-1.0], [0.0, -3.0], [np.nan, -1.0, np.nan],
+                                    [-0.0, -0.0, -0.0], [0.0, -1.0, -1.0, -1.0, 0.0],
+                                    [1.0, -1.0, 0.0], [0.0, 1.0, -1.0, 0.0],
+                                    [0.0, -0.01, 0.0, 1.0]])
+def test_fix_sign_edge_cases_match_the_loop(values):
+    _assert_fix_sign_matches_loop(np.array(values, dtype=float))
+
+
+@pytest.mark.parametrize("n", [8000, 20001])
+def test_fix_sign_matches_the_loop_on_eigenstates(n):
+    fam = get_family("morse")
+    p = fam.reference_params
+    cfg = oracle.OracleConfig(box=fam.domain(p).oracle_box, n_points=n, n_levels=4)
+    res = oracle.eigensolve(lambda x: fam.W(p, x) ** 2 - fam.Wprime(p, x), cfg)
+    lo, hi = fam.domain(p).si_interval
+    ladder = spectral.ladder_wavefunctions(fam, p, 4, np.linspace(lo, hi, n))
+    for psi in [*res.wavefunctions, *ladder]:
+        for values in (psi.values, -psi.values):
+            _assert_fix_sign_matches_loop(values)
