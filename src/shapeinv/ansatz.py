@@ -159,7 +159,7 @@ def _check_custom_seed(seed: SeedSolution, Keff, tol: float) -> None:
     xi = make_grid(lo, hi, 1024)
     u = np.asarray(seed.u(xi), float)
     up = np.asarray(seed.uprime(xi), float)
-    upp = derivative(up, xi[1] - xi[0], order=4)
+    upp = derivative(up, xi[1] - xi[0])
     scale = max(np.max(np.abs(upp)), np.max(np.abs(Keff(xi) * u)), 1e-300)
     res = np.max(np.abs(upp + Keff(xi) * u)[2:-2]) / scale
     if res > tol:
@@ -309,7 +309,7 @@ def verify_case_riccati(F: SampledFunction, K: float) -> float:
     bad = ~np.isfinite(vals) | (np.abs(vals) > POLE_THRESHOLD)
     if np.any(bad):
         raise PoleOnGrid("grid crosses a pole of F", F.x[bad])
-    fp = F.derivative(order=4)
+    fp = F.derivative()
     res = vals * vals + fp + K
     # the two points nearest each edge use lower-order stencils; the
     # residual is an interior claim
@@ -379,7 +379,7 @@ def isospectral_shift_residual(W, chi: SampledFunction, K_lambda: float,
     x, c = chi.x, chi.values
     if np.any(np.abs(c) > POLE_THRESHOLD):
         raise PoleOnGrid("chi diverges on the grid", x[np.abs(c) > POLE_THRESHOLD])
-    cp = chi.derivative(order=4) if chi_prime is None else np.asarray(chi_prime, float)
+    cp = chi.derivative() if chi_prime is None else np.asarray(chi_prime, float)
     w = np.asarray(W(x), dtype=float)
     if np.any(~np.isfinite(w)):
         raise PoleOnGrid("W diverges on the grid", x[~np.isfinite(w)])

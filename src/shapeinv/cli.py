@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -77,20 +78,13 @@ def _out_dir(args) -> Path:
 class RunManifest:
     command: str
     inputs: dict
-    tool_version: str
     outputs: list
     all_passed: bool
+    tool_version: str = __version__
 
     def write(self, directory: Path) -> Path:
         path = directory / "manifest.json"
-        payload = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "tool_version": self.tool_version,
-            "outputs": self.outputs,
-            "all_passed": self.all_passed,
-        }
-        path.write_text(_dump_json(payload) + "\n")
+        path.write_text(_dump_json(asdict(self)) + "\n")
         return path
 
 
@@ -110,9 +104,55 @@ def _collect_params(args, fam) -> dict:
     return p
 
 
-def _parse_grid(spec: str):
-    lo, hi, n = spec.split(":")
-    return float(lo), float(hi), int(n)
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+#: the fewest points a grid may have: the width of the derivative stencil
+_MIN_GRID_POINTS = 5
+
+
+def _grid_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad point count {text!r}") from None
+    if n < _MIN_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"a grid needs at least {_MIN_GRID_POINTS} points per axis, got {n}")
+    return n
+
+
+def _grid_spec(spec: str) -> tuple:
+    """'LO:HI:N' -> (lo, hi, n) with finite lo < hi and n >= _MIN_GRID_POINTS."""
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"want LO:HI:N, got {spec!r}")
+    lo, hi = _finite(parts[0]), _finite(parts[1])
+    if lo >= hi:
+        raise argparse.ArgumentTypeError(f"want LO < HI, got {spec!r}")
+    return lo, hi, _grid_count(parts[2])
+
+
+def _grid2d_spec(spec: str) -> tuple:
+    """'NRxNT' -> (n_r, n_theta), each at least _MIN_GRID_POINTS."""
+    parts = spec.split("x")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"want NRxNT, got {spec!r}")
+    return tuple(_grid_count(v) for v in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +181,7 @@ def cmd_verify(args, out) -> int:
     fam.validate(p)
     dom = fam.domain(p)
     if args.grid:
-        lo, hi, n = _parse_grid(args.grid)
+        lo, hi, n = args.grid
         dom.require_grid(lo, hi)
     else:
         lo, hi = dom.si_interval
@@ -205,11 +245,7 @@ def cmd_construct(args, out) -> int:
         cons = ansatz.extend_second_solution(cons, args.C or 0.0, args.D or 0.0)
     if args.shift is not None:
         cons = ansatz.extend_constant_shift(cons, args.shift)
-    if args.grid:
-        lo, hi, n = _parse_grid(args.grid)
-        grid, poles = ansatz.pole_free_grid(cons, lo, hi, n)
-    else:
-        grid, poles = ansatz.pole_free_grid(cons, 0.1, 3.0, 512)
+    grid, poles = ansatz.pole_free_grid(cons, *args.grid)
     report = verify_shape_invariance(cons.W_at, cons.Wprime_at, cons.lam, cons.tau,
                                      grid, tolerance=ANALYTIC_TOL)
     descriptor = cons.to_json()
@@ -226,7 +262,6 @@ def cmd_construct(args, out) -> int:
         inputs={"K": args.K, "branch": args.branch, "alpha": args.alpha,
                 "lambda": getattr(args, "lambda"), "C": args.C, "D": args.D,
                 "shift": args.shift},
-        tool_version=__version__,
         outputs=[str(desc_path), str(csv_path)],
         all_passed=report.passed,
     )
@@ -261,8 +296,7 @@ def cmd_3d(args, out) -> int:
         r0, r1, t0, t1 = (float(v) for v in args.region.split(":"))
         region = multidim.Region(r0, r1, t0, t1)
     chi = multidim.laplace_seed(terms, region)
-    n_r, n_theta = (int(v) for v in args.grid.split("x")) if args.grid else (128, 128)
-    grid2d = multidim.make_grid2d(region, n_r, n_theta)
+    grid2d = multidim.make_grid2d(region, *args.grid)
     lam, mu = getattr(args, "lambda"), args.mu
     ric = multidim.prepotential_riccati_residual(chi, grid2d)
     vm, vp, report = multidim.partner_fields(chi, lam, grid2d, mu=mu)
@@ -278,7 +312,6 @@ def cmd_3d(args, out) -> int:
     manifest = RunManifest(
         command="3d",
         inputs={"seed": args.seed, "lambda": lam, "mu": mu},
-        tool_version=__version__,
         outputs=[str(csv_path), str(json_path)],
         all_passed=report.passed and ric < 1e-8,
     )
@@ -315,8 +348,7 @@ def cmd_radial(args, out) -> int:
         print(f"{'ell':>4}  {'max recurrence residual':>24}  pass", file=out)
         for l, worst, ok in rows:
             print(f"{l:>4}  {_fmt(worst):>24}  {ok}", file=out)
-    lo, hi, n = _parse_grid(args.grid) if args.grid else (0.5, 20.0, 4096)
-    r = make_grid(lo, hi, n)
+    r = make_grid(*args.grid)
     psi = radial.spherical_bessel_oracle(ell, r)[0]
     lowered = radial.radial_intertwine(ell, spectral.Wavefunction(x=r, values=psi, level=ell))
     reference = radial.spherical_bessel_oracle(ell - 1, r)[0]
@@ -330,7 +362,6 @@ def cmd_radial(args, out) -> int:
     manifest = RunManifest(
         command="radial",
         inputs={"ell": ell, "check_bessel": bool(args.check_bessel)},
-        tool_version=__version__,
         outputs=[str(csv_path)],
         all_passed=bool(all_ok),
     )
@@ -386,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="certify shape invariance for a family")
     p.add_argument("family", choices=FAMILY_NAMES)
     _add_param_flags(p)
-    p.add_argument("--grid", default=None, metavar="LO:HI:N")
-    p.add_argument("--tolerance", type=float, default=ANALYTIC_TOL)
+    p.add_argument("--grid", type=_grid_spec, default=None, metavar="LO:HI:N")
+    p.add_argument("--tolerance", type=_tolerance, default=ANALYTIC_TOL)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("spectrum", help="algebraic spectrum, optional oracle check")
@@ -395,11 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
     p.add_argument("-n", "--levels", type=int, default=4)
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--offset", type=float, default=0.0,
+    p.add_argument("--offset", type=_finite, default=0.0,
                    help="additive shift applied to printed energies")
     p.add_argument("--box", nargs=2, type=float, default=None, metavar=("LO", "HI"))
     p.add_argument("--points", type=int, default=2000)
-    p.add_argument("--tolerance", type=float, default=1e-3)
+    p.add_argument("--tolerance", type=_tolerance, default=1e-3)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("construct", help="build a superpotential from a seed")
@@ -413,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=float, default=None)
     p.add_argument("--D", type=float, default=None)
     p.add_argument("--shift", type=float, default=None)
-    p.add_argument("--grid", default=None, metavar="LO:HI:N")
+    p.add_argument("--grid", type=_grid_spec, default=(0.1, 3.0, 512), metavar="LO:HI:N")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("3d", help="axially symmetric partner fields from a seed")
@@ -421,14 +452,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", type=float, required=True, dest="lambda")
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--region", default=None, metavar="RLO:RHI:TLO:THI")
-    p.add_argument("--grid", default=None, metavar="NRxNT")
+    p.add_argument("--grid", type=_grid2d_spec, default=(128, 128), metavar="NRxNT")
     p.add_argument("--out", default=None)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("radial", help="radial factorization and Bessel checks")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--check-bessel", action="store_true")
-    p.add_argument("--grid", default=None, metavar="LO:HI:N")
+    p.add_argument("--grid", type=_grid_spec, default=(0.5, 20.0, 4096), metavar="LO:HI:N")
     p.add_argument("--out", default=None)
     return parser
 

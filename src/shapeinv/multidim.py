@@ -38,7 +38,6 @@ __all__ = [
     "Region",
     "DEFAULT_REGION",
     "ScalarField2D",
-    "LegendreSeed",
     "legendre_table",
     "laplace_seed",
     "plane_wave_seed",
@@ -89,22 +88,6 @@ class ScalarField2D:
     terms: tuple = ()
 
 
-@dataclass(frozen=True)
-class LegendreSeed:
-    """Term list for chi = sum (a_n r^n + b_n r^(-(n+1))) P_n(cos theta)."""
-
-    terms: tuple  # of (n, a_n, b_n)
-
-    def __post_init__(self):
-        if not self.terms:
-            raise ValueError("seed needs at least one term")
-        for n, a, b in self.terms:
-            if n < 0 or int(n) != n:
-                raise ValueError("Legendre degree must be a nonnegative integer")
-        if all(a == 0 and b == 0 for _, a, b in self.terms):
-            raise ValueError("seed needs a nonzero coefficient")
-
-
 def legendre_table(n_max: int, x: np.ndarray):
     """P_n(x) and P_n'(x) for n = 0..n_max by the three-term recurrence.
 
@@ -141,8 +124,14 @@ def laplace_seed(terms, region: Region = DEFAULT_REGION) -> ScalarField2D:
     radial and angular second derivatives rather than set to zero, so the
     residual check stays meaningful.
     """
-    seed = LegendreSeed(tuple((int(n), float(a), float(b)) for n, a, b in terms))
-    n_max = max(n for n, _, _ in seed.terms)
+    terms = tuple((int(n), float(a), float(b)) for n, a, b in terms)
+    if not terms:
+        raise ValueError("seed needs at least one term")
+    if any(n < 0 for n, _, _ in terms):
+        raise ValueError("Legendre degree must be a nonnegative integer")
+    if all(a == 0 and b == 0 for _, a, b in terms):
+        raise ValueError("seed needs a nonzero coefficient")
+    n_max = max(n for n, _, _ in terms)
 
     def evaluate(r, theta):
         r = np.asarray(r, dtype=float)
@@ -153,7 +142,7 @@ def laplace_seed(terms, region: Region = DEFAULT_REGION) -> ScalarField2D:
         v_rr = np.zeros_like(val)
         v_t = np.zeros_like(val)
         v_tt = np.zeros_like(val)
-        for n, a, b in seed.terms:
+        for n, a, b in terms:
             rad = a * r**n + b * r ** (-(n + 1))
             rad_r = a * n * r ** (n - 1) - b * (n + 1) * r ** (-(n + 2))
             rad_rr = a * n * (n - 1) * r ** (n - 2) + b * (n + 1) * (n + 2) * r ** (-(n + 3))
@@ -165,7 +154,7 @@ def laplace_seed(terms, region: Region = DEFAULT_REGION) -> ScalarField2D:
         lap = v_rr + 2.0 * v_r / r + (v_tt + v_t / np.tan(theta)) / r**2
         return val, v_r, v_t, lap
 
-    field = ScalarField2D(evaluate=evaluate, region=region, K=0.0, terms=seed.terms)
+    field = ScalarField2D(evaluate=evaluate, region=region, K=0.0, terms=terms)
     _check_seed(field)
     return field
 

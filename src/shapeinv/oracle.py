@@ -12,15 +12,17 @@ sign-fixed.
 This is the validation oracle for every algebraic result in the package;
 it shares nothing with the ladder construction except the potential.  Its
 own calibration gates are the particle in a box (E_n = (n+1)^2 on [0, pi])
-and V = x^2 (E_n = 2n + 1 in hbar = 2m = 1 units).  The scheme is second
-order, so halving h must shrink eigenvalue shifts by about 4x; the
-convergence check flags levels that fail to do so.
+and V = x^2 (E_n = 2n + 1 in hbar = 2m = 1 units).  The convergence check
+(OracleConfig.check_convergence) solves again at twice the resolution and
+flags levels whose energy moves by more than convergence_tol.  The scheme
+is second order, so each halving of h should shrink the energy changes by
+about 4x; convergence_factors measures those ratios.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,7 +45,6 @@ class OracleConfig:
     box: tuple  # finite (lo, hi); walls sit just outside the grid
     n_points: int = 2000
     n_levels: int = 4
-    shift: float = 0.0  # added to V, e.g. to pin the ground state at 0
     check_convergence: bool = False
     convergence_tol: float = 1e-3
 
@@ -79,7 +80,7 @@ class OracleResult:
         from scipy.linalg import eigh_tridiagonal
 
         cfg = self.config
-        x, diag, off = _matrix(self.potential, *cfg.box, cfg.n_points, cfg.shift)
+        x, diag, off = _matrix(self.potential, *cfg.box, cfg.n_points)
         # the bisection of _energies, then inverse iteration for the vectors
         _, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, cfg.n_levels - 1))
         return [Wavefunction(x=x, values=fix_sign(normalize(v[:, n], x)), level=n,
@@ -87,19 +88,19 @@ class OracleResult:
                 for n in range(cfg.n_levels)]
 
 
-def _matrix(V: Callable, lo: float, hi: float, n: int, shift: float):
+def _matrix(V: Callable, lo: float, hi: float, n: int):
     """Interior grid, diagonal and off-diagonal of the box Hamiltonian."""
     # interior points only; psi = 0 at the walls lo, hi
     x = np.linspace(lo, hi, n + 2)[1:-1]
     h = x[1] - x[0]
-    diag = 2.0 / h**2 + np.asarray(V(x), dtype=float) + shift
+    diag = 2.0 / h**2 + np.asarray(V(x), dtype=float)
     if not np.all(np.isfinite(diag)):
         raise ValueError("V is singular or non-finite inside the box")
     off = np.full(n - 1, -1.0 / h**2)
     return x, diag, off
 
 
-def _energies(V: Callable, lo: float, hi: float, n: int, k: int, shift: float):
+def _energies(V: Callable, lo: float, hi: float, n: int, k: int):
     """Lowest k eigenvalues by bisection (LAPACK stebz).
 
     The vector solve runs the same bisection before its inverse iteration,
@@ -107,12 +108,12 @@ def _energies(V: Callable, lo: float, hi: float, n: int, k: int, shift: float):
     """
     from scipy.linalg import eigh_tridiagonal
 
-    _, diag, off = _matrix(V, lo, hi, n, shift)
+    _, diag, off = _matrix(V, lo, hi, n)
     return eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, k - 1))
 
 
 def eigensolve(V: Callable, cfg: OracleConfig) -> OracleResult:
-    """Lowest cfg.n_levels eigenvalues of -d^2/dx^2 + V + shift on the box.
+    """Lowest cfg.n_levels eigenvalues of -d^2/dx^2 + V on the box.
 
     With check_convergence, the energies are recomputed at twice the
     resolution and levels moving by more than convergence_tol are flagged
@@ -121,11 +122,11 @@ def eigensolve(V: Callable, cfg: OracleConfig) -> OracleResult:
     ``wavefunctions`` is first read, evaluating V again on the same grid.
     """
     lo, hi = cfg.box
-    w = _energies(V, lo, hi, cfg.n_points, cfg.n_levels, cfg.shift)
+    w = _energies(V, lo, hi, cfg.n_points, cfg.n_levels)
     deltas = None
     converged = None
     if cfg.check_convergence:
-        w2 = _energies(V, lo, hi, 2 * cfg.n_points, cfg.n_levels, cfg.shift)
+        w2 = _energies(V, lo, hi, 2 * cfg.n_points, cfg.n_levels)
         deltas = np.abs(w2 - w)
         converged = bool(np.all(deltas < cfg.convergence_tol))
     spectrum = Spectrum(energies=list(w), provenance="oracle")
@@ -143,7 +144,7 @@ def convergence_factors(V: Callable, cfg: OracleConfig, doublings: int = 2) -> n
     runs = []
     n = cfg.n_points
     for _ in range(doublings + 1):
-        runs.append(_energies(V, lo, hi, n, cfg.n_levels, cfg.shift))
+        runs.append(_energies(V, lo, hi, n, cfg.n_levels))
         n *= 2
     diffs = [np.abs(b - a) for a, b in zip(runs[:-1], runs[1:])]
     return np.asarray([d1 / d2 for d1, d2 in zip(diffs[:-1], diffs[1:])])
@@ -158,13 +159,7 @@ class SpectrumComparison:
     truncated: bool
 
     def to_json(self) -> dict:
-        return {
-            "deviations": self.deviations,
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-            "mode": self.mode,
-            "truncated": self.truncated,
-        }
+        return asdict(self)
 
 
 def compare_spectra(a: Spectrum, b: Spectrum, mode: str = "relative-gap",

@@ -76,7 +76,7 @@ class MeasureWeight:
             raise ValueError("weight must be positive on its domain")
         h = x[1] - x[0]
         logf = np.log(fx)
-        d1 = derivative(logf, h, order=4)
+        d1 = derivative(logf, h)
         d2 = second_derivative(logf, h)
         err1 = np.max(np.abs(d1 - self.logf_prime(x))[2:-2])
         err2 = np.max(np.abs(d2 - self.logf_second(x))[2:-2])
@@ -155,7 +155,7 @@ def radial_intertwine(ell: int, psi_minus: Wavefunction) -> Wavefunction:
     if r[0] <= 0:
         raise ValueError("grid must not touch r = 0")
     h = float(r[1] - r[0])
-    vals = derivative(psi_minus.values, h, order=4) + (ell + 1.0) / r * psi_minus.values
+    vals = derivative(psi_minus.values, h) + (ell + 1.0) / r * psi_minus.values
     return Wavefunction(x=r, values=vals, level=psi_minus.level, normalized=False)
 
 

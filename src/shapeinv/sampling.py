@@ -6,7 +6,7 @@ Hamiltonian reads H = p^2 + V = -d^2/dx^2 + V.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,8 +62,8 @@ class SampledFunction:
     def h(self) -> float:
         return float(self.x[1] - self.x[0])
 
-    def derivative(self, order: int = 2) -> np.ndarray:
-        return derivative(self.values, self.h, order=order)
+    def derivative(self) -> np.ndarray:
+        return derivative(self.values, self.h)
 
 
 def make_grid(lo: float, hi: float, n: int) -> np.ndarray:
@@ -89,30 +89,21 @@ def require_finite(x, values, what="values"):
     return values
 
 
-def derivative(values: np.ndarray, h: float, order: int = 2) -> np.ndarray:
+def derivative(values: np.ndarray, h: float) -> np.ndarray:
     """First derivative on a uniform grid.
 
-    order=2: central differences, 2nd-order one-sided at the endpoints.
-    order=4: five-point central stencil in the interior, 4th-order
-    one-sided stencils on the two points nearest each edge.
+    Five-point central stencil in the interior, 4th-order one-sided
+    stencils on the two points nearest each edge.
     """
     v = np.asarray(values, dtype=float)
-    n = v.size
-    if n < 5:
+    if v.size < 5:
         raise ValueError("need at least 5 samples")
     d = np.empty_like(v)
-    if order == 2:
-        d[1:-1] = (v[2:] - v[:-2]) / (2 * h)
-        d[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
-        d[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
-    elif order == 4:
-        d[2:-2] = (-v[4:] + 8 * v[3:-1] - 8 * v[1:-3] + v[:-4]) / (12 * h)
-        d[0] = (-25 * v[0] + 48 * v[1] - 36 * v[2] + 16 * v[3] - 3 * v[4]) / (12 * h)
-        d[1] = (-3 * v[0] - 10 * v[1] + 18 * v[2] - 6 * v[3] + v[4]) / (12 * h)
-        d[-2] = (3 * v[-1] + 10 * v[-2] - 18 * v[-3] + 6 * v[-4] - v[-5]) / (12 * h)
-        d[-1] = (25 * v[-1] - 48 * v[-2] + 36 * v[-3] - 16 * v[-4] + 3 * v[-5]) / (12 * h)
-    else:
-        raise ValueError("order must be 2 or 4")
+    d[2:-2] = (-v[4:] + 8 * v[3:-1] - 8 * v[1:-3] + v[:-4]) / (12 * h)
+    d[0] = (-25 * v[0] + 48 * v[1] - 36 * v[2] + 16 * v[3] - 3 * v[4]) / (12 * h)
+    d[1] = (-3 * v[0] - 10 * v[1] + 18 * v[2] - 6 * v[3] + v[4]) / (12 * h)
+    d[-2] = (3 * v[-1] + 10 * v[-2] - 18 * v[-3] + 6 * v[-4] - v[-5]) / (12 * h)
+    d[-1] = (25 * v[-1] - 48 * v[-2] + 36 * v[-3] - 16 * v[-4] + 3 * v[-5]) / (12 * h)
     return d
 
 
@@ -225,10 +216,10 @@ def fix_sign(values: np.ndarray) -> np.ndarray:
     return -v if v[idx] < 0 else v
 
 
-def count_nodes(values: np.ndarray, rel_threshold: float = 1e-4) -> int:
-    """Count interior sign changes, ignoring near-zero tail noise."""
+def count_nodes(values: np.ndarray) -> int:
+    """Count interior sign changes, ignoring samples below 1e-4 of the peak."""
     v = np.asarray(values, dtype=float)
-    big = v[np.abs(v) > rel_threshold * np.abs(v).max()]
+    big = v[np.abs(v) > 1e-4 * np.abs(v).max()]
     if big.size < 2:
         return 0
     return int(np.sum(np.sign(big[1:]) != np.sign(big[:-1])))

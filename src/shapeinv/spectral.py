@@ -59,7 +59,6 @@ class Spectrum:
 
     energies: list
     provenance: str
-    params: ParamSet | None = None
     level_params: list = field(default_factory=list)
     truncated: bool = False
 
@@ -130,7 +129,6 @@ def algebraic_spectrum(family: PotentialFamily, p: ParamSet, n_levels: int) -> S
     return Spectrum(
         energies=energies,
         provenance="algebraic",
-        params=dict(p),
         level_params=ladder,
         truncated=truncated,
     )
@@ -168,15 +166,11 @@ def ground_state(W, grid) -> Wavefunction:
     return Wavefunction(x=x, values=vals, level=0, normalized=True)
 
 
-def _first_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    return derivative(values, h, order=4)
-
-
 def apply_A(W, psi: Wavefunction) -> Wavefunction:
     """(d/dx + W) psi; annihilates the ground state of W.  Not normalized."""
     x = psi.x
     h = float(x[1] - x[0])
-    vals = _first_derivative(psi.values, h) + np.asarray(W(x), float) * psi.values
+    vals = derivative(psi.values, h) + np.asarray(W(x), float) * psi.values
     return Wavefunction(x=x, values=vals, level=max(psi.level - 1, 0), normalized=False)
 
 
@@ -184,7 +178,7 @@ def apply_Adagger(W, psi: Wavefunction) -> Wavefunction:
     """(-d/dx + W) psi; raises a partner eigenfunction one rung.  Not normalized."""
     x = psi.x
     h = float(x[1] - x[0])
-    vals = -_first_derivative(psi.values, h) + np.asarray(W(x), float) * psi.values
+    vals = -derivative(psi.values, h) + np.asarray(W(x), float) * psi.values
     return Wavefunction(x=x, values=vals, level=psi.level + 1, normalized=False)
 
 

@@ -12,7 +12,7 @@ anything was finite-differenced.  Both are overridable per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,17 +46,10 @@ class VerificationReport:
             raise ValueError("passed flag inconsistent with residual/tolerance")
 
     def to_json(self) -> dict:
-        return {
-            "max_residual": self.max_residual,
-            "mean": self.mean,
-            "estimated_constant": self.estimated_constant,
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-            "pole_exclusions": list(self.pole_exclusions),
-        }
+        return asdict(self)
 
 
-def _constancy_report(x, d, tolerance, pole_exclusions=()) -> VerificationReport:
+def _constancy_report(x, d, tolerance) -> VerificationReport:
     """Report on whether the field d(x) is x-independent.
 
     x is the grid, or the pair (R, TH) for a field on a 2D grid.
@@ -70,11 +63,10 @@ def _constancy_report(x, d, tolerance, pole_exclusions=()) -> VerificationReport
         estimated_constant=mean,
         passed=max_res < tolerance,
         tolerance=tolerance,
-        pole_exclusions=tuple(pole_exclusions),
     )
 
 
-def _zero_report(x, r, offset, tolerance, pole_exclusions=()) -> VerificationReport:
+def _zero_report(x, r, offset, tolerance) -> VerificationReport:
     """Report on whether the residual field r(x) vanishes."""
     r = require_finite(x, r, "residual field")
     mean = float(np.mean(r))
@@ -85,7 +77,6 @@ def _zero_report(x, r, offset, tolerance, pole_exclusions=()) -> VerificationRep
         estimated_constant=float(offset - mean),
         passed=max_res < tolerance,
         tolerance=tolerance,
-        pole_exclusions=tuple(pole_exclusions),
     )
 
 

@@ -204,6 +204,79 @@ def test_radial_command(outdir):
     assert lines[0] == "r,psi,Bpsi,reference"
 
 
+def _rejected_at_parse(argv, option, capsys):
+    """argv is a usage error that argparse reports against option, before any work."""
+    code, text = run(argv)
+    assert code == EXIT_USAGE
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sip ")
+    assert f": error: argument {option}: " in err
+
+
+# fewer points than the five of the derivative stencil, or a malformed spec
+BAD_LINE_GRIDS = ["0.1:0.2:1", "0.1:0.2:4", "0.1:0.2:0", "0.1:0.2:-3", "0.1:0.2",
+                  "0.1:0.2:5:6", "0.1:0.2:5.5", "0.2:0.1:64", "0.1:0.1:64",
+                  "0.1:inf:64", "nan:0.2:64", "a:0.2:64"]
+
+
+@pytest.mark.parametrize("grid", BAD_LINE_GRIDS)
+def test_verify_rejects_a_bad_grid(grid, capsys):
+    _rejected_at_parse(["verify", "scarf-I-trigonometric", f"--grid={grid}"], "--grid", capsys)
+
+
+@pytest.mark.parametrize("grid", BAD_LINE_GRIDS)
+def test_construct_rejects_a_bad_grid(outdir, grid, capsys):
+    _rejected_at_parse(["construct", "--K", "1", "--branch", "sin", "--alpha", "1",
+                        "--lambda", "2", "--C", "1", "--D", "0", "--shift", "1",
+                        f"--grid={grid}"], "--grid", capsys)
+    assert not (outdir / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("grid", ["0.5:20:1", "0.5:20:4", "20:0.5:64", "0.5:20"])
+def test_radial_rejects_a_bad_grid(outdir, grid, capsys):
+    _rejected_at_parse(["radial", "--ell", "3", f"--grid={grid}"], "--grid", capsys)
+
+
+@pytest.mark.parametrize("grid", ["1x1", "4x8", "8x4", "0x8", "8x", "8", "8x8x8", "axb"])
+def test_3d_rejects_a_bad_grid(outdir, grid, capsys):
+    _rejected_at_parse(["3d", "--seed", "a0=2", "--lambda", "2", "--mu", "1",
+                        f"--grid={grid}"], "--grid", capsys)
+
+
+def test_five_points_are_the_fewest_a_grid_takes(outdir, capsys):
+    assert run(["verify", "morse", "--grid", "0:1:5"])[0] == EXIT_PASS
+    assert run(["3d", "--seed", "a0=2", "--lambda", "2", "--mu", "1", "--grid", "5x5"])[0] \
+        == EXIT_PASS
+    _rejected_at_parse(["verify", "morse", "--grid", "0:1:4"], "--grid", capsys)
+    _rejected_at_parse(["3d", "--seed", "a0=2", "--lambda", "2", "--mu", "1",
+                        "--grid", "5x4"], "--grid", capsys)
+
+
+@pytest.mark.parametrize("value", ["0", "-1e-3", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", [["verify", "morse"], ["spectrum", "morse", "--oracle"]])
+def test_a_tolerance_must_be_positive_and_finite(command, value, capsys):
+    _rejected_at_parse([*command, f"--tolerance={value}"], "--tolerance", capsys)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_an_offset_must_be_finite(value, capsys):
+    _rejected_at_parse(["spectrum", "morse", f"--offset={value}"], "--offset", capsys)
+
+
+def test_batch_bad_tolerance_goes_to_the_job_section(outdir, tmp_path, capsys):
+    jobfile = tmp_path / "jobs.txt"
+    jobfile.write_text("verify morse --tolerance nan\nverify morse --grid 0:1:2\nlist\n")
+    code, text = run(["--batch", str(jobfile)])
+    assert code == EXIT_USAGE
+    first, second = text[:text.index("$ sip list")].split("$ sip ")[1:]
+    assert first.startswith("verify morse --tolerance nan\nusage: sip verify ")
+    assert first.endswith("argument --tolerance: must be finite, got 'nan'\n[exit 2]\n")
+    assert second.endswith("argument --grid: a grid needs at least 5 points per axis, "
+                           "got 2\n[exit 2]\n")
+    assert capsys.readouterr().err == ""
+
+
 def test_json_output_is_byte_deterministic():
     _, a = run(["spectrum", "morse", "-n", "4", "--json"])
     _, b = run(["spectrum", "morse", "-n", "4", "--json"])

@@ -107,7 +107,7 @@ def _vector_solve(V, cfg):
 
     x = np.linspace(*cfg.box, cfg.n_points + 2)[1:-1]
     h = x[1] - x[0]
-    diag = 2.0 / h**2 + np.asarray(V(x), dtype=float) + cfg.shift
+    diag = 2.0 / h**2 + np.asarray(V(x), dtype=float)
     off = np.full(cfg.n_points - 1, -1.0 / h**2)
     w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, cfg.n_levels - 1))
     return x, w, [fix_sign(normalize(v[:, n], x)) for n in range(cfg.n_levels)]

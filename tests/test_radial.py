@@ -112,9 +112,9 @@ def test_product_scheme_reproduces_radial_operator():
     g = make_grid(0.5, 15, 4096)
     h = g[1] - g[0]
     for psi in (np.sin(g) / g, np.exp(-((g - 5.0) ** 2) / 2)):
-        b = derivative(psi, h, order=4) + (ell + 1) / g * psi
-        cb = -derivative(b, h, order=4) - 2.0 / g * b + (ell + 1) / g * b
-        href = -second_derivative(psi, h) - 2.0 / g * derivative(psi, h, order=4) \
+        b = derivative(psi, h) + (ell + 1) / g * psi
+        cb = -derivative(b, h) - 2.0 / g * b + (ell + 1) / g * b
+        href = -second_derivative(psi, h) - 2.0 / g * derivative(psi, h) \
             + ell * (ell + 1) / g**2 * psi
         assert np.max(np.abs(cb - href)[4:-4]) < 1e-6
 
@@ -214,7 +214,7 @@ def test_radial_eigen_residual(k):
     h = r[1] - r[0]
     for ell in (1, 2, 3):
         jl = spherical_bessel_oracle(ell, k * r)[0]
-        res = (-second_derivative(jl, h) - 2.0 / r * derivative(jl, h, order=4)
+        res = (-second_derivative(jl, h) - 2.0 / r * derivative(jl, h)
                + ell * (ell + 1) / r**2 * jl - k * k * jl)
         assert np.max(np.abs(res[2:-2])) < 1e-6, (ell, k)
 
