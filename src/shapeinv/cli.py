@@ -15,7 +15,8 @@ digits; JSON is key-sorted and byte-deterministic for fixed inputs.
 File-producing commands write into --out (or $SIP_OUT_DIR, default
 ./sip-out) along with a run manifest.  --batch runs one command per line
 of a job file in file order and prints each one's output in its own
-section.
+section; a job that fails, on a file or memory error too, prints its
+error line there and the batch goes on.
 """
 
 from __future__ import annotations
@@ -67,11 +68,8 @@ def _dump_json(obj) -> str:
     return json.dumps(_round12(obj), sort_keys=True, separators=(", ", ": "), indent=2)
 
 
-def _out_dir(args) -> Path:
-    root = getattr(args, "out", None) or os.environ.get("SIP_OUT_DIR") or "sip-out"
-    path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _write_json(path: Path, obj) -> None:
+    path.write_text(_dump_json(obj) + "\n")
 
 
 @dataclass
@@ -84,8 +82,29 @@ class RunManifest:
 
     def write(self, directory: Path) -> Path:
         path = directory / "manifest.json"
-        path.write_text(_dump_json(asdict(self)) + "\n")
+        _write_json(path, asdict(self))
         return path
+
+
+def _write_run(args, inputs: tuple, passed: bool, artifacts) -> None:
+    """Write a run's artifacts in order, then the manifest that lists them.
+
+    The directory is --out, else $SIP_OUT_DIR, else ./sip-out.  inputs
+    names the options the manifest records; artifacts holds (file name,
+    writer) pairs, each writer taking its file's path.  An OSError becomes
+    a ValueError that names the path, so it ends only its own job.
+    """
+    directory = Path(args.out or os.environ.get("SIP_OUT_DIR") or "sip-out")
+    paths = [directory / name for name, _ in artifacts]
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        for path, (_, write) in zip(paths, artifacts):
+            write(path)
+        RunManifest(args.command, {k: getattr(args, k) for k in inputs},
+                    [str(p) for p in paths], passed).write(directory)
+    except OSError as exc:
+        where = exc.filename or directory
+        raise ValueError(f"cannot write {where}: {exc.strerror or exc}") from None
 
 
 def _param_flags() -> tuple:
@@ -153,6 +172,17 @@ def _grid2d_spec(spec: str) -> tuple:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"want NRxNT, got {spec!r}")
     return tuple(_grid_count(v) for v in parts)
+
+
+def _region_spec(spec: str) -> multidim.Region:
+    """'RLO:RHI:TLO:THI' -> a multidim.Region, which checks the bounds."""
+    parts = spec.split(":")
+    if len(parts) != 4:
+        raise argparse.ArgumentTypeError(f"want RLO:RHI:TLO:THI, got {spec!r}")
+    try:
+        return multidim.Region(*(_finite(v) for v in parts))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {spec!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -248,24 +278,14 @@ def cmd_construct(args, out) -> int:
     grid, poles = ansatz.pole_free_grid(cons, *args.grid)
     report = verify_shape_invariance(cons.W_at, cons.Wprime_at, cons.lam, cons.tau,
                                      grid, tolerance=ANALYTIC_TOL)
-    descriptor = cons.to_json()
-    descriptor["energy_shift"] = cons.energy_shift()
-    descriptor["shape_invariance"] = report.to_json()
-    descriptor["poles_excluded"] = poles
-    outdir = _out_dir(args)
-    desc_path = outdir / "constructed.json"
-    desc_path.write_text(_dump_json(descriptor) + "\n")
-    csv_path = outdir / "superpotential.csv"
-    write_csv(csv_path, ["x", "W"], [grid, cons.W(grid)], eol="\n")
-    manifest = RunManifest(
-        command="construct",
-        inputs={"K": args.K, "branch": args.branch, "alpha": args.alpha,
-                "lambda": getattr(args, "lambda"), "C": args.C, "D": args.D,
-                "shift": args.shift},
-        outputs=[str(desc_path), str(csv_path)],
-        all_passed=report.passed,
+    descriptor = {**cons.to_json(), "energy_shift": cons.energy_shift(),
+                  "shape_invariance": report.to_json(), "poles_excluded": poles}
+    _write_run(
+        args, ("K", "branch", "alpha", "lambda", "C", "D", "shift"), report.passed,
+        [("constructed.json", lambda path: _write_json(path, descriptor)),
+         ("superpotential.csv",
+          lambda path: write_csv(path, ["x", "W"], [grid, cons.W(grid)], eol="\n"))],
     )
-    manifest.write(outdir)
     print(_dump_json(descriptor), file=out)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
@@ -291,40 +311,28 @@ def _parse_seed(spec: str):
 
 def cmd_3d(args, out) -> int:
     terms = _parse_seed(args.seed)
-    region = multidim.DEFAULT_REGION
-    if args.region:
-        r0, r1, t0, t1 = (float(v) for v in args.region.split(":"))
-        region = multidim.Region(r0, r1, t0, t1)
-    chi = multidim.laplace_seed(terms, region)
-    grid2d = multidim.make_grid2d(region, *args.grid)
+    chi = multidim.laplace_seed(terms, args.region)
+    grid2d = multidim.make_grid2d(args.region, *args.grid)
     lam, mu = getattr(args, "lambda"), args.mu
     ric = multidim.prepotential_riccati_residual(chi, grid2d)
     vm, vp, report = multidim.partner_fields(chi, lam, grid2d, mu=mu)
-    outdir = _out_dir(args)
-    csv_path = outdir / "fields.csv"
-    multidim.fields_to_csv(csv_path, grid2d, vm, vp)
-    manifest_payload = multidim.seed_manifest(chi, lam)
-    manifest_payload["mu"] = mu
-    manifest_payload["riccati_residual"] = ric
-    manifest_payload["shape_invariance"] = report.to_json()
-    json_path = outdir / "seed.json"
-    json_path.write_text(_dump_json(manifest_payload) + "\n")
-    manifest = RunManifest(
-        command="3d",
-        inputs={"seed": args.seed, "lambda": lam, "mu": mu},
-        outputs=[str(csv_path), str(json_path)],
-        all_passed=report.passed and ric < 1e-8,
+    payload = {**multidim.seed_manifest(chi, lam), "mu": mu, "riccati_residual": ric,
+               "shape_invariance": report.to_json()}
+    passed = report.passed and ric < 1e-8
+    _write_run(
+        args, ("seed", "lambda", "mu"), passed,
+        [("fields.csv", lambda path: multidim.fields_to_csv(path, grid2d, vm, vp)),
+         ("seed.json", lambda path: _write_json(path, payload))],
     )
-    manifest.write(outdir)
     if args.json:
-        print(_dump_json(manifest_payload), file=out)
+        print(_dump_json(payload), file=out)
     else:
         print(f"seed terms:        {terms}", file=out)
         print(f"riccati residual:  {_fmt(ric)}", file=out)
         print(f"ladder constant:   {_fmt(report.estimated_constant)}", file=out)
         print(f"max deviation:     {_fmt(report.max_residual)}", file=out)
         print(f"passed:            {report.passed}", file=out)
-    return EXIT_PASS if manifest.all_passed else EXIT_FAIL
+    return EXIT_PASS if passed else EXIT_FAIL
 
 
 def cmd_radial(args, out) -> int:
@@ -356,16 +364,11 @@ def cmd_radial(args, out) -> int:
     ok = dev < 1e-5
     all_ok &= ok
     print(f"intertwine j{ell} -> j{ell - 1}: max deviation {_fmt(dev)} pass {ok}", file=out)
-    outdir = _out_dir(args)
-    csv_path = outdir / "intertwine.csv"
-    radial.intertwine_to_csv(csv_path, r, psi, lowered.values, reference)
-    manifest = RunManifest(
-        command="radial",
-        inputs={"ell": ell, "check_bessel": bool(args.check_bessel)},
-        outputs=[str(csv_path)],
-        all_passed=bool(all_ok),
+    _write_run(
+        args, ("ell", "check_bessel"), all_ok,
+        [("intertwine.csv",
+          lambda path: radial.intertwine_to_csv(path, r, psi, lowered.values, reference))],
     )
-    manifest.write(outdir)
     return EXIT_PASS if all_ok else EXIT_FAIL
 
 
@@ -412,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("list", help="list catalog families")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--family", default=None)
+    p.add_argument("--family", choices=FAMILY_NAMES, default=None, metavar="FAMILY")
 
     p = sub.add_parser("verify", help="certify shape invariance for a family")
     p.add_argument("family", choices=FAMILY_NAMES)
@@ -451,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", required=True, metavar="a0=2,a1=1")
     p.add_argument("--lambda", type=float, required=True, dest="lambda")
     p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--region", default=None, metavar="RLO:RHI:TLO:THI")
+    p.add_argument("--region", type=_region_spec, default=multidim.DEFAULT_REGION,
+                   metavar="RLO:RHI:TLO:THI")
     p.add_argument("--grid", type=_grid2d_spec, default=(128, 128), metavar="NRxNT")
     p.add_argument("--out", default=None)
     p.add_argument("--json", action="store_true")
@@ -504,14 +508,14 @@ def run_command(argv, out, err=None) -> int:
     except _HelpRequested as exc:
         print(exc, end="", file=out)
         return EXIT_PASS
-    if args.batch:
-        return _run_batch(args.batch, out)
-    if not args.command:
+    if not (args.batch or args.command):
         parser.print_usage(out)
         return EXIT_USAGE
     try:
+        if args.batch:
+            return _run_batch(args.batch, out)
         return _HANDLERS[args.command](args, out)
-    except (InvalidParameters, DomainViolation, KeyError, ValueError) as exc:
+    except (InvalidParameters, DomainViolation, KeyError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=out)
         return EXIT_USAGE
 
@@ -533,7 +537,11 @@ def _selects_batch(argv) -> bool:
 def _run_batch(path: str, out) -> int:
     import shlex
 
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
+    lines = [ln.strip() for ln in text.splitlines()]
     jobs = [shlex.split(ln) for ln in lines if ln and not ln.startswith("#")]
     severity = {EXIT_PASS: 0, EXIT_TRUNCATED: 1, EXIT_FAIL: 2, EXIT_USAGE: 3}
     worst = EXIT_PASS

@@ -6,8 +6,9 @@ bound), never a variance.  Estimated constants are always refit from the
 grid rather than trusted from closed forms, which keeps certification
 decoupled from catalog bookkeeping.
 
-Default tolerances: 1e-10 when all derivatives are analytic, 1e-6 when
-anything was finite-differenced.  Both are overridable per call.
+Every verifier takes a tolerance, by default ANALYTIC_TOL = 1e-10, the
+bound for residuals built from analytic derivatives.  A caller whose
+residual involves finite differences passes its own.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .sampling import ParamSet, require_finite
 __all__ = [
     "VerificationReport",
     "ANALYTIC_TOL",
-    "SAMPLED_TOL",
     "verify_shape_invariance",
     "verify_qhj",
     "verify_negation_condition",
@@ -29,7 +29,6 @@ __all__ = [
 ]
 
 ANALYTIC_TOL = 1e-10
-SAMPLED_TOL = 1e-6
 
 
 @dataclass(frozen=True)

@@ -404,6 +404,19 @@ def test_pole_free_grid_avoids_sin_zeros():
     assert np.all(np.isfinite(cons.W(grid)))
 
 
+def test_pole_free_grid_scans_a_custom_seed_for_zeros():
+    # a custom seed has no closed-form zeros: they come from a sign-change scan
+    seed = free_particle_seed(1.0, "custom", u=np.cos, uprime=lambda xi: -np.sin(xi),
+                              interval=(-1.0, 1.0))
+    cons = ansatz.ConstructedSuperpotential(seed=seed, alpha=1.0, lam=1.0)
+    grid, poles = pole_free_grid(cons, 0.0, 3.0, 256)
+    spacing = 3.0 / (4096 - 1)  # the scan's own grid
+    assert len(poles) == 1
+    assert abs(poles[0] - np.pi / 2) < spacing
+    assert grid[0] == 0.0 and grid[-1] < np.pi / 2
+    assert np.all(np.isfinite(cons.W(grid)))
+
+
 def test_pole_free_grid_no_poles_for_cosh():
     cons = construct_case(-1.0, "cosh", 1.0, 1.0)
     grid, poles = pole_free_grid(cons, -5.0, 5.0, 256)

@@ -277,6 +277,99 @@ def test_batch_bad_tolerance_goes_to_the_job_section(outdir, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+BAD_REGIONS = {
+    "malformed": ("0.5:1.5", "want RLO:RHI:TLO:THI, got '0.5:1.5'"),
+    "non-finite": ("0.5:inf:0.3:2.8", "must be finite, got 'inf'"),
+    "out of order": ("1.5:0.5:0.3:2.8", "region must satisfy 0 < r_lo < r_hi"),
+    "off axis": ("0.5:1.5:0.3:3.5", "region must keep clear of the polar axis"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_REGIONS))
+def test_3d_rejects_a_bad_region(case, outdir, capsys):
+    region, reason = BAD_REGIONS[case]
+    out = outdir / "out"
+    code, text = run(["3d", "--seed", "a0=2", "--lambda", "2", "--mu", "1",
+                      f"--region={region}", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sip 3d ")
+    assert f"sip 3d: error: argument --region: {reason}" in err
+    assert not out.exists()
+    assert list(outdir.iterdir()) == []
+
+
+def test_3d_region_sets_the_grid(outdir):
+    code, text = run(["3d", "--seed", "a0=2", "--lambda", "2", "--mu", "1", "--grid", "8x8",
+                      "--region", "1:2:0.5:2.5", "--json"])
+    assert code == EXIT_PASS
+    assert json.loads(text)["region"] == {"r_lo": 1.0, "r_hi": 2.0,
+                                          "theta_lo": 0.5, "theta_hi": 2.5}
+    radii = [float(row.split(",")[0])
+             for row in (outdir / "fields.csv").read_text().splitlines()[1:]]
+    assert (min(radii), max(radii)) == (1.0, 2.0)
+
+
+def test_list_rejects_an_unknown_family(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, text = run(["list", "--family", "bogus"])
+    assert code == EXIT_USAGE
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sip list ")
+    assert "sip list: error: argument --family: invalid choice: 'bogus'" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_missing_job_file_is_an_error_line(tmp_path, capsys):
+    missing = tmp_path / "nowhere" / "jobs.txt"
+    code, text = run(["--batch", str(missing)])
+    assert code == EXIT_USAGE
+    assert text == f"error: cannot read {missing}: No such file or directory\n"
+
+
+def test_directory_as_job_file_is_an_error_line(tmp_path):
+    code, text = run(["--batch", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert text.startswith(f"error: cannot read {tmp_path}: ")
+
+
+def test_unwritable_out_ends_only_its_own_batch_job(tmp_path):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    jobfile = tmp_path / "jobs.txt"
+    jobfile.write_text(f"radial --ell 2 --grid 0.5:20:64 --out {blocker}/x\nlist --json\n")
+    code, text = run(["--batch", str(jobfile)])
+    assert code == EXIT_USAGE
+    first, second = text.split("$ sip ")[1:]
+    assert first.endswith(f"error: cannot write {blocker}/x: Not a directory\n[exit 2]\n")
+    assert second.startswith("list --json\n[")
+    assert second.endswith("[exit 0]\n")
+
+
+def test_failed_artifact_write_is_an_error_line(tmp_path):
+    out = tmp_path / "out"
+    (out / "fields.csv").mkdir(parents=True)  # a directory where the file should go
+    code, text = run(["3d", "--seed", "a0=2", "--lambda", "2", "--mu", "1", "--grid", "8x8",
+                      "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert text.startswith(f"error: cannot write {out / 'fields.csv'}: ")
+    assert not (out / "manifest.json").exists()
+
+
+# 2**57 float64 values are 1 EiB, more than any address space holds
+HUGE = str(2 ** 57)
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "morse", "--oracle", "--points", HUGE],
+                                  ["verify", "morse", "--grid", f"0:1:{HUGE}"]])
+def test_an_allocation_too_large_is_an_error_line(argv):
+    code, text = run(argv)
+    assert code == EXIT_USAGE
+    assert text.startswith("error: Unable to allocate ")
+
+
 def test_json_output_is_byte_deterministic():
     _, a = run(["spectrum", "morse", "-n", "4", "--json"])
     _, b = run(["spectrum", "morse", "-n", "4", "--json"])

@@ -2,7 +2,8 @@
 
 Each case runs in-process from an empty working directory with a relative
 --out, so the paths recorded in manifest.json are the same wherever the
-suite runs.  The expected files under tests/golden/ are written by
+suite runs.  The batch case reads its job file from outside that
+directory, so the pin holds only the files the jobs themselves write.  The expected files under tests/golden/ are written by
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -39,13 +40,37 @@ CASES = {
                "--out", "out"],
     "radial-ell25": ["radial", "--ell", "25", "--check-bessel", "--grid", "0.01:60:2048",
                      "--out", "out"],
+    "verify-morse-text": ["verify", "morse"],
+    "spectrum-morse-truncated": ["spectrum", "morse", "--A", "2", "-n", "10"],
+    "3d-text": ["3d", "--seed", "a0=2,a1=1", "--lambda", "2", "--mu", "1",
+                "--grid", "16x12", "--out", "out"],
+    "construct-shift": ["construct", "--K", "-1", "--branch", "cosh", "--alpha", "1",
+                        "--lambda", "2", "--shift", "1", "--out", "out"],
+    "batch": ["--batch", "JOBS"],
 }
 
+#: the job file of the batch case, which names it JOBS; each file-writing
+#: job has a directory of its own, so no job overwrites another's files
+BATCH_JOBS = """\
+# one section per job, in file order
+construct --K 0 --branch linear --alpha 1 --lambda 1 --grid 0.1:3:32 --out out/construct
+3d --seed a0=2 --lambda 2 --mu 1 --grid 8x6 --json --out out/3d
+radial --ell 2 --check-bessel --grid 0.5:20:256 --out out/radial
+verify morse --bogus 1
+--batch nested.txt
+spectrum morse -n 2
+"""
 
-def _run_case(argv):
-    """(exit code, stdout, {relative path: bytes}) of one run in the cwd."""
+
+def _run_case(argv, jobs_dir):
+    """(exit code, stdout, {relative path: bytes}) of one run in the cwd.
+
+    An argument JOBS stands for a file in jobs_dir that holds BATCH_JOBS.
+    """
+    jobs = Path(jobs_dir) / "jobs.txt"
+    jobs.write_text(BATCH_JOBS)
     out = StringIO()
-    code = run_command(argv, out)
+    code = run_command([str(jobs) if a == "JOBS" else a for a in argv], out)
     files = {p.relative_to(Path.cwd()).as_posix(): p.read_bytes()
              for p in sorted(Path.cwd().rglob("*")) if p.is_file()}
     return code, out.getvalue(), files
@@ -59,9 +84,11 @@ def _write_morse_ladder(path):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_is_pinned(name, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
     monkeypatch.delenv("SIP_OUT_DIR", raising=False)
-    code, stdout, files = _run_case(CASES[name])
+    code, stdout, files = _run_case(CASES[name], tmp_path)
     case = GOLDEN / name
     assert code == int((case / "exit").read_text())
     assert stdout == (case / "stdout").read_text()
@@ -80,9 +107,9 @@ def test_wavefunctions_csv_is_pinned(tmp_path):
 
 def _regenerate():
     for name, argv in CASES.items():
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as jobs_dir:
             os.chdir(tmp)
-            code, stdout, files = _run_case(argv)
+            code, stdout, files = _run_case(argv, jobs_dir)
         case = GOLDEN / name
         shutil.rmtree(case, ignore_errors=True)
         case.mkdir(parents=True)
