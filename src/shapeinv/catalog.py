@@ -13,10 +13,11 @@ Conventions
   and the generalized Poschl-Teller; A -> A + a for Eckart, trigonometric
   Scarf and both Rosen-Morse variants where the ladder ascends; the
   shifted oscillator steps trivially (identity).
-- Every stored R is validated at registration time against the
-  grid-evaluated difference V_plus(p) - V_minus(tau(p)) to 1e-10, and
-  every stored W' against central differences; registration fails fast
-  when either check does not hold.
+- Every stored W' and R is proved in `tests/`: symbolically against the
+  derivative of W and the partner difference V_plus(p) - V_minus(tau(p)),
+  and numerically on the verify grid.
+- A constraint's text is its only statement: Python syntax with ^ for
+  powers and |x| for abs(x), compiled once per family.
 - Reference parameters are small integers (or simple fractions) chosen
   inside each family's validity region so analytic cross-checks stay
   human-verifiable; their keys, in order, are the family's parameter names.
@@ -28,13 +29,12 @@ Conventions
 from __future__ import annotations
 
 import math
-import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .sampling import ParamSet, make_grid
+from .sampling import ParamSet
 
 __all__ = [
     "DomainInterval",
@@ -124,6 +124,16 @@ class DomainInterval:
             raise DomainViolation(f"box [{lo}, {hi}] leaves the domain [{self.lo}, {self.hi}]")
 
 
+#: the only name a constraint reads besides its family's parameters
+_CONSTRAINT_SCOPE = {"__builtins__": {}, "abs": abs}
+
+
+def _compile_constraint(text: str):
+    """'A^2 > |B|' -> the code of A**2 > abs(B), named by its text."""
+    parts = text.replace("^", "**").split("|")
+    return compile("".join(f"abs({s})" if i % 2 else s for i, s in enumerate(parts)), text, "eval")
+
+
 @dataclass(frozen=True)
 class PotentialFamily:
     """Closed-form shape-invariant family.
@@ -134,14 +144,17 @@ class PotentialFamily:
     """
 
     name: str
-    constraints: tuple  # human-readable, each naming the parameters it bounds
+    constraints: tuple  # each printed as written and compiled to a test
     W: Callable
     Wprime: Callable
     tau: Callable
     R: Callable
     domain: Callable  # ParamSet -> DomainInterval
-    is_valid: Callable  # ParamSet -> bool
     reference_params: dict
+    _tests: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_tests", tuple(map(_compile_constraint, self.constraints)))
 
     @property
     def param_names(self) -> tuple:
@@ -154,7 +167,7 @@ class PotentialFamily:
         vals = [p[k] for k in self.param_names]
         if not all(math.isfinite(float(v)) for v in vals):
             raise InvalidParameters(f"{self.name}: non-finite parameter value")
-        if not self.is_valid(p):
+        if not all(eval(test, _CONSTRAINT_SCOPE, p) for test in self._tests):
             raise InvalidParameters(
                 f"{self.name}: parameters {p} violate constraints {list(self.constraints)}"
             )
@@ -174,7 +187,6 @@ def _shifted_oscillator() -> PotentialFamily:
         tau=lambda p: dict(p),
         R=lambda p: p["omega"],
         domain=lambda p: DomainInterval(-np.inf, np.inf, (-8.0, 8.0), (-10.0, 10.0)),
-        is_valid=lambda p: p["omega"] > 0,
         reference_params={"omega": 2.0, "b": 0.0},
     )
 
@@ -191,7 +203,6 @@ def _radial_oscillator() -> PotentialFamily:
         tau=lambda p: {**p, "ell": p["ell"] + 1.0},
         R=lambda p: 2.0 * p["omega"],
         domain=lambda p: DomainInterval(0.0, np.inf, (0.1, 10.0), (1e-5, 10.0)),
-        is_valid=lambda p: p["omega"] > 0 and p["ell"] >= 0,
         reference_params={"omega": 2.0, "ell": 0.0},
     )
 
@@ -211,7 +222,6 @@ def _coulomb() -> PotentialFamily:
         tau=lambda p: {**p, "ell": p["ell"] + 1.0},
         R=R,
         domain=lambda p: DomainInterval(0.0, np.inf, (0.1, 30.0), (1e-5, 50.0)),
-        is_valid=lambda p: p["e2"] > 0 and p["ell"] >= 0,
         reference_params={"e2": 2.0, "ell": 0.0},
     )
 
@@ -226,7 +236,6 @@ def _morse() -> PotentialFamily:
         tau=lambda p: {**p, "A": p["A"] - p["a"]},
         R=lambda p: p["A"] ** 2 - (p["A"] - p["a"]) ** 2,
         domain=lambda p: DomainInterval(-np.inf, np.inf, (-3.0, 10.0), (-3.0, 10.0)),
-        is_valid=lambda p: p["A"] > 0 and p["B"] > 0 and p["a"] > 0,
         reference_params={"A": 4.0, "B": 4.0, "a": 1.0},
     )
 
@@ -249,7 +258,6 @@ def _scarf_ii() -> PotentialFamily:
         tau=lambda p: {**p, "A": p["A"] - p["a"]},
         R=lambda p: p["A"] ** 2 - (p["A"] - p["a"]) ** 2,
         domain=lambda p: DomainInterval(-np.inf, np.inf, (-8.0, 8.0), (-10.0, 10.0)),
-        is_valid=lambda p: p["A"] > 0 and p["a"] > 0,
         reference_params={"A": 4.0, "B": 4.0, "a": 1.0},
     )
 
@@ -268,7 +276,6 @@ def _rosen_morse_ii() -> PotentialFamily:
         tau=lambda p: {**p, "A": p["A"] - p["a"]},
         R=R,
         domain=lambda p: DomainInterval(-np.inf, np.inf, (-8.0, 8.0), (-12.0, 12.0)),
-        is_valid=lambda p: p["A"] > 0 and p["a"] > 0 and p["A"] ** 2 > abs(p["B"]),
         reference_params={"A": 4.0, "B": 4.0, "a": 1.0},
     )
 
@@ -287,7 +294,6 @@ def _eckart() -> PotentialFamily:
         tau=lambda p: {**p, "A": p["A"] + p["a"]},
         R=R,
         domain=lambda p: DomainInterval(0.0, np.inf, (0.1, 12.0), (1e-3, 30.0)),
-        is_valid=lambda p: p["A"] > 0 and p["a"] > 0 and p["B"] > p["A"] ** 2,
         reference_params={"A": 1.0, "B": 3.0, "a": 0.5},
     )
 
@@ -315,7 +321,6 @@ def _scarf_i() -> PotentialFamily:
             (-1.45 / p["a"], 1.45 / p["a"]),
             ((-np.pi / 2 + 1e-4) / p["a"], (np.pi / 2 - 1e-4) / p["a"]),
         ),
-        is_valid=lambda p: p["a"] > 0 and p["A"] > abs(p["B"]),
         reference_params={"A": 4.0, "B": 1.0, "a": 1.0},
     )
 
@@ -338,7 +343,6 @@ def _gen_poschl_teller() -> PotentialFamily:
         tau=lambda p: {**p, "A": p["A"] - p["a"]},
         R=lambda p: p["A"] ** 2 - (p["A"] - p["a"]) ** 2,
         domain=lambda p: DomainInterval(0.0, np.inf, (0.1, 12.0), (1e-4, 14.0)),
-        is_valid=lambda p: p["a"] > 0 and 0 < p["A"] < p["B"],
         reference_params={"A": 3.0, "B": 4.0, "a": 1.0},
     )
 
@@ -362,7 +366,6 @@ def _rosen_morse_i() -> PotentialFamily:
             (0.15 / p["a"], (np.pi - 0.15) / p["a"]),
             (1e-4 / p["a"], (np.pi - 1e-4) / p["a"]),
         ),
-        is_valid=lambda p: p["A"] > 0 and p["a"] > 0,
         reference_params={"A": 1.0, "B": 1.0, "a": 1.0},
     )
 
@@ -380,36 +383,7 @@ def _register() -> dict:
         _gen_poschl_teller(),
         _rosen_morse_i(),
     ]
-    for fam in families:
-        _validate_family(fam)
     return {fam.name: fam for fam in families}
-
-
-def _validate_family(fam: PotentialFamily, n: int = 512) -> None:
-    """Fail fast if the stored closed forms are inconsistent.
-
-    Checks at the reference parameters: W' against central differences
-    (1e-6 at step 1e-5) and R against the grid difference
-    V_plus(p) - V_minus(tau(p)) (constant to 1e-10).
-    """
-    p = fam.reference_params
-    lo, hi = fam.domain(p).si_interval
-    x = make_grid(lo, hi, n)
-
-    # differencing near a singular endpoint inflates the h^2 truncation term,
-    # so the derivative check keeps 10% clearance from each edge
-    pad = 0.1 * (hi - lo)
-    xi = make_grid(lo + pad, hi - pad, n)
-    h = 1e-5
-    fd = (fam.W(p, xi + h) - fam.W(p, xi - h)) / (2 * h)
-    err = np.max(np.abs(fd - fam.Wprime(p, xi)))
-    if err > 1e-6:
-        raise RuntimeError(f"{fam.name}: stored W' disagrees with differences ({err:.2e})")
-
-    q = fam.tau(p)
-    d = (fam.W(p, x) ** 2 + fam.Wprime(p, x)) - (fam.W(q, x) ** 2 - fam.Wprime(q, x))
-    if np.max(np.abs(d - fam.R(p))) > 1e-10 * max(1.0, abs(fam.R(p))):
-        raise RuntimeError(f"{fam.name}: stored R is not the partner difference")
 
 
 _FAMILIES = _register()
@@ -479,9 +453,9 @@ def family_descriptor(fam: PotentialFamily) -> dict:
     """JSON-ready descriptor; domain endpoints at the reference parameters."""
     dom = fam.domain(fam.reference_params)
     hits = {name: [] for name in fam.param_names}
-    for c in fam.constraints:
-        for name in hits.keys() & set(re.findall(r"[A-Za-z_]\w*", c)):
-            hits[name].append(c)
+    for text, test in zip(fam.constraints, fam._tests):
+        for name in hits.keys() & set(test.co_names):
+            hits[name].append(text)
     return {
         "name": fam.name,
         "parameters": [{"name": n, "constraint": "; ".join(cs) or "real"} for n, cs in hits.items()],

@@ -294,18 +294,19 @@ def _parse_seed(spec: str):
     """'a0=2,a1=1,b0=0.5' -> [(0, 2.0, 0.0), (1, 1.0, 0.0), (0, 0, 0.5)] merged."""
     terms = {}
     for chunk in spec.split(","):
-        key, _, val = chunk.partition("=")
+        key, eq, val = chunk.partition("=")
+        if not eq:
+            raise ValueError(f"bad seed term {chunk!r} (want a<n>=VALUE or b<n>=VALUE)")
         key = key.strip()
-        kind, degree = key[0], key[1:]
+        kind, degree = key[:1], key[1:]
         if kind not in ("a", "b") or not degree.isdigit():
             raise ValueError(f"bad seed coefficient {key!r} (want a<n>= or b<n>=)")
+        value = float(val)
+        if not math.isfinite(value):
+            raise ValueError(f"bad seed term {chunk!r}: value must be finite")
         n = int(degree)
         a, b = terms.get(n, (0.0, 0.0))
-        if kind == "a":
-            a = float(val)
-        else:
-            b = float(val)
-        terms[n] = (a, b)
+        terms[n] = (value, b) if kind == "a" else (a, value)
     return [(n, a, b) for n, (a, b) in sorted(terms.items())]
 
 
@@ -437,23 +438,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("construct", help="build a superpotential from a seed")
-    p.add_argument("--K", type=float, required=True)
+    p.add_argument("--K", type=_finite, required=True)
     p.add_argument("--branch", choices=("linear", "sin", "cos", "sinh", "cosh"),
                    required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--lambda", type=float, required=True, dest="lambda")
-    p.add_argument("--slope", type=float, default=1.0)
-    p.add_argument("--intercept", type=float, default=0.0)
-    p.add_argument("--C", type=float, default=None)
-    p.add_argument("--D", type=float, default=None)
-    p.add_argument("--shift", type=float, default=None)
+    p.add_argument("--alpha", type=_finite, required=True)
+    p.add_argument("--lambda", type=_finite, required=True, dest="lambda")
+    p.add_argument("--slope", type=_finite, default=1.0)
+    p.add_argument("--intercept", type=_finite, default=0.0)
+    p.add_argument("--C", type=_finite, default=None)
+    p.add_argument("--D", type=_finite, default=None)
+    p.add_argument("--shift", type=_finite, default=None)
     p.add_argument("--grid", type=_grid_spec, default=(0.1, 3.0, 512), metavar="LO:HI:N")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("3d", help="axially symmetric partner fields from a seed")
     p.add_argument("--seed", required=True, metavar="a0=2,a1=1")
-    p.add_argument("--lambda", type=float, required=True, dest="lambda")
-    p.add_argument("--mu", type=float, required=True)
+    p.add_argument("--lambda", type=_finite, required=True, dest="lambda")
+    p.add_argument("--mu", type=_finite, required=True)
     p.add_argument("--region", type=_region_spec, default=multidim.DEFAULT_REGION,
                    metavar="RLO:RHI:TLO:THI")
     p.add_argument("--grid", type=_grid2d_spec, default=(128, 128), metavar="NRxNT")
@@ -541,17 +542,23 @@ def _run_batch(path: str, out) -> int:
         text = Path(path).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
-    lines = [ln.strip() for ln in text.splitlines()]
-    jobs = [shlex.split(ln) for ln in lines if ln and not ln.startswith("#")]
+    jobs = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     severity = {EXIT_PASS: 0, EXIT_TRUNCATED: 1, EXIT_FAIL: 2, EXIT_USAGE: 3}
     worst = EXIT_PASS
-    for argv in jobs:
-        print(f"$ sip {' '.join(argv)}", file=out)
-        if _selects_batch(argv):
-            print("error: nested --batch is not allowed", file=out)
+    for line in jobs:
+        # split in its turn, so a line that cannot be split ends only its own job
+        try:
+            argv = shlex.split(line)
+        except ValueError as exc:
+            print(f"$ sip {line}\nerror: {exc}", file=out)
             code = EXIT_USAGE
         else:
-            code = run_command(argv, out, err=out)
+            print(f"$ sip {' '.join(argv)}", file=out)
+            if _selects_batch(argv):
+                print("error: nested --batch is not allowed", file=out)
+                code = EXIT_USAGE
+            else:
+                code = run_command(argv, out, err=out)
         print(f"[exit {code}]", file=out)
         if severity.get(code, 3) > severity.get(worst, 3):
             worst = code

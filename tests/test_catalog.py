@@ -1,7 +1,10 @@
+import itertools
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shapeinv import catalog
 from shapeinv.catalog import (
@@ -172,7 +175,7 @@ def test_wprime_matches_central_differences():
         p = fam.reference_params
         lo, hi = fam.domain(p).si_interval
         pad = 0.1 * (hi - lo)
-        x = make_grid(lo + pad, hi - pad, 256)
+        x = make_grid(lo + pad, hi - pad, 512)
         fd = (fam.W(p, x + h) - fam.W(p, x - h)) / (2 * h)
         assert np.max(np.abs(fd - fam.Wprime(p, x))) < 1e-6, name
 
@@ -265,6 +268,65 @@ def test_descriptor_schema():
         assert d["name"] == name
         assert {"lo", "hi", "kind"} == set(d["domain"])
         assert all({"name", "constraint"} == set(entry) for entry in d["parameters"])
+
+
+#: each family's validity region as a hand-written predicate, the form the
+#: catalog held before its constraint texts were compiled
+OLD_PREDICATES = {
+    "shifted-oscillator": lambda p: p["omega"] > 0,
+    "radial-oscillator": lambda p: p["omega"] > 0 and p["ell"] >= 0,
+    "coulomb": lambda p: p["e2"] > 0 and p["ell"] >= 0,
+    "morse": lambda p: p["A"] > 0 and p["B"] > 0 and p["a"] > 0,
+    "scarf-II-hyperbolic": lambda p: p["A"] > 0 and p["a"] > 0,
+    "rosen-morse-II-hyperbolic": lambda p: p["A"] > 0 and p["a"] > 0 and p["A"] ** 2 > abs(p["B"]),
+    "eckart": lambda p: p["A"] > 0 and p["a"] > 0 and p["B"] > p["A"] ** 2,
+    "scarf-I-trigonometric": lambda p: p["a"] > 0 and p["A"] > abs(p["B"]),
+    "gen-poschl-teller": lambda p: p["a"] > 0 and 0 < p["A"] < p["B"],
+    "rosen-morse-I-trigonometric": lambda p: p["A"] > 0 and p["a"] > 0,
+}
+
+#: zero, negatives and values whose squares and square roots are among them
+BOUNDARY_VALUES = (-4.0, -2.0, -1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
+
+
+def _accepts(fam, p) -> bool:
+    try:
+        fam.validate(p)
+    except InvalidParameters:
+        return False
+    return True
+
+
+@st.composite
+def _params_near_boundaries(draw, names):
+    """Boundary or random values, with B often tied to A: A = |B|, B = A^2, A = B.
+
+    Positive values are drawn more often, so that the other constraints of a
+    family hold while one of them sits on its boundary.
+    """
+    value = st.sampled_from(BOUNDARY_VALUES) | st.floats(0, 20) | st.floats(-20, 20)
+    p = {k: draw(value) for k in names}
+    if "B" in p:
+        A = p["A"]
+        p["B"] = draw(st.sampled_from([p["B"], A, -A, A * A, -A * A]))
+    return p
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))
+def test_compiled_constraints_accept_on_every_boundary_as_before(name):
+    fam, old = get_family(name), OLD_PREDICATES[name]
+    for values in itertools.product(BOUNDARY_VALUES, repeat=len(fam.param_names)):
+        p = dict(zip(fam.param_names, values))
+        assert _accepts(fam, p) == old(p), p
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_compiled_constraints_accept_exactly_where_the_old_predicates_did(name, data):
+    fam = get_family(name)
+    p = data.draw(_params_near_boundaries(fam.param_names))
+    assert _accepts(fam, p) == OLD_PREDICATES[name](p), p
 
 
 def test_unknown_family_raises():

@@ -277,6 +277,42 @@ def test_batch_bad_tolerance_goes_to_the_job_section(outdir, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+CONSTRUCT = ["construct", "--K", "1", "--branch", "sin", "--alpha", "1", "--lambda", "2"]
+SEED_3D = ["3d", "--seed", "a0=2", "--lambda", "2", "--mu", "1"]
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--K", "inf"), ("--K", "nan"), ("--alpha", "inf"), ("--alpha", "-inf"),
+    ("--lambda", "nan"), ("--slope", "inf"), ("--intercept", "nan"),
+    ("--C", "inf"), ("--D", "nan"), ("--shift", "nan"), ("--shift", "inf"),
+])
+def test_construct_numbers_must_be_finite(option, value, tmp_path, capsys):
+    out = tmp_path / "out"
+    _rejected_at_parse([*CONSTRUCT, f"{option}={value}", "--out", str(out)], option, capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option,value", [("--mu", "inf"), ("--mu", "nan"),
+                                          ("--lambda", "inf"), ("--lambda", "nan")])
+def test_3d_numbers_must_be_finite(option, value, tmp_path, capsys):
+    out = tmp_path / "out"
+    _rejected_at_parse([*SEED_3D, f"{option}={value}", "--out", str(out)], option, capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed,chunk", [
+    ("", ""), ("a0=2,,a1=1", ""), ("a0=2,", ""), ("a0", "a0"), ("a0=2,b1", "b1"),
+    ("a0=inf", "a0=inf"), ("a0=2,b0=nan", "b0=nan"),
+])
+def test_3d_rejects_a_malformed_seed_term(seed, chunk, tmp_path):
+    out = tmp_path / "out"
+    code, text = run(["3d", "--seed", seed, "--lambda", "2", "--mu", "1", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert text.startswith(f"error: bad seed term {chunk!r}")
+    assert text.count("\n") == 1
+    assert not out.exists()
+
+
 BAD_REGIONS = {
     "malformed": ("0.5:1.5", "want RLO:RHI:TLO:THI, got '0.5:1.5'"),
     "non-finite": ("0.5:inf:0.3:2.8", "must be finite, got 'inf'"),
@@ -449,6 +485,19 @@ def test_batch_parse_error_goes_to_the_job_section(outdir, tmp_path, capsys):
     section = text[:text.index("$ sip list")]
     assert section.startswith("$ sip verify morse --bogus 1\nusage: sip ")
     assert section.endswith("sip: error: unrecognized arguments: --bogus 1\n[exit 2]\n")
+    assert capsys.readouterr().err == ""
+
+
+def test_unbalanced_quote_ends_only_its_own_batch_job(outdir, tmp_path, capsys):
+    jobfile = tmp_path / "jobs.txt"
+    jobfile.write_text('list\nverify "morse\nverify morse\n')
+    code, text = run(["--batch", str(jobfile)])
+    assert code == EXIT_USAGE
+    first, second, third = text.split("$ sip ")[1:]
+    assert first.startswith("list\nfamily ") and first.endswith("\n[exit 0]\n")
+    assert second == 'verify "morse\nerror: No closing quotation\n[exit 2]\n'
+    assert third.startswith("verify morse\nfamily:             morse\n")
+    assert third.endswith("\n[exit 0]\n")
     assert capsys.readouterr().err == ""
 
 
