@@ -168,9 +168,9 @@ class PotentialFamily:
         if not all(math.isfinite(float(v)) for v in vals):
             raise InvalidParameters(f"{self.name}: non-finite parameter value")
         if not all(eval(test, _CONSTRAINT_SCOPE, p) for test in self._tests):
-            raise InvalidParameters(
-                f"{self.name}: parameters {p} violate constraints {list(self.constraints)}"
-            )
+            broken = [text for text, test in zip(self.constraints, self._tests)
+                      if not eval(test, _CONSTRAINT_SCOPE, p)]
+            raise InvalidParameters(f"{self.name}: parameters {p} violate constraints {broken}")
 
 
 # ---------------------------------------------------------------------------

@@ -216,9 +216,17 @@ def cmd_verify(args, out) -> int:
     else:
         lo, hi = dom.si_interval
         n = 512
-    report = verify_shape_invariance(
-        fam.W, fam.Wprime, p, fam.tau, make_grid(lo, hi, n), tolerance=args.tolerance
-    )
+    try:
+        report = verify_shape_invariance(
+            fam.W, fam.Wprime, p, fam.tau, make_grid(lo, hi, n), tolerance=args.tolerance
+        )
+    except ZeroDivisionError:
+        # W of the partner rung is undefined; name the constraint tau(p) breaks
+        try:
+            fam.validate(fam.tau(p))
+        except InvalidParameters as exc:
+            raise InvalidParameters(f"partner rung tau(p) is undefined: {exc}") from None
+        raise
     if args.json:
         print(_dump_json(report.to_json()), file=out)
     else:

@@ -26,6 +26,7 @@ scope here: the certificates are about the potential fields themselves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -69,6 +70,8 @@ DEFAULT_REGION = Region(0.5, 1.5, 0.3, 2.8)
 
 #: flatness bound of the ladder certificate
 LADDER_TOL = 1e-8
+
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -118,11 +121,12 @@ def _legendre_theta(n_max: int, theta: np.ndarray):
 def laplace_seed(terms, region: Region = DEFAULT_REGION) -> ScalarField2D:
     """Harmonic seed from a Legendre term list, with analytic derivatives.
 
-    Checks on a 128x128 region scan: chi > 0 everywhere (the log would be
-    undefined otherwise) and the pointwise harmonicity residual
-    |nabla^2 chi| < 1e-10 |chi|.  The Laplacian is assembled from the
-    radial and angular second derivatives rather than set to zero, so the
-    residual check stays meaningful.
+    Refuses a degree whose powers of r overflow a float on the region,
+    before any Legendre recurrence runs.  Checks on a 128x128 region scan:
+    chi > 0 everywhere (the log would be undefined otherwise) and the
+    pointwise harmonicity residual |nabla^2 chi| < 1e-10 |chi|.  The
+    Laplacian is assembled from the radial and angular second derivatives
+    rather than set to zero, so the residual check stays meaningful.
     """
     terms = tuple((int(n), float(a), float(b)) for n, a, b in terms)
     if not terms:
@@ -131,6 +135,15 @@ def laplace_seed(terms, region: Region = DEFAULT_REGION) -> ScalarField2D:
         raise ValueError("Legendre degree must be a nonnegative integer")
     if all(a == 0 and b == 0 for _, a, b in terms):
         raise ValueError("seed needs a nonzero coefficient")
+    for n, a, b in terms:
+        # evaluate() forms r^k for k = n, n-1, n-2, -(n+1), -(n+2), -(n+3)
+        # at each degree, zero coefficient or not, with factors up to
+        # (n+2)^2 max(|a|, |b|) from the derivatives in r and theta
+        size = max(k * math.log(r) for k in (n, n - 1, n - 2, -n - 1, -n - 2, -n - 3)
+                   for r in (region.r_lo, region.r_hi))
+        if size + 2 * math.log(n + 2) + math.log(max(abs(a), abs(b), 1.0)) > _LOG_FLOAT_MAX:
+            raise ValueError(f"bad seed term of degree {n}: r^{n} or r^-{n + 1} overflows "
+                             f"on the region r in [{region.r_lo:g}, {region.r_hi:g}]")
     n_max = max(n for n, _, _ in terms)
 
     def evaluate(r, theta):

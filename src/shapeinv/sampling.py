@@ -6,6 +6,7 @@ Hamiltonian reads H = p^2 + V = -d^2/dx^2 + V.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,23 +181,156 @@ def normalize(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.asarray(values) / nrm
 
 
-#: rows formatted per write: fast like one whole-file join, without its memory
-_CSV_BLOCK_ROWS = 4096
+#: values formatted per write: memory stays flat on any table size, and
+#: _format_block's temporaries stay small enough to be reused from cache
+_CSV_BLOCK_VALUES = 8192
+
+#: columns before the separator in a value's slot in _format_block: the
+#: sign, then the longest '%.12g' ('-1.23456789012e-300' is 19 characters)
+_BODY = 20
+
+
+def _cols(a, start, stop):
+    """Columns start:stop of a row-contiguous 2-D uint8 array as one void
+    item per row: numpy copies these far faster than a 2-D byte slice."""
+    return np.ndarray(a.shape[:1], f"V{stop - start}", a, start, a.strides[:1])
+
+
+@functools.cache
+def _digit_tables():
+    """Lookup tables of _format_block, built on its first call.
+
+    chunks[k], for k < 10000, is the four digits of k as one packed uint32;
+    chunks[10000 + k] is the same with its trailing zeros as NUL bytes (all
+    NUL for k = 0).  pow10[k] is float(10**k), correctly rounded.
+    classes[e + 300] is the layout class of decimal exponent e.
+    """
+    k = np.arange(10000)
+    digits = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=1)
+    full = (digits + ord("0")).astype(np.uint8)
+    kept = np.maximum.accumulate(digits[:, ::-1] != 0, axis=1)[:, ::-1]
+    trimmed = np.where(kept, full, 0).astype(np.uint8)
+    chunks = np.concatenate([full, trimmed]).view(np.uint32).ravel()
+    pow10 = np.array([float(10 ** j) for j in range(293)])
+    e = np.arange(-300, 301)
+    classes = np.where((e >= -4) & (e <= 11), e + 4, 16 + (np.abs(e) >= 100))
+    return chunks, pow10, classes.astype(np.uint8)
+
+
+def _format_block(block, eol):
+    """The rows of a 2-D float block as '%.12g' CSV lines, in bytes.
+
+    Byte-identical to formatting each value with Python's '%.12g' % v.
+    Each value v is scaled once: with e = floor(log10|v|), possibly off by
+    one at a power of ten, y = |v|*10**(11-e) by one multiply (or one divide
+    for a negative power) by float(10**k), which is correctly rounded.  Two
+    roundings put y within 2.3e-4 of its exact value y*.  When
+    1e11 - 0.04 <= y < 1e12 - 1 and y is more than 1e-3 from a rounding
+    half, the exact '%.12g' digits are M = rint(y) at decimal exponent e:
+    y* then rounds to the same integer as y, and if y* < 1e11 (e one too
+    high), its 13th digit rounds 10*y* up to 1e12, which is M = 1e11 again.
+    Every other value is formatted by '%.12g' % v itself: NaN and
+    infinities, |v| outside [1e-280, 1e280], values near a 12-digit
+    rounding half, and those whose e is one too low.  Zero is '0' or '-0'.
+
+    The 12 digits come from three 4-digit lookups, trailing zeros as NUL.
+    Values are sorted by layout class -- fixed notation at e = -4..11,
+    exponential with a 2- or 3-digit exponent, zero, fallback -- so that
+    each class fills a contiguous run of fixed-width slots by slice copies,
+    '.' only where a digit follows.  The slots are scattered back to row
+    order, given their sign and separator, and the NUL padding is deleted.
+    """
+    chunks, pow10, classes = _digit_tables()
+    rows, ncols = block.shape
+    v = block.ravel()
+    n = v.size
+    a = np.abs(v)
+    clipped = np.fmin(np.fmax(a, 1e-280), 1e280)  # NaN -> 1e-280
+    e = np.floor(np.log10(clipped)).astype(np.int64)
+    k = 11 - e
+    y = clipped * pow10[np.maximum(k, 0)]
+    big = k < 0
+    if big.any():
+        y[big] = clipped[big] / pow10[-k[big]]
+    m = np.rint(y)
+    fast = (clipped == a) & (y >= 1e11 - 0.04) & (y < 1e12 - 1) & (np.abs(y - m) < 0.499)
+    m = np.where(fast, m, 1e11).astype(np.int64)
+    hi = m // 100000000
+    rest = m - hi * 100000000
+    mid = rest // 10000
+    lo = rest - mid * 10000
+    packed = np.empty((n, 3), np.uint32)
+    packed[:, 0] = chunks[hi + 10000 * (rest == 0)]
+    packed[:, 1] = chunks[mid + 10000 * (lo == 0)]
+    packed[:, 2] = chunks[lo + 10000]
+
+    # classes 0..15: fixed notation at e = c - 4; 16, 17: exponential with
+    # a 2- or 3-digit exponent; 18: zero; 19: fallback
+    cls = classes[e + 300]
+    cls[~fast] = 19
+    cls[v == 0] = 18
+    order = np.argsort(cls, kind="stable")
+    ends = np.cumsum(np.bincount(cls, minlength=20))
+    eol = eol.encode()
+    width = _BODY + max(len(eol), 1)
+    packed = np.take(packed, order, axis=0)
+    digits = packed.view(np.uint8)
+    buf = np.zeros((n, width), np.uint8)
+    start = 0
+    for c, end in enumerate(ends):
+        if end == start:
+            continue
+        out, d = buf[start:end], digits[start:end]
+        x = c - 4
+        if 0 <= x <= 11:
+            full = (packed[start:end] | 0x30303030).view(np.uint8)  # NUL -> '0'
+            _cols(out, 1, x + 2)[...] = _cols(full, 0, x + 1)
+            if x < 11:
+                np.minimum(d[:, x + 1], ord("."), out=out[:, x + 2])  # '.' before a digit
+                _cols(out, x + 3, 14)[...] = _cols(d, x + 1, 12)
+        elif x < 0:
+            _cols(out, 1, 2 - x)[...] = np.frombuffer(b"0." + b"0" * (-x - 1), f"V{1 - x}")
+            _cols(out, 2 - x, 14 - x)[...] = _cols(d, 0, 12)
+        elif c < 18:
+            out[:, 1] = d[:, 0]
+            np.minimum(d[:, 1], ord("."), out=out[:, 2])
+            _cols(out, 3, 14)[...] = _cols(d, 1, 12)
+            out[:, 14] = ord("e")
+            ex = e[order[start:end]]
+            out[:, 15] = np.where(ex < 0, ord("-"), ord("+"))
+            ex = np.abs(ex)
+            for col in range(c + 1, 15, -1):
+                out[:, col] = ex % 10 + ord("0")
+                ex //= 10
+        elif c == 18:
+            out[:, 1] = ord("0")
+        else:
+            text = np.array(["%.12g" % f for f in v[order[start:end]].tolist()], "S")
+            _cols(out, 1, 1 + text.itemsize)[...] = text.view(f"V{text.itemsize}")
+        start = end
+    slots = np.empty_like(buf)
+    _cols(slots, 0, width)[order] = _cols(buf, 0, width)
+    slots[:, 0] = (np.signbit(v) & (cls != 19)).view(np.uint8) * np.uint8(ord("-"))
+    sep = np.zeros((ncols, width - _BODY), np.uint8)
+    sep[:-1, -1] = ord(",")
+    sep[-1, width - _BODY - len(eol):] = np.frombuffer(eol, np.uint8)
+    _cols(slots, _BODY, width).reshape(rows, ncols)[...] = _cols(sep, 0, width - _BODY)
+    return slots.tobytes().translate(None, b"\0")
 
 
 def write_csv(path, header, columns, eol="\r\n") -> None:
     """CSV of equal-length numeric columns under a header row.
 
-    Every value is written as %.12g, arrays in row-major order.  The
+    Every value is written as %.12g, byte-identical to Python's
+    '%.12g' % v, arrays in row-major order (see _format_block).  The
     default line ending is the csv module's RFC-4180 one.
     """
     table = np.column_stack([np.asarray(c, dtype=float).ravel() for c in columns])
-    row = ",".join(["%.12g"] * table.shape[1]) + eol
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + eol)
-        for start in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = table[start:start + _CSV_BLOCK_ROWS]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + eol).encode())
+        step = max(1, _CSV_BLOCK_VALUES // table.shape[1])
+        for start in range(0, len(table), step):
+            fh.write(_format_block(table[start:start + step], eol))
 
 
 def fix_sign(values: np.ndarray) -> np.ndarray:

@@ -114,16 +114,17 @@ def algebraic_spectrum(family: PotentialFamily, p: ParamSet, n_levels: int) -> S
     q = dict(p)
     truncated = False
     while len(energies) < n_levels:
-        shift = family.R(q)
         try:
-            q = family.tau(q)
-            family.validate(q)
+            partner = family.tau(q)
+            family.validate(partner)
         except InvalidParameters:
             truncated = True
             break
+        shift = family.R(q)  # R may divide by zero where tau(q) is invalid
         if shift <= 0:
             truncated = True
             break
+        q = partner
         energies.append(energies[-1] + shift)
         ladder.append(dict(q))
     return Spectrum(

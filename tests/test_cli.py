@@ -160,6 +160,26 @@ def test_spectrum_truncation_exit_three():
     assert "truncated" in text
 
 
+RMII_AT_A_EQUALS_a = ["rosen-morse-II-hyperbolic", "--A", "1", "--a", "1", "--B", "0.5"]
+
+
+def test_verify_names_the_constraint_an_undefined_partner_breaks():
+    # tau(p) has A = 0, where W divides B by A
+    code, text = run(["verify", *RMII_AT_A_EQUALS_a])
+    assert code == EXIT_USAGE
+    assert text.startswith("error: partner rung tau(p) is undefined: ")
+    assert "violate constraints ['A > 0', 'A^2 > |B|']" in text
+    assert text.count("\n") == 1
+
+
+def test_spectrum_ends_at_the_last_valid_rung():
+    code, text = run(["spectrum", *RMII_AT_A_EQUALS_a, "-n", "4", "--json"])
+    assert code == EXIT_TRUNCATED
+    payload = json.loads(text)
+    assert payload["energies"] == [0.0]
+    assert payload["truncated"] is True
+
+
 def test_spectrum_offset_applied():
     code, text = run(["spectrum", "shifted-oscillator", "-n", "2", "--offset", "5"])
     assert code == EXIT_PASS
@@ -310,6 +330,20 @@ def test_3d_rejects_a_malformed_seed_term(seed, chunk, tmp_path):
     assert code == EXIT_USAGE
     assert text.startswith(f"error: bad seed term {chunk!r}")
     assert text.count("\n") == 1
+    assert not out.exists()
+
+
+def test_3d_refuses_a_seed_term_that_overflows_before_the_recurrence(tmp_path, monkeypatch):
+    def recurrence(*args):
+        raise AssertionError("Legendre recurrence ran")
+
+    monkeypatch.setattr("shapeinv.multidim._legendre_theta", recurrence)
+    out = tmp_path / "out"
+    code, text = run(["3d", "--seed", "a0=2,a3000=1", "--lambda", "2", "--mu", "1",
+                      "--grid", "8x8", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert text == ("error: bad seed term of degree 3000: r^3000 or r^-3001 overflows "
+                    "on the region r in [0.5, 1.5]\n")
     assert not out.exists()
 
 

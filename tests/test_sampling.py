@@ -1,12 +1,15 @@
+import math
 import re
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shapeinv import oracle, spectral
+from shapeinv import multidim, oracle, sampling, spectral
 from shapeinv.catalog import get_family
-from shapeinv.sampling import cumulative_integral, fix_sign
+from shapeinv.sampling import cumulative_integral, fix_sign, write_csv
 
 LENGTHS = [3, 4, 5, 6, 7, 8, 64, 65, 1000, 1001, 4096, 4097, 40000, 40001]
 
@@ -118,3 +121,79 @@ def test_fix_sign_matches_the_loop_on_eigenstates(n):
     for psi in [*res.wavefunctions, *ladder]:
         for values in (psi.values, -psi.values):
             _assert_fix_sign_matches_loop(values)
+
+
+def _percent_csv(path, header, columns, eol="\r\n"):
+    """The writer write_csv replaced: Python's % operator, value by value."""
+    table = np.column_stack([np.asarray(c, dtype=float).ravel() for c in columns])
+    row = ",".join(["%.12g"] * table.shape[1]) + eol
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + eol)
+        for start in range(0, len(table), 4096):
+            block = table[start:start + 4096]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _assert_same_csv(tmp_path, columns, eol):
+    header = [f"c{i}" for i in range(len(columns))]
+    write_csv(tmp_path / "new.csv", header, columns, eol)
+    _percent_csv(tmp_path / "old.csv", header, columns, eol)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _float_of_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+_EDGES = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+          math.nextafter(2.2250738585072014e-308, 0), 1.7976931348623157e308]
+_EDGES += [math.nextafter(b, t) for b in (1e-280, 1e280) for t in (0, math.inf)] + [1e-280, 1e280]
+
+_VALUES = st.one_of(
+    st.integers(0, 2**64 - 1).map(_float_of_bits),
+    st.sampled_from(_EDGES),
+    # powers of ten and their neighbours
+    st.tuples(st.integers(-323, 308), st.sampled_from([0, math.inf, None])).map(
+        lambda t: 10.0 ** t[0] if t[1] is None else math.nextafter(10.0 ** t[0], t[1])),
+    # exact decimal halves, such as k/8
+    st.tuples(st.integers(-2**40, 2**40), st.integers(0, 12)).map(lambda t: t[0] / 2 ** t[1]),
+    # within 1e-3 of a 12-digit rounding half, at any scale; steps of 2^-13,
+    # the spacing of floats near 1e11, put most of them inside the 2.3e-4
+    # that scaling by a power of ten may move a value
+    st.tuples(st.integers(10**11, 10**12 - 1), st.integers(-8, 8), st.integers(-320, 296)).map(
+        lambda t: (t[0] + 0.5 + t[1] / 8192) * 10.0 ** t[2]),
+).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@st.composite
+def _tables(draw):
+    ncols = draw(st.integers(1, 5))
+    rows = draw(st.integers(0, 12))
+    values = draw(st.lists(_VALUES, min_size=rows * ncols, max_size=rows * ncols))
+    return [np.array(values[i::ncols], dtype=float) for i in range(ncols)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables(), st.sampled_from(["\r\n", "\n"]), st.sampled_from([1, 7, 8192]))
+def test_write_csv_is_byte_identical_to_percent_formatting(tmp_path_factory, columns, eol, block):
+    # small blocks put rows of one table through several calls
+    directory = tmp_path_factory.getbasetemp() / "write_csv"
+    directory.mkdir(exist_ok=True)
+    with mock.patch.object(sampling, "_CSV_BLOCK_VALUES", block):
+        _assert_same_csv(directory, columns, eol)
+
+
+def test_write_csv_near_rounding_halves_is_byte_identical_to_percent_formatting(tmp_path):
+    # values that a 12-digit mantissa rounds up or down by less than the
+    # error of scaling by a power of ten: the fallback margin decides them
+    rng = np.random.default_rng(12)
+    halves = rng.integers(10**11, 10**12, 20000) + 0.5 + rng.integers(-2, 3, 20000) / 8192
+    values = halves * 10.0 ** rng.integers(-320, 297, 20000)
+    _assert_same_csv(tmp_path, [values, -values[::-1]], "\n")
+
+
+def test_write_csv_fields_table_is_byte_identical_to_percent_formatting(tmp_path):
+    chi = multidim.laplace_seed([(0, 2.0, 0.0), (1, 1.0, 0.0)])
+    grid = multidim.make_grid2d(chi.region, 256, 256)
+    vminus, vplus = multidim.partner_fields(chi, 2.0, grid)
+    _assert_same_csv(tmp_path, [*grid, vminus, vplus], "\r\n")
