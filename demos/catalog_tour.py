@@ -3,7 +3,8 @@
 Walks the ten classic families: evaluates superpotentials and partner
 potentials, steps the parameter ladder, and certifies on a grid that
 V_plus(x; p) - V_minus(x; tau(p)) really is x-independent for each family,
-comparing the refit constant against the stored closed-form energy shift.
+comparing the refit constant against the energy shift of the family's
+recipe in the ansatz.
 
 Run:  python demos/catalog_tour.py
 """
@@ -48,9 +49,9 @@ for name, _, _ in list_families():
     grid = make_grid(*fam.domain(fam.reference_params).si_interval, 512)
     rep = verify_shape_invariance(fam.W, fam.Wprime, fam.reference_params,
                                   fam.tau, grid)
-    stored = energy_shift(fam, fam.reference_params)
+    recipe = energy_shift(fam, fam.reference_params)
     print(f"  {name:32s} refit R = {rep.estimated_constant:+.9f} "
-          f"(stored {stored:+.9f}), flat to {rep.max_residual:.2e} -> "
+          f"(recipe {recipe:+.9f}), flat to {rep.max_residual:.2e} -> "
           f"{'ok' if rep.passed else 'FAILED'}")
 
 # Machine-readable descriptors for downstream tools.

@@ -12,14 +12,25 @@ families:
 
 - second solution: W = lam*F + phi with phi' + F*phi = C, solved by the
   integrating factor u (exp of the antiderivative of F), closed form for
-  the named branches and quadrature for custom seeds;
+  the named branches and quadrature for custom seeds without one;
 - constant shift: W = lam*F + c/lam, which preserves shape invariance and
   contributes c^2 (1/lam^2 - 1/mu^2) to R.
 
-Branch bookkeeping for F = u'/u: sin gives k*cot(k xi), cos gives
--k*tan(k xi) (k = sqrt(K)); sinh gives c*coth(c xi), cosh gives
-c*tanh(c xi) (c = sqrt(-K)); the K = 0 linear seed u = s*xi + t gives
-s/(s*xi + t).
+Branch bookkeeping: a named branch carries F = u'/u and 1/u in closed
+form and never forms u, u' or the integral of u on its own, so F and phi
+stay finite where sinh and cosh overflow.
+
+    branch   K      u              F = u'/u         1/u
+    linear   0      s*xi + t       s/(s*xi + t)     1/(s*xi + t)
+    sin      k^2    sin(k xi)      k*cot(k xi)      1/sin(k xi)
+    cos      k^2    cos(k xi)      -k*tan(k xi)     1/cos(k xi)
+    sinh     -c^2   sinh(c xi)     c*coth(c xi)     1/sinh(c xi)
+    cosh     -c^2   cosh(c xi)     c*tanh(c xi)     1/cosh(c xi)
+    exp      -c^2   exp(c xi)      c                exp(-c xi)
+
+The second solution is phi = C*(int u)/u + D/u, where (int u)/u = -F/K
+for K != 0 and xi*(s*xi/2 + t)/(s*xi + t) for the linear seed.  A custom
+seed supplies u and u' (and optionally the integral of u) as callables.
 
 A generalized variant accepts a seed solving u'' + (K - V0(xi)) u = 0,
 i.e. a Schrodinger solution at energy K in a potential V0.  The partner
@@ -58,7 +69,7 @@ __all__ = [
     "pole_free_grid",
 ]
 
-BRANCHES = ("linear", "sin", "cos", "sinh", "cosh", "custom")
+BRANCHES = ("linear", "sin", "cos", "sinh", "cosh", "exp", "custom")
 
 #: |F| beyond this on a grid is treated as a pole, not a value
 POLE_THRESHOLD = 1e12
@@ -76,21 +87,39 @@ class PoleOnGrid(ValueError):
         self.locations = tuple(float(v) for v in locations)
 
 
+#: named branch -> (F = u'/u, 1/u) as functions of the seed constants and xi
+_CLOSED_FORMS = {
+    "linear": (lambda c, xi: c["slope"] / (c["slope"] * xi + c["intercept"]),
+               lambda c, xi: 1.0 / (c["slope"] * xi + c["intercept"])),
+    "sin": (lambda c, xi: c["k"] / np.tan(c["k"] * xi),
+            lambda c, xi: 1.0 / np.sin(c["k"] * xi)),
+    "cos": (lambda c, xi: -c["k"] * np.tan(c["k"] * xi),
+            lambda c, xi: 1.0 / np.cos(c["k"] * xi)),
+    "sinh": (lambda c, xi: c["c"] / np.tanh(c["c"] * xi),
+             lambda c, xi: 1.0 / np.sinh(c["c"] * xi)),
+    "cosh": (lambda c, xi: c["c"] * np.tanh(c["c"] * xi),
+             lambda c, xi: 1.0 / np.cosh(c["c"] * xi)),
+    "exp": (lambda c, xi: np.full_like(xi, c["c"]),
+            lambda c, xi: np.exp(-c["c"] * xi)),
+}
+
+
 @dataclass(frozen=True)
 class SeedSolution:
     """A solution u of u'' + K u = 0 (or the generalized seed equation).
 
-    For named branches u and uprime are exact; a custom branch supplies
-    callables plus a working interval in the scaled variable xi.  An
-    optional closed-form antiderivative of u (``u_integral``) lets the
-    second-solution extension stay exact for custom seeds.
+    A named branch is its constants and the closed forms of F = u'/u and
+    1/u in the module table.  A custom branch supplies u and uprime as
+    callables plus a working interval in the scaled variable xi; an
+    optional antiderivative of u (``u_integral``) lets the second-solution
+    extension skip quadrature.
     """
 
     K: float
     branch: str
-    u: Callable
-    uprime: Callable
     constants: dict
+    u: Optional[Callable] = None
+    uprime: Optional[Callable] = None
     interval: Optional[tuple] = None
     u_integral: Optional[Callable] = None
 
@@ -98,14 +127,39 @@ class SeedSolution:
         if self.branch not in BRANCHES:
             raise BranchError(f"unknown branch {self.branch!r}")
 
+    def F(self, xi):
+        """u'/u at xi."""
+        xi = np.asarray(xi, dtype=float)
+        if self.branch == "custom":
+            return self.uprime(xi) / self.u(xi)
+        return _CLOSED_FORMS[self.branch][0](self.constants, xi)
+
+    def inverse(self, xi):
+        """1/u at xi."""
+        xi = np.asarray(xi, dtype=float)
+        if self.branch == "custom":
+            return 1.0 / self.u(xi)
+        return _CLOSED_FORMS[self.branch][1](self.constants, xi)
+
+    def integral_ratio(self, xi):
+        """(int u)/u at xi, the coefficient of C in the second solution."""
+        xi = np.asarray(xi, dtype=float)
+        if self.branch == "custom":
+            return self.u_integral(xi) / self.u(xi)
+        if self.branch == "linear":
+            s, t = self.constants["slope"], self.constants["intercept"]
+            return xi * (0.5 * s * xi + t) / (s * xi + t)
+        return -self.F(xi) / self.K
+
 
 def free_particle_seed(K: float, branch: str, slope: float = 1.0, intercept: float = 0.0,
                        u=None, uprime=None, interval=None, u_integral=None) -> SeedSolution:
     """Build the branch solution of u'' + K u = 0.
 
-    linear requires K = 0; sin/cos require K > 0; sinh/cosh require K < 0.
-    A custom branch takes u/uprime callables and is residual-checked by
-    central differences on its working interval (tolerance 1e-8).
+    linear requires K = 0; sin/cos require K > 0; sinh/cosh/exp require
+    K < 0.  A custom branch takes u/uprime callables and is
+    residual-checked by central differences on its working interval
+    (tolerance 1e-8).
     """
     K = float(K)
     if branch == "linear":
@@ -113,40 +167,19 @@ def free_particle_seed(K: float, branch: str, slope: float = 1.0, intercept: flo
             raise BranchError("linear branch requires K = 0")
         if slope == 0.0 and intercept == 0.0:
             raise BranchError("linear seed needs a nonzero coefficient")
-        return SeedSolution(
-            K=0.0,
-            branch="linear",
-            u=lambda xi: slope * xi + intercept,
-            uprime=lambda xi: slope * np.ones_like(np.asarray(xi, float)),
-            constants={"slope": slope, "intercept": intercept},
-            u_integral=lambda xi: 0.5 * slope * xi**2 + intercept * xi,
-        )
+        return SeedSolution(0.0, "linear", {"slope": slope, "intercept": intercept})
     if branch in ("sin", "cos"):
         if K <= 0.0:
             raise BranchError(f"{branch} branch requires K > 0")
-        k = math.sqrt(K)
-        if branch == "sin":
-            return SeedSolution(K, "sin", lambda xi: np.sin(k * xi),
-                                lambda xi: k * np.cos(k * xi), {"k": k},
-                                u_integral=lambda xi: -np.cos(k * xi) / k)
-        return SeedSolution(K, "cos", lambda xi: np.cos(k * xi),
-                            lambda xi: -k * np.sin(k * xi), {"k": k},
-                            u_integral=lambda xi: np.sin(k * xi) / k)
-    if branch in ("sinh", "cosh"):
+        return SeedSolution(K, branch, {"k": math.sqrt(K)})
+    if branch in ("sinh", "cosh", "exp"):
         if K >= 0.0:
             raise BranchError(f"{branch} branch requires K < 0")
-        c = math.sqrt(-K)
-        if branch == "sinh":
-            return SeedSolution(K, "sinh", lambda xi: np.sinh(c * xi),
-                                lambda xi: c * np.cosh(c * xi), {"c": c},
-                                u_integral=lambda xi: np.cosh(c * xi) / c)
-        return SeedSolution(K, "cosh", lambda xi: np.cosh(c * xi),
-                            lambda xi: c * np.sinh(c * xi), {"c": c},
-                            u_integral=lambda xi: np.sinh(c * xi) / c)
+        return SeedSolution(K, branch, {"c": math.sqrt(-K)})
     if branch == "custom":
         if u is None or uprime is None or interval is None:
             raise BranchError("custom branch needs u, uprime and a working interval")
-        seed = SeedSolution(K, "custom", u, uprime, {}, interval=tuple(interval),
+        seed = SeedSolution(K, "custom", {}, u, uprime, interval=tuple(interval),
                             u_integral=u_integral)
         _check_custom_seed(seed, lambda xi: np.full_like(xi, K), tol=1e-8)
         return seed
@@ -174,9 +207,10 @@ class ConstructedSuperpotential:
     """W(x) = lam * F(alpha x) + phi(alpha x) + g, missing pieces zero.
 
     F is the seed log-derivative in the scaled variable; phi is the
-    second-solution term (solving phi' + F phi = C); g = shift_const/lam.
-    Derivatives come from the defining relations, not differencing:
-    F' = -K + V0 - F^2 and phi' = C - F phi (in xi).
+    second-solution term C*(int u)/u + D/u (solving phi' + F phi = C),
+    present when C is set; g = shift_const/lam.  Derivatives come from the
+    defining relations, not differencing: F' = -K + V0 - F^2 and
+    phi' = C - F phi (in xi).
     """
 
     seed: SeedSolution
@@ -184,26 +218,21 @@ class ConstructedSuperpotential:
     lam: float
     C: Optional[float] = None
     D: Optional[float] = None
-    phi_xi: Optional[Callable] = None
     shift_const: Optional[float] = None
     V0: Optional[Callable] = None  # generalized seed potential, in xi
 
     def __post_init__(self):
         if self.alpha == 0.0:
             raise ValueError("alpha (the ladder step) must be nonzero")
+        if self.shift_const is not None and self.lam == 0.0:
+            raise ValueError("constant shift needs lam != 0")
 
     # --- seed log-derivative ------------------------------------------------
     def F_xi(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        return self.seed.uprime(xi) / self.seed.u(xi)
+        return self.seed.F(xi)
 
     def F(self, x):
         return self.F_xi(self.alpha * np.asarray(x, dtype=float))
-
-    def F_prime_xi(self, xi):
-        f = self.F_xi(xi)
-        v0 = self.V0(np.asarray(xi, float)) if self.V0 is not None else 0.0
-        return -self.seed.K + v0 - f * f
 
     # --- optional pieces ----------------------------------------------------
     @property
@@ -212,13 +241,16 @@ class ConstructedSuperpotential:
             return 0.0
         return self.shift_const / self.lam
 
+    def phi_xi(self, xi):
+        """C (int u)/u + D/u; the term of a zero coefficient is not formed."""
+        phi = self.D * self.seed.inverse(xi) if self.D else np.zeros_like(np.asarray(xi, float))
+        return self.C * self.seed.integral_ratio(xi) + phi if self.C else phi
+
     def phi(self, x):
-        if self.phi_xi is None:
-            return np.zeros_like(np.asarray(x, dtype=float))
         return self.phi_xi(self.alpha * np.asarray(x, dtype=float))
 
     def phi_prime_xi(self, xi):
-        if self.phi_xi is None:
+        if self.C is None:
             return np.zeros_like(np.asarray(xi, dtype=float))
         return self.C - self.F_xi(xi) * self.phi_xi(xi)
 
@@ -227,17 +259,20 @@ class ConstructedSuperpotential:
         """The family member at ladder parameter lam (same F, phi, shift)."""
         xi = self.alpha * np.asarray(x, dtype=float)
         w = lam * self.F_xi(xi)
-        if self.phi_xi is not None:
+        if self.C is not None:
             w = w + self.phi_xi(xi)
         if self.shift_const is not None:
             w = w + self.shift_const / lam
         return w
 
     def Wprime_at(self, lam: float, x):
+        """alpha (lam F' + phi') with F' = -K + V0 - F^2 and phi' = C - F phi, in xi."""
         xi = self.alpha * np.asarray(x, dtype=float)
-        d = lam * self.F_prime_xi(xi)
-        if self.phi_xi is not None:
-            d = d + self.phi_prime_xi(xi)
+        f = self.F_xi(xi)
+        v0 = self.V0(xi) if self.V0 is not None else 0.0
+        d = lam * (-self.seed.K + v0 - f * f)
+        if self.C is not None:
+            d = d + (self.C - f * self.phi_xi(xi))
         return self.alpha * d
 
     def W(self, x):
@@ -317,30 +352,23 @@ def verify_case_riccati(F: SampledFunction, K: float) -> float:
 
 
 def extend_second_solution(base: ConstructedSuperpotential, C: float, D: float) -> ConstructedSuperpotential:
-    """Attach phi solving phi' + F phi = C, phi = (C * int(u) + D) / u.
+    """Attach phi solving phi' + F phi = C, phi = C * (int u)/u + D/u.
 
-    Exact when the seed carries a closed-form antiderivative of u (all
-    named branches do); custom seeds without one fall back to cumulative
-    Simpson quadrature on the seed's working interval, Richardson-checked
-    at half step against a 1e-9 tolerance.
+    Exact for the named branches (the module table) and for custom seeds
+    that carry a closed-form antiderivative of u; other custom seeds get
+    one by cumulative Simpson quadrature on their working interval,
+    Richardson-checked at half step against a 1e-9 tolerance.
     """
-    if base.phi_xi is not None:
+    if base.C is not None:
         raise ValueError("base already carries a second-solution term")
     seed = base.seed
-    C, D = float(C), float(D)
-    if seed.u_integral is not None:
-        uint = seed.u_integral
-
-        def phi(xi):
-            xi = np.asarray(xi, dtype=float)
-            return (C * uint(xi) + D) / seed.u(xi)
-
-    else:
-        phi = _phi_by_quadrature(seed, C, D)
-    return replace(base, C=C, D=D, phi_xi=phi)
+    if seed.branch == "custom" and seed.u_integral is None:
+        seed = replace(seed, u_integral=_integral_by_quadrature(seed))
+    return replace(base, seed=seed, C=float(C), D=float(D))
 
 
-def _phi_by_quadrature(seed: SeedSolution, C: float, D: float, n: int = 4097):
+def _integral_by_quadrature(seed: SeedSolution, n: int = 4097):
+    """A spline of the integral of u from the left end of the working interval."""
     from scipy.interpolate import CubicSpline
 
     if seed.interval is None:
@@ -352,7 +380,7 @@ def _phi_by_quadrature(seed: SeedSolution, C: float, D: float, n: int = 4097):
     halfres = cumulative_integral(u[::2], xi[::2])
     if np.max(np.abs(full[::2] - halfres)) > 1e-9 * max(1.0, np.max(np.abs(full))):
         raise ValueError("quadrature for the second solution missed 1e-9 (refine grid)")
-    return CubicSpline(xi, (C * full + D) / u)
+    return CubicSpline(xi, full)
 
 
 def extend_constant_shift(base: ConstructedSuperpotential, c: float) -> ConstructedSuperpotential:
@@ -363,8 +391,6 @@ def extend_constant_shift(base: ConstructedSuperpotential, c: float) -> Construc
     ladder-dependent cross term 2*phi*c/lam and generally breaks the
     certificate; the verifier will report it honestly.
     """
-    if base.lam == 0.0:
-        raise ValueError("constant shift needs lam != 0")
     return replace(base, shift_const=float(c))
 
 
@@ -408,9 +434,9 @@ def integrate_seed(V0, K: float, interval, u0: float, uprime0: float) -> SeedSol
     return SeedSolution(
         K=float(K),
         branch="custom",
+        constants={},
         u=lambda xi: sol.sol(np.asarray(xi, float))[0],
         uprime=lambda xi: sol.sol(np.asarray(xi, float))[1],
-        constants={},
         interval=(float(lo), float(hi)),
     )
 
@@ -462,7 +488,7 @@ def pole_free_grid(cons: ConstructedSuperpotential, lo: float, hi: float, n: int
 
 
 def _seed_zeros(seed: SeedSolution, xi_lo: float, xi_hi: float):
-    if seed.branch == "cosh":
+    if seed.branch in ("cosh", "exp"):
         return []
     if seed.branch == "sinh":
         return [0.0] if xi_lo < 0.0 < xi_hi else []

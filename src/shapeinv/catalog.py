@@ -1,10 +1,14 @@
 """Catalog of the ten classic shape-invariant superpotential families.
 
-Each family stores a closed-form superpotential W(x; params), its exact
-x-derivative, the parameter map tau that steps the bound-state ladder, and
-the energy shift R(params) = V_plus(x; p) - V_minus(x; tau(p)), which is
-x-independent for a shape-invariant family.  Partner potentials are
-V_plus_minus = W^2 +- W', in units hbar = 2m = 1.
+Each family is its recipe in the ansatz of `ansatz`: a free-particle seed,
+a ladder step alpha and parameter lam, and an optional second solution or
+constant shift.  W(x; params), its x-derivative and the energy shift
+R(params) = V_plus(x; p) - V_minus(x; tau(p)) all follow from the recipe,
+through the identities F' = -K - F^2, phi' = C - F phi and
+R = -(lam^2 - mu^2) K + 2 alpha C + c^2 (1/lam^2 - 1/mu^2).  Beside the
+recipe each family states its parameter map tau, its constraints and its
+domain.  Partner potentials are V_plus_minus = W^2 +- W', in units
+hbar = 2m = 1.
 
 Conventions
 -----------
@@ -13,9 +17,8 @@ Conventions
   and the generalized Poschl-Teller; A -> A + a for Eckart, trigonometric
   Scarf and both Rosen-Morse variants where the ladder ascends; the
   shifted oscillator steps trivially (identity).
-- Every stored W' and R is proved in `tests/`: symbolically against the
-  derivative of W and the partner difference V_plus(p) - V_minus(tau(p)),
-  and numerically on the verify grid.
+- The recipes' W, W' and R are checked in `tests/` against the closed
+  forms of Cooper, Khare & Sukhatme, which are proved there symbolically.
 - A constraint's text is its only statement: Python syntax with ^ for
   powers and |x| for abs(x), compiled once per family.
 - Reference parameters are small integers (or simple fractions) chosen
@@ -34,6 +37,7 @@ from typing import Callable
 
 import numpy as np
 
+from .ansatz import ConstructedSuperpotential, free_particle_seed
 from .sampling import ParamSet
 
 __all__ = [
@@ -136,19 +140,20 @@ def _compile_constraint(text: str):
 
 @dataclass(frozen=True)
 class PotentialFamily:
-    """Closed-form shape-invariant family.
+    """A shape-invariant family, stated as its recipe in the ansatz.
 
-    W, Wprime accept (params, x) with x scalar or ndarray.  ``domain`` is a
-    function of the parameters because the trigonometric families live on
-    intervals whose endpoints, and so default windows, scale with 1/a.
+    recipe(p) builds the family member at p from a free-particle seed, an
+    optional second solution and an optional constant shift; W, W' and
+    the energy shift R follow from it.  W and Wprime accept (params, x)
+    with x scalar or ndarray.  ``domain`` is a function of the parameters
+    because the trigonometric families live on intervals whose endpoints,
+    and so default windows, scale with 1/a.
     """
 
     name: str
     constraints: tuple  # each printed as written and compiled to a test
-    W: Callable
-    Wprime: Callable
+    recipe: Callable  # ParamSet -> ConstructedSuperpotential
     tau: Callable
-    R: Callable
     domain: Callable  # ParamSet -> DomainInterval
     reference_params: dict
     _tests: tuple = field(init=False, repr=False, compare=False)
@@ -159,6 +164,15 @@ class PotentialFamily:
     @property
     def param_names(self) -> tuple:
         return tuple(self.reference_params)
+
+    def W(self, p: ParamSet, x):
+        return self.recipe(p).W(x)
+
+    def Wprime(self, p: ParamSet, x):
+        return self.recipe(p).Wprime(x)
+
+    def R(self, p: ParamSet) -> float:
+        return self.recipe(p).energy_shift()
 
     def validate(self, p: ParamSet) -> None:
         missing = [k for k in self.param_names if k not in p]
@@ -174,147 +188,93 @@ class PotentialFamily:
 
 
 # ---------------------------------------------------------------------------
-# family definitions
+# the families: each W (after Cooper, Khare & Sukhatme) and its recipe, a
+# seed with step alpha, ladder parameter lam and an optional second solution
+# phi = C (int u)/u + D/u or shift c/lam; lam -> lam - alpha is the family's tau
 # ---------------------------------------------------------------------------
 
-def _shifted_oscillator() -> PotentialFamily:
-    # W = (omega/2) x - b; trivial ladder, R = omega
-    return PotentialFamily(
+# every family fixes K, so one seed serves all its parameter sets
+_ONE = free_particle_seed(0.0, "linear", slope=0.0, intercept=1.0)
+_XI = free_particle_seed(0.0, "linear")
+_EXP = free_particle_seed(-1.0, "exp")
+_COSH = free_particle_seed(-1.0, "cosh")
+_SINH = free_particle_seed(-1.0, "sinh")
+_COS = free_particle_seed(1.0, "cos")
+_SIN = free_particle_seed(1.0, "sin")
+
+_ALL = (
+    # W = (omega/2) x - b: seed u = 1, phi = (omega/2) xi - b; trivial ladder
+    PotentialFamily(
         name="shifted-oscillator",
         constraints=("omega > 0",),
-        W=lambda p, x: 0.5 * p["omega"] * np.asarray(x, float) - p["b"],
-        Wprime=lambda p, x: 0.5 * p["omega"] * np.ones_like(np.asarray(x, float)),
+        recipe=lambda p: ConstructedSuperpotential(_ONE, 1.0, 1.0, C=p["omega"] / 2.0, D=-p["b"]),
         tau=lambda p: dict(p),
-        R=lambda p: p["omega"],
         domain=lambda p: DomainInterval(-np.inf, np.inf, (-8.0, 8.0), (-10.0, 10.0)),
         reference_params={"omega": 2.0, "b": 0.0},
-    )
-
-
-def _radial_oscillator() -> PotentialFamily:
-    # W = (omega/2) r - (ell+1)/r; ell -> ell + 1, R = 2 omega
-    return PotentialFamily(
+    ),
+    # W = (omega/2) r - (ell+1)/r: seed u = xi, lam = -(ell+1), phi = (omega/2) xi
+    PotentialFamily(
         name="radial-oscillator",
         constraints=("omega > 0", "ell >= 0"),
-        W=lambda p, x: 0.5 * p["omega"] * np.asarray(x, float)
-        - (p["ell"] + 1.0) / np.asarray(x, float),
-        Wprime=lambda p, x: 0.5 * p["omega"]
-        + (p["ell"] + 1.0) / np.asarray(x, float) ** 2,
+        recipe=lambda p: ConstructedSuperpotential(
+            _XI, 1.0, -(p["ell"] + 1.0), C=p["omega"], D=0.0),
         tau=lambda p: {**p, "ell": p["ell"] + 1.0},
-        R=lambda p: 2.0 * p["omega"],
         domain=lambda p: DomainInterval(0.0, np.inf, (0.1, 10.0), (1e-5, 10.0)),
         reference_params={"omega": 2.0, "ell": 0.0},
-    )
-
-
-def _coulomb() -> PotentialFamily:
-    # W = e2/(2(ell+1)) - (ell+1)/r; ell -> ell + 1
-    def R(p):
-        e2, ell = p["e2"], p["ell"]
-        return 0.25 * e2**2 * (1.0 / (ell + 1.0) ** 2 - 1.0 / (ell + 2.0) ** 2)
-
-    return PotentialFamily(
+    ),
+    # W = e2/(2(ell+1)) - (ell+1)/r: seed u = xi, lam = -(ell+1), shift -e2/2
+    PotentialFamily(
         name="coulomb",
         constraints=("e2 > 0", "ell >= 0"),
-        W=lambda p, x: 0.5 * p["e2"] / (p["ell"] + 1.0)
-        - (p["ell"] + 1.0) / np.asarray(x, float),
-        Wprime=lambda p, x: (p["ell"] + 1.0) / np.asarray(x, float) ** 2,
+        recipe=lambda p: ConstructedSuperpotential(
+            _XI, 1.0, -(p["ell"] + 1.0), shift_const=-p["e2"] / 2.0),
         tau=lambda p: {**p, "ell": p["ell"] + 1.0},
-        R=R,
         domain=lambda p: DomainInterval(0.0, np.inf, (0.1, 30.0), (1e-5, 50.0)),
         reference_params={"e2": 2.0, "ell": 0.0},
-    )
-
-
-def _morse() -> PotentialFamily:
-    # W = A - B exp(-a x); A -> A - a, R = A^2 - (A-a)^2
-    return PotentialFamily(
+    ),
+    # W = A - B exp(-a x): exp seed, lam = A, phi = -B/u
+    PotentialFamily(
         name="morse",
         constraints=("A > 0", "B > 0", "a > 0"),
-        W=lambda p, x: p["A"] - p["B"] * np.exp(-p["a"] * np.asarray(x, float)),
-        Wprime=lambda p, x: p["a"] * p["B"] * np.exp(-p["a"] * np.asarray(x, float)),
+        recipe=lambda p: ConstructedSuperpotential(_EXP, p["a"], p["A"], C=0.0, D=-p["B"]),
         tau=lambda p: {**p, "A": p["A"] - p["a"]},
-        R=lambda p: p["A"] ** 2 - (p["A"] - p["a"]) ** 2,
         domain=lambda p: DomainInterval(-np.inf, np.inf, (-3.0, 10.0), (-3.0, 10.0)),
         reference_params={"A": 4.0, "B": 4.0, "a": 1.0},
-    )
-
-
-def _scarf_ii() -> PotentialFamily:
-    # W = A tanh(ax) + B sech(ax); A -> A - a
-    def W(p, x):
-        ax = p["a"] * np.asarray(x, float)
-        return p["A"] * np.tanh(ax) + p["B"] / np.cosh(ax)
-
-    def Wp(p, x):
-        ax = p["a"] * np.asarray(x, float)
-        return p["a"] * (p["A"] / np.cosh(ax) ** 2 - p["B"] * np.tanh(ax) / np.cosh(ax))
-
-    return PotentialFamily(
+    ),
+    # W = A tanh(ax) + B sech(ax): cosh seed, lam = A, phi = B/u
+    PotentialFamily(
         name="scarf-II-hyperbolic",
         constraints=("A > 0", "a > 0"),
-        W=W,
-        Wprime=Wp,
+        recipe=lambda p: ConstructedSuperpotential(_COSH, p["a"], p["A"], C=0.0, D=p["B"]),
         tau=lambda p: {**p, "A": p["A"] - p["a"]},
-        R=lambda p: p["A"] ** 2 - (p["A"] - p["a"]) ** 2,
         domain=lambda p: DomainInterval(-np.inf, np.inf, (-8.0, 8.0), (-10.0, 10.0)),
         reference_params={"A": 4.0, "B": 4.0, "a": 1.0},
-    )
-
-
-def _rosen_morse_ii() -> PotentialFamily:
-    # W = A tanh(ax) + B/A; A -> A - a; normalizable ground state needs A^2 > |B|
-    def R(p):
-        A, B, a = p["A"], p["B"], p["a"]
-        return A**2 - (A - a) ** 2 + B**2 / A**2 - B**2 / (A - a) ** 2
-
-    return PotentialFamily(
+    ),
+    # W = A tanh(ax) + B/A: cosh seed, lam = A, shift B; a normalizable
+    # ground state needs A^2 > |B|
+    PotentialFamily(
         name="rosen-morse-II-hyperbolic",
         constraints=("A > 0", "a > 0", "A^2 > |B|"),
-        W=lambda p, x: p["A"] * np.tanh(p["a"] * np.asarray(x, float)) + p["B"] / p["A"],
-        Wprime=lambda p, x: p["a"] * p["A"] / np.cosh(p["a"] * np.asarray(x, float)) ** 2,
+        recipe=lambda p: ConstructedSuperpotential(_COSH, p["a"], p["A"], shift_const=p["B"]),
         tau=lambda p: {**p, "A": p["A"] - p["a"]},
-        R=R,
         domain=lambda p: DomainInterval(-np.inf, np.inf, (-8.0, 8.0), (-12.0, 12.0)),
         reference_params={"A": 4.0, "B": 4.0, "a": 1.0},
-    )
-
-
-def _eckart() -> PotentialFamily:
-    # W = -A coth(ar) + B/A; A -> A + a; bound states need B > A^2
-    def R(p):
-        A, B, a = p["A"], p["B"], p["a"]
-        return A**2 - (A + a) ** 2 + B**2 / A**2 - B**2 / (A + a) ** 2
-
-    return PotentialFamily(
+    ),
+    # W = -A coth(ar) + B/A: sinh seed, lam = -A, shift -B; bound states need B > A^2
+    PotentialFamily(
         name="eckart",
         constraints=("A > 0", "a > 0", "B > A^2"),
-        W=lambda p, x: -p["A"] / np.tanh(p["a"] * np.asarray(x, float)) + p["B"] / p["A"],
-        Wprime=lambda p, x: p["a"] * p["A"] / np.sinh(p["a"] * np.asarray(x, float)) ** 2,
+        recipe=lambda p: ConstructedSuperpotential(_SINH, p["a"], -p["A"], shift_const=-p["B"]),
         tau=lambda p: {**p, "A": p["A"] + p["a"]},
-        R=R,
         domain=lambda p: DomainInterval(0.0, np.inf, (0.1, 12.0), (1e-3, 30.0)),
         reference_params={"A": 1.0, "B": 3.0, "a": 0.5},
-    )
-
-
-def _scarf_i() -> PotentialFamily:
-    # W = A tan(ax) - B sec(ax) on (-pi/2a, pi/2a); A -> A + a; needs A > |B|
-    def W(p, x):
-        ax = p["a"] * np.asarray(x, float)
-        return p["A"] * np.tan(ax) - p["B"] / np.cos(ax)
-
-    def Wp(p, x):
-        ax = p["a"] * np.asarray(x, float)
-        return p["a"] * (p["A"] / np.cos(ax) ** 2 - p["B"] * np.sin(ax) / np.cos(ax) ** 2)
-
-    return PotentialFamily(
+    ),
+    # W = A tan(ax) - B sec(ax) on (-pi/2a, pi/2a): cos seed, lam = -A, phi = -B/u
+    PotentialFamily(
         name="scarf-I-trigonometric",
         constraints=("a > 0", "A > |B|"),
-        W=W,
-        Wprime=Wp,
+        recipe=lambda p: ConstructedSuperpotential(_COS, p["a"], -p["A"], C=0.0, D=-p["B"]),
         tau=lambda p: {**p, "A": p["A"] + p["a"]},
-        R=lambda p: (p["A"] + p["a"]) ** 2 - p["A"] ** 2,
         domain=lambda p: DomainInterval(
             -0.5 * np.pi / p["a"],
             0.5 * np.pi / p["a"],
@@ -322,44 +282,22 @@ def _scarf_i() -> PotentialFamily:
             ((-np.pi / 2 + 1e-4) / p["a"], (np.pi / 2 - 1e-4) / p["a"]),
         ),
         reference_params={"A": 4.0, "B": 1.0, "a": 1.0},
-    )
-
-
-def _gen_poschl_teller() -> PotentialFamily:
-    # W = A coth(ar) - B cosech(ar); A -> A - a; needs B > A
-    def W(p, x):
-        ar = p["a"] * np.asarray(x, float)
-        return p["A"] / np.tanh(ar) - p["B"] / np.sinh(ar)
-
-    def Wp(p, x):
-        ar = p["a"] * np.asarray(x, float)
-        return p["a"] * (-p["A"] / np.sinh(ar) ** 2 + p["B"] / np.tanh(ar) / np.sinh(ar))
-
-    return PotentialFamily(
+    ),
+    # W = A coth(ar) - B cosech(ar): sinh seed, lam = A, phi = -B/u
+    PotentialFamily(
         name="gen-poschl-teller",
         constraints=("a > 0", "B > A > 0"),
-        W=W,
-        Wprime=Wp,
+        recipe=lambda p: ConstructedSuperpotential(_SINH, p["a"], p["A"], C=0.0, D=-p["B"]),
         tau=lambda p: {**p, "A": p["A"] - p["a"]},
-        R=lambda p: p["A"] ** 2 - (p["A"] - p["a"]) ** 2,
         domain=lambda p: DomainInterval(0.0, np.inf, (0.1, 12.0), (1e-4, 14.0)),
         reference_params={"A": 3.0, "B": 4.0, "a": 1.0},
-    )
-
-
-def _rosen_morse_i() -> PotentialFamily:
-    # W = -A cot(ax) - B/A on (0, pi/a); A -> A + a
-    def R(p):
-        A, B, a = p["A"], p["B"], p["a"]
-        return (A + a) ** 2 - A**2 + B**2 / A**2 - B**2 / (A + a) ** 2
-
-    return PotentialFamily(
+    ),
+    # W = -A cot(ax) - B/A on (0, pi/a): sin seed, lam = -A, shift B
+    PotentialFamily(
         name="rosen-morse-I-trigonometric",
         constraints=("A > 0", "a > 0"),
-        W=lambda p, x: -p["A"] / np.tan(p["a"] * np.asarray(x, float)) - p["B"] / p["A"],
-        Wprime=lambda p, x: p["a"] * p["A"] / np.sin(p["a"] * np.asarray(x, float)) ** 2,
+        recipe=lambda p: ConstructedSuperpotential(_SIN, p["a"], -p["A"], shift_const=p["B"]),
         tau=lambda p: {**p, "A": p["A"] + p["a"]},
-        R=R,
         domain=lambda p: DomainInterval(
             0.0,
             np.pi / p["a"],
@@ -367,26 +305,10 @@ def _rosen_morse_i() -> PotentialFamily:
             (1e-4 / p["a"], (np.pi - 1e-4) / p["a"]),
         ),
         reference_params={"A": 1.0, "B": 1.0, "a": 1.0},
-    )
+    ),
+)
 
-
-def _register() -> dict:
-    families = [
-        _shifted_oscillator(),
-        _radial_oscillator(),
-        _coulomb(),
-        _morse(),
-        _scarf_ii(),
-        _rosen_morse_ii(),
-        _eckart(),
-        _scarf_i(),
-        _gen_poschl_teller(),
-        _rosen_morse_i(),
-    ]
-    return {fam.name: fam for fam in families}
-
-
-_FAMILIES = _register()
+_FAMILIES = {fam.name: fam for fam in _ALL}
 FAMILY_NAMES = tuple(_FAMILIES)
 
 
@@ -428,8 +350,9 @@ def eval_superpotential(fam: PotentialFamily, p: ParamSet, x):
 def partner_potentials(fam: PotentialFamily, p: ParamSet, x):
     """(V_minus, V_plus) = (W^2 - W', W^2 + W'), evaluated analytically."""
     _check_point(fam, p, x)
-    w = fam.W(p, x)
-    wp = fam.Wprime(p, x)
+    cons = fam.recipe(p)
+    w = cons.W(x)
+    wp = cons.Wprime(x)
     return w * w - wp, w * w + wp
 
 

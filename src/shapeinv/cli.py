@@ -217,16 +217,17 @@ def cmd_verify(args, out) -> int:
         lo, hi = dom.si_interval
         n = 512
     try:
-        report = verify_shape_invariance(
-            fam.W, fam.Wprime, p, fam.tau, make_grid(lo, hi, n), tolerance=args.tolerance
-        )
-    except ZeroDivisionError:
+        fam.recipe(fam.tau(p))
+    except ValueError:
         # W of the partner rung is undefined; name the constraint tau(p) breaks
         try:
             fam.validate(fam.tau(p))
         except InvalidParameters as exc:
             raise InvalidParameters(f"partner rung tau(p) is undefined: {exc}") from None
         raise
+    report = verify_shape_invariance(
+        fam.W, fam.Wprime, p, fam.tau, make_grid(lo, hi, n), tolerance=args.tolerance
+    )
     if args.json:
         print(_dump_json(report.to_json()), file=out)
     else:

@@ -136,14 +136,15 @@ def laplace_seed(terms, region: Region = DEFAULT_REGION) -> ScalarField2D:
     if all(a == 0 and b == 0 for _, a, b in terms):
         raise ValueError("seed needs a nonzero coefficient")
     for n, a, b in terms:
-        # evaluate() forms r^k for k = n, n-1, n-2, -(n+1), -(n+2), -(n+3)
-        # at each degree, zero coefficient or not, with factors up to
-        # (n+2)^2 max(|a|, |b|) from the derivatives in r and theta
-        size = max(k * math.log(r) for k in (n, n - 1, n - 2, -n - 1, -n - 2, -n - 3)
-                   for r in (region.r_lo, region.r_hi))
-        if size + 2 * math.log(n + 2) + math.log(max(abs(a), abs(b), 1.0)) > _LOG_FLOAT_MAX:
-            raise ValueError(f"bad seed term of degree {n}: r^{n} or r^-{n + 1} overflows "
-                             f"on the region r in [{region.r_lo:g}, {region.r_hi:g}]")
+        # evaluate() forms r^k, r^(k-1) and r^(k-2) for each nonzero half
+        # c r^k of a term (k = n for a_n, -(n+1) for b_n), with factors up
+        # to (n+2)^2 |c| from the derivatives in r and theta
+        for c, k in ((a, n), (b, -n - 1)):
+            size = max((k - j) * math.log(r) for j in (0, 1, 2)
+                       for r in (region.r_lo, region.r_hi))
+            if c and size + 2 * math.log(n + 2) + math.log(max(abs(c), 1.0)) > _LOG_FLOAT_MAX:
+                raise ValueError(f"bad seed term of degree {n}: r^{n} or r^-{n + 1} overflows "
+                                 f"on the region r in [{region.r_lo:g}, {region.r_hi:g}]")
     n_max = max(n for n, _, _ in terms)
 
     def evaluate(r, theta):
@@ -156,9 +157,12 @@ def laplace_seed(terms, region: Region = DEFAULT_REGION) -> ScalarField2D:
         v_t = np.zeros_like(val)
         v_tt = np.zeros_like(val)
         for n, a, b in terms:
-            rad = a * r**n + b * r ** (-(n + 1))
-            rad_r = a * n * r ** (n - 1) - b * (n + 1) * r ** (-(n + 2))
-            rad_rr = a * n * (n - 1) * r ** (n - 2) + b * (n + 1) * (n + 2) * r ** (-(n + 3))
+            rad = rad_r = rad_rr = 0.0
+            for c, k in ((a, n), (b, -n - 1)):
+                if c:  # a zero half is skipped, so its power cannot overflow
+                    rad = rad + c * r**k
+                    rad_r = rad_r + c * k * r ** (k - 1)
+                    rad_rr = rad_rr + c * k * (k - 1) * r ** (k - 2)
             val = val + rad * P[n]
             v_r = v_r + rad_r * P[n]
             v_rr = v_rr + rad_rr * P[n]

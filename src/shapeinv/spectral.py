@@ -194,13 +194,12 @@ def ladder_wavefunctions(family: PotentialFamily, p: ParamSet, n_levels: int, gr
     """
     spec = algebraic_spectrum(family, p, n_levels)
     x = np.asarray(grid, dtype=float)
+    rungs = [family.recipe(q) for q in spec.level_params]
     out = []
     for n, _ in enumerate(spec.energies):
-        rung = spec.level_params[n]
-        psi = ground_state(lambda xs: family.W(rung, xs), x)
+        psi = ground_state(rungs[n].W, x)
         for k in range(n - 1, -1, -1):
-            pk = spec.level_params[k]
-            psi = apply_Adagger(lambda xs, pk=pk: family.W(pk, xs), psi)
+            psi = apply_Adagger(rungs[k].W, psi)
         vals = fix_sign(normalize(psi.values, x))
         out.append(Wavefunction(x=x, values=vals, level=n, normalized=True))
     return out

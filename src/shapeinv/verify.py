@@ -38,7 +38,6 @@ class VerificationReport:
     estimated_constant: float
     passed: bool
     tolerance: float
-    pole_exclusions: tuple = ()
 
     def __post_init__(self):
         if self.passed != (self.max_residual < self.tolerance):

@@ -22,7 +22,7 @@ from shapeinv.radial import (
     spherical_bessel_table,
 )
 
-from test_ansatz import reconstruction_recipes
+from test_catalog_proofs import table_values
 
 
 def _report(label, elapsed, budget, detail=""):
@@ -48,19 +48,18 @@ def test_criterion_1_catalog_si_certification():
 
 def test_criterion_2_ansatz_reconstruction():
     t0 = time.perf_counter()
-    recipes = reconstruction_recipes()
-    assert len(recipes) == 10
     worst = 0.0
-    for name, p, build, interval in recipes:
+    for name in FAMILY_NAMES:
         fam = get_family(name)
-        cons = build(p)
-        x = make_grid(*interval, 512)
-        dev = float(np.max(np.abs(cons.W(x) - fam.W(p, x))))
+        p = fam.reference_params
+        x = make_grid(*fam.domain(p).si_interval, 512)
+        W, _, _ = table_values(name, p, x)
+        dev = float(np.max(np.abs(fam.recipe(p).W(x) - W)))
         assert dev < 1e-10, (name, dev)
         worst = max(worst, dev)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
-    _report("2 (10 seed recipes match catalog @ 1e-10)", elapsed, 1,
+    _report("2 (10 seed recipes match the CKS closed forms @ 1e-10)", elapsed, 1,
             f"worst match {worst:.2e}")
 
 

@@ -20,6 +20,8 @@ from shapeinv.catalog import get_family
 from shapeinv.sampling import SampledFunction, make_grid
 from shapeinv.verify import verify_negation_condition, verify_shape_invariance
 
+from test_catalog_proofs import table_values
+
 
 # ---------------------------------------------------------------------------
 # the three cases
@@ -49,6 +51,24 @@ def test_case_sin_gives_cot():
     assert np.allclose(cons.W(x), 2.0 / np.tan(2.0 * x), atol=1e-11)
 
 
+def test_case_exp_gives_a_constant_and_phi_its_decay():
+    cons = construct_case(-4.0, "exp", 1.0, 1.5)  # c = 2
+    x = make_grid(-3, 3, 64)
+    assert np.all(cons.W(x) == 3.0)
+    ext = extend_second_solution(cons, 0.0, 1.0)
+    assert np.allclose(ext.phi(x), np.exp(-2.0 * x), rtol=1e-15, atol=0)
+
+
+def test_named_branches_stay_finite_where_u_overflows():
+    # sinh and cosh overflow beyond xi = 710; F and 1/u in closed form do not
+    x = np.array([800.0, 1e4])
+    assert np.all(construct_case(-1.0, "cosh", 1.0, 2.0).W(x) == 2.0)
+    assert np.all(construct_case(-1.0, "sinh", 1.0, 2.0).W(x) == 2.0)
+    with np.errstate(over="ignore"):  # 1/cosh overflowing to 0 is IEEE behaviour
+        assert np.all(extend_second_solution(
+            construct_case(-1.0, "cosh", 1.0, 2.0), 0.0, 1.0).W(x) == 2.0)
+
+
 def test_branch_sign_mismatch_rejected():
     with pytest.raises(BranchError):
         construct_case(1.0, "linear", 1.0, 1.0)
@@ -56,6 +76,8 @@ def test_branch_sign_mismatch_rejected():
         construct_case(-1.0, "sin", 1.0, 1.0)
     with pytest.raises(BranchError):
         construct_case(1.0, "cosh", 1.0, 1.0)
+    with pytest.raises(BranchError):
+        construct_case(0.0, "exp", 1.0, 1.0)
     with pytest.raises(ValueError):
         construct_case(0.0, "linear", 0.0, 1.0)  # alpha = 0
 
@@ -304,92 +326,40 @@ def test_generalized_rejects_seed_with_node():
 
 
 # ---------------------------------------------------------------------------
-# catalog reconstruction: every family from a (case, extension, shift) recipe
+# the catalog's recipes against the closed forms of Cooper, Khare & Sukhatme
 # ---------------------------------------------------------------------------
 
-def _exp_seed():
-    return free_particle_seed(
-        -1.0, "custom",
-        u=lambda xi: np.exp(xi),
-        uprime=lambda xi: np.exp(xi),
-        interval=(-4.0, 11.0),
-        u_integral=lambda xi: np.exp(xi),
-    )
+#: family -> (parameters, window), away from the reference parameters and
+#: wider than the verify grids
+RECIPE_POINTS = {
+    "shifted-oscillator": ({"omega": 2.0, "b": 0.5}, (-6.0, 6.0)),
+    "radial-oscillator": ({"omega": 2.0, "ell": 1.0}, (0.2, 8.0)),
+    "coulomb": ({"e2": 2.0, "ell": 0.0}, (0.2, 20.0)),
+    "morse": ({"A": 4.0, "B": 4.0, "a": 1.0}, (-3.0, 9.0)),
+    "scarf-II-hyperbolic": ({"A": 4.0, "B": 4.0, "a": 1.0}, (-7.0, 7.0)),
+    "rosen-morse-II-hyperbolic": ({"A": 4.0, "B": 4.0, "a": 1.0}, (-7.0, 7.0)),
+    "eckart": ({"A": 1.0, "B": 3.0, "a": 0.5}, (0.2, 11.0)),
+    "scarf-I-trigonometric": ({"A": 4.0, "B": 1.0, "a": 1.0}, (-1.4, 1.4)),
+    "gen-poschl-teller": ({"A": 3.0, "B": 4.0, "a": 1.0}, (0.2, 11.0)),
+    "rosen-morse-I-trigonometric": ({"A": 1.0, "B": 1.0, "a": 1.0}, (0.15, 2.9)),
+}
 
 
-def reconstruction_recipes():
-    """(family name, params, recipe builder, test interval) table.
-
-    Parameter identification used throughout: the ladder variable is
-    lam with step alpha = a, so translations in lam reproduce the
-    catalog's A -> A -+ a (sign fixed by lam = +-A/...).
-    """
-    return [
-        ("shifted-oscillator", {"omega": 2.0, "b": 0.5},
-         lambda p: extend_second_solution(
-             construct_case(0.0, "linear", 1.0, 1.0, slope=0.0, intercept=1.0),
-             p["omega"] / 2.0, -p["b"]),
-         (-6.0, 6.0)),
-        ("radial-oscillator", {"omega": 2.0, "ell": 1.0},
-         lambda p: extend_second_solution(
-             construct_case(0.0, "linear", 1.0, -(p["ell"] + 1.0)),
-             p["omega"], 0.0),
-         (0.2, 8.0)),
-        ("coulomb", {"e2": 2.0, "ell": 0.0},
-         lambda p: extend_constant_shift(
-             construct_case(0.0, "linear", 1.0, -(p["ell"] + 1.0)),
-             -p["e2"] / 2.0),
-         (0.2, 20.0)),
-        ("morse", {"A": 4.0, "B": 4.0, "a": 1.0},
-         lambda p: extend_second_solution(
-             ansatz.ConstructedSuperpotential(seed=_exp_seed(), alpha=p["a"], lam=p["A"]),
-             0.0, -p["B"]),
-         (-3.0, 9.0)),
-        ("scarf-II-hyperbolic", {"A": 4.0, "B": 4.0, "a": 1.0},
-         lambda p: extend_second_solution(
-             construct_case(-1.0, "cosh", p["a"], p["A"]), 0.0, p["B"]),
-         (-7.0, 7.0)),
-        ("rosen-morse-II-hyperbolic", {"A": 4.0, "B": 4.0, "a": 1.0},
-         lambda p: extend_constant_shift(
-             construct_case(-1.0, "cosh", p["a"], p["A"]), p["B"]),
-         (-7.0, 7.0)),
-        ("eckart", {"A": 1.0, "B": 3.0, "a": 0.5},
-         lambda p: extend_constant_shift(
-             construct_case(-1.0, "sinh", p["a"], -p["A"]), -p["B"]),
-         (0.2, 11.0)),
-        ("scarf-I-trigonometric", {"A": 4.0, "B": 1.0, "a": 1.0},
-         lambda p: extend_second_solution(
-             construct_case(1.0, "cos", p["a"], -p["A"]), 0.0, -p["B"]),
-         (-1.4, 1.4)),
-        ("gen-poschl-teller", {"A": 3.0, "B": 4.0, "a": 1.0},
-         lambda p: extend_second_solution(
-             construct_case(-1.0, "sinh", p["a"], p["A"]), 0.0, -p["B"]),
-         (0.2, 11.0)),
-        ("rosen-morse-I-trigonometric", {"A": 1.0, "B": 1.0, "a": 1.0},
-         lambda p: extend_constant_shift(
-             construct_case(1.0, "sin", p["a"], -p["A"]), p["B"]),
-         (0.15, 2.9)),
-    ]
-
-
-@pytest.mark.parametrize("name,p,build,interval",
-                         reconstruction_recipes(),
-                         ids=[r[0] for r in reconstruction_recipes()])
-def test_reconstruction_matches_catalog(name, p, build, interval):
-    fam = get_family(name)
-    cons = build(p)
+@pytest.mark.parametrize("name", RECIPE_POINTS)
+def test_reconstruction_matches_catalog(name):
+    p, interval = RECIPE_POINTS[name]
+    cons = get_family(name).recipe(p)
     x = make_grid(*interval, 512)
-    assert np.max(np.abs(cons.W(x) - fam.W(p, x))) < 1e-10
-    assert np.max(np.abs(cons.Wprime(x) - fam.Wprime(p, x))) < 1e-9
+    W, Wp, _ = table_values(name, p, x)
+    assert np.max(np.abs(cons.W(x) - W)) < 1e-10
+    assert np.max(np.abs(cons.Wprime(x) - Wp)) < 1e-9
 
 
-@pytest.mark.parametrize("name,p,build,interval",
-                         reconstruction_recipes(),
-                         ids=[r[0] for r in reconstruction_recipes()])
-def test_reconstruction_energy_shift_matches_catalog(name, p, build, interval):
-    fam = get_family(name)
-    cons = build(p)
-    assert cons.energy_shift() == pytest.approx(fam.R(p), abs=1e-10)
+@pytest.mark.parametrize("name", RECIPE_POINTS)
+def test_reconstruction_energy_shift_matches_catalog(name):
+    p, interval = RECIPE_POINTS[name]
+    _, _, R = table_values(name, p, interval[0])
+    assert get_family(name).recipe(p).energy_shift() == pytest.approx(float(R), abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

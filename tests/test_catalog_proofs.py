@@ -4,9 +4,9 @@ TABLE restates each family's W, ladder step tau and shift R with the
 parameters left symbolic, after Cooper, Khare & Sukhatme, Phys. Rep. 251
 (1995) 267, in units hbar = 2m = 1.  The first test proves
 V_plus(p) - V_minus(tau(p)) - R = 0 for every x and every parameter set;
-the others check that the catalog's stored W, W', tau and R compute the
-same numbers on the family's verify grid, at its reference parameters and
-at draws from its validity region.
+the others check that the catalog's W, W' and R, which its recipes in the
+ansatz derive, and its tau compute the same numbers on the family's verify
+grid, at its reference parameters and at draws from its validity region.
 """
 
 import numpy as np
@@ -93,6 +93,12 @@ def _lambdified(name):
 
 
 LAMBDIFIED = {name: _lambdified(name) for name in FAMILY_NAMES}
+
+
+def table_values(name, p, grid):
+    """W, W' and R of the table at p on the grid, each summed from its terms."""
+    vals = [p[k] for k in get_family(name).param_names]
+    return [sum(np.broadcast_arrays(*terms)) for terms in LAMBDIFIED[name](grid, *vals)]
 
 
 def _close(got, terms) -> bool:

@@ -7,6 +7,7 @@ import sys
 from io import StringIO
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from shapeinv.catalog import FAMILY_NAMES, get_family
@@ -172,6 +173,18 @@ def test_verify_names_the_constraint_an_undefined_partner_breaks():
     assert text.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["scarf-II-hyperbolic", "--a", "100"],
+    ["gen-poschl-teller", "--a", "100", "--B", "5"],
+    ["eckart", "--a", "100"],
+], ids=lambda argv: argv[0])
+def test_verify_passes_where_sinh_and_cosh_overflow(argv):
+    # sech = 1/cosh overflowing to 0 is IEEE behaviour, not a defect
+    with np.errstate(over="ignore"):
+        code, text = run(["verify", *argv])
+    assert code == EXIT_PASS, text
+
+
 def test_spectrum_ends_at_the_last_valid_rung():
     code, text = run(["spectrum", *RMII_AT_A_EQUALS_a, "-n", "4", "--json"])
     assert code == EXIT_TRUNCATED
@@ -199,6 +212,14 @@ def test_construct_writes_descriptor_and_manifest(outdir):
     # the linear K=0 seed gives W = 1/x
     printed = json.loads(text)
     assert printed["K"] == 0.0 and printed["lambda"] == 1.0
+
+
+def test_construct_cosh_stays_finite_where_cosh_overflows(outdir):
+    # W = 2 tanh x; sinh/cosh would be inf/inf beyond x = 710
+    code, text = run(["construct", "--K", "-1", "--branch", "cosh", "--alpha", "1",
+                      "--lambda", "2", "--grid", "0.1:800:512"])
+    assert code == EXIT_PASS, text
+    assert json.loads(text)["shape_invariance"]["max_residual"] == 0.0
 
 
 def test_3d_command_certifies_unit_step(outdir):
@@ -345,6 +366,13 @@ def test_3d_refuses_a_seed_term_that_overflows_before_the_recurrence(tmp_path, m
     assert text == ("error: bad seed term of degree 3000: r^3000 or r^-3001 overflows "
                     "on the region r in [0.5, 1.5]\n")
     assert not out.exists()
+
+
+def test_3d_never_forms_the_power_of_a_zero_coefficient(outdir):
+    # b_500 = 0, so r^-501, which overflows at r = 0.2, is neither formed nor checked
+    code, text = run(["3d", "--region", "0.2:0.9:0.3:2.8", "--seed", "a0=2,a500=1e-9",
+                      "--grid", "8x8", "--lambda", "2", "--mu", "1"])
+    assert code == EXIT_PASS, text
 
 
 BAD_REGIONS = {
