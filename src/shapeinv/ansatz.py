@@ -12,7 +12,7 @@ families:
 
 - second solution: W = lam*F + phi with phi' + F*phi = C, solved by the
   integrating factor u (exp of the antiderivative of F), closed form for
-  the named branches and quadrature for custom seeds without one;
+  the named branches and quadrature for custom seeds;
 - constant shift: W = lam*F + c/lam, which preserves shape invariance and
   contributes c^2 (1/lam^2 - 1/mu^2) to R.
 
@@ -110,9 +110,9 @@ class SeedSolution:
 
     A named branch is its constants and the closed forms of F = u'/u and
     1/u in the module table.  A custom branch supplies u and uprime as
-    callables plus a working interval in the scaled variable xi; an
-    optional antiderivative of u (``u_integral``) lets the second-solution
-    extension skip quadrature.
+    callables plus a working interval in the scaled variable xi;
+    ``u_integral`` is the antiderivative of u that the second-solution
+    extension fills by quadrature.
     """
 
     K: float
@@ -153,7 +153,7 @@ class SeedSolution:
 
 
 def free_particle_seed(K: float, branch: str, slope: float = 1.0, intercept: float = 0.0,
-                       u=None, uprime=None, interval=None, u_integral=None) -> SeedSolution:
+                       u=None, uprime=None, interval=None) -> SeedSolution:
     """Build the branch solution of u'' + K u = 0.
 
     linear requires K = 0; sin/cos require K > 0; sinh/cosh/exp require
@@ -179,8 +179,7 @@ def free_particle_seed(K: float, branch: str, slope: float = 1.0, intercept: flo
     if branch == "custom":
         if u is None or uprime is None or interval is None:
             raise BranchError("custom branch needs u, uprime and a working interval")
-        seed = SeedSolution(K, "custom", {}, u, uprime, interval=tuple(interval),
-                            u_integral=u_integral)
+        seed = SeedSolution(K, "custom", {}, u, uprime, interval=tuple(interval))
         _check_custom_seed(seed, lambda xi: np.full_like(xi, K), tol=1e-8)
         return seed
     raise BranchError(f"unknown branch {branch!r}")
@@ -248,11 +247,6 @@ class ConstructedSuperpotential:
 
     def phi(self, x):
         return self.phi_xi(self.alpha * np.asarray(x, dtype=float))
-
-    def phi_prime_xi(self, xi):
-        if self.C is None:
-            return np.zeros_like(np.asarray(xi, dtype=float))
-        return self.C - self.F_xi(xi) * self.phi_xi(xi)
 
     # --- assembled superpotential --------------------------------------------
     def W_at(self, lam: float, x):
@@ -354,15 +348,14 @@ def verify_case_riccati(F: SampledFunction, K: float) -> float:
 def extend_second_solution(base: ConstructedSuperpotential, C: float, D: float) -> ConstructedSuperpotential:
     """Attach phi solving phi' + F phi = C, phi = C * (int u)/u + D/u.
 
-    Exact for the named branches (the module table) and for custom seeds
-    that carry a closed-form antiderivative of u; other custom seeds get
-    one by cumulative Simpson quadrature on their working interval,
-    Richardson-checked at half step against a 1e-9 tolerance.
+    Exact for the named branches (the module table); a custom seed gets
+    the antiderivative of u by cumulative Simpson quadrature on its working
+    interval, Richardson-checked at half step against a 1e-9 tolerance.
     """
     if base.C is not None:
         raise ValueError("base already carries a second-solution term")
     seed = base.seed
-    if seed.branch == "custom" and seed.u_integral is None:
+    if seed.branch == "custom":
         seed = replace(seed, u_integral=_integral_by_quadrature(seed))
     return replace(base, seed=seed, C=float(C), D=float(D))
 
@@ -372,7 +365,7 @@ def _integral_by_quadrature(seed: SeedSolution, n: int = 4097):
     from scipy.interpolate import CubicSpline
 
     if seed.interval is None:
-        raise ValueError("custom seed without antiderivative needs a working interval")
+        raise ValueError("custom seed needs a working interval for its quadrature")
     lo, hi = seed.interval
     xi = make_grid(lo, hi, n)
     u = np.asarray(seed.u(xi), float)

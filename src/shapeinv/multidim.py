@@ -72,6 +72,7 @@ DEFAULT_REGION = Region(0.5, 1.5, 0.3, 2.8)
 LADDER_TOL = 1e-8
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_LOG_FLOAT_RANGE = _LOG_FLOAT_MAX - math.log(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -121,10 +122,12 @@ def _legendre_theta(n_max: int, theta: np.ndarray):
 def laplace_seed(terms, region: Region = DEFAULT_REGION) -> ScalarField2D:
     """Harmonic seed from a Legendre term list, with analytic derivatives.
 
-    Refuses a degree whose powers of r overflow a float on the region,
-    before any Legendre recurrence runs.  Checks on a 128x128 region scan:
-    chi > 0 everywhere (the log would be undefined otherwise) and the
-    pointwise harmonicity residual |nabla^2 chi| < 1e-10 |chi|.  The
+    Refuses a term that a float cannot carry across the region, before any
+    Legendre recurrence runs: a used power of r that overflows, or a degree
+    n whose r^(n+1) spans more than the float range between r_lo and r_hi.
+    Terms with both coefficients zero are dropped.  Checks on a 128x128
+    region scan: chi > 0 everywhere (the log would be undefined otherwise)
+    and the pointwise harmonicity residual |nabla^2 chi| < 1e-10 |chi|.  The
     Laplacian is assembled from the radial and angular second derivatives
     rather than set to zero, so the residual check stays meaningful.
     """
@@ -133,9 +136,10 @@ def laplace_seed(terms, region: Region = DEFAULT_REGION) -> ScalarField2D:
         raise ValueError("seed needs at least one term")
     if any(n < 0 for n, _, _ in terms):
         raise ValueError("Legendre degree must be a nonnegative integer")
-    if all(a == 0 and b == 0 for _, a, b in terms):
+    used = tuple(t for t in terms if t[1] or t[2])
+    if not used:
         raise ValueError("seed needs a nonzero coefficient")
-    for n, a, b in terms:
+    for n, a, b in used:
         # evaluate() forms r^k, r^(k-1) and r^(k-2) for each nonzero half
         # c r^k of a term (k = n for a_n, -(n+1) for b_n), with factors up
         # to (n+2)^2 |c| from the derivatives in r and theta
@@ -145,7 +149,11 @@ def laplace_seed(terms, region: Region = DEFAULT_REGION) -> ScalarField2D:
             if c and size + 2 * math.log(n + 2) + math.log(max(abs(c), 1.0)) > _LOG_FLOAT_MAX:
                 raise ValueError(f"bad seed term of degree {n}: r^{n} or r^-{n + 1} overflows "
                                  f"on the region r in [{region.r_lo:g}, {region.r_hi:g}]")
-    n_max = max(n for n, _, _ in terms)
+        # whichever half is used, the degree itself stays bounded
+        if (n + 1) * math.log(region.r_hi / region.r_lo) > _LOG_FLOAT_RANGE:
+            raise ValueError(f"bad seed term of degree {n}: r^{n + 1} spans more than the "
+                             f"float range on the region r in [{region.r_lo:g}, {region.r_hi:g}]")
+    n_max = max(n for n, _, _ in used)
 
     def evaluate(r, theta):
         r = np.asarray(r, dtype=float)
@@ -156,7 +164,7 @@ def laplace_seed(terms, region: Region = DEFAULT_REGION) -> ScalarField2D:
         v_rr = np.zeros_like(val)
         v_t = np.zeros_like(val)
         v_tt = np.zeros_like(val)
-        for n, a, b in terms:
+        for n, a, b in used:
             rad = rad_r = rad_rr = 0.0
             for c, k in ((a, n), (b, -n - 1)):
                 if c:  # a zero half is skipped, so its power cannot overflow

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from shapeinv import multidim
 from shapeinv.catalog import FAMILY_NAMES, get_family
 from shapeinv.cli import (
     EXIT_FAIL,
@@ -373,6 +374,36 @@ def test_3d_never_forms_the_power_of_a_zero_coefficient(outdir):
     code, text = run(["3d", "--region", "0.2:0.9:0.3:2.8", "--seed", "a0=2,a500=1e-9",
                       "--grid", "8x8", "--lambda", "2", "--mu", "1"])
     assert code == EXIT_PASS, text
+
+
+def test_3d_drops_a_term_whose_coefficients_are_both_zero(outdir, monkeypatch):
+    degrees = []
+    recurrence = multidim._legendre_theta
+
+    def counted(n_max, theta):
+        degrees.append(n_max)
+        return recurrence(n_max, theta)
+
+    monkeypatch.setattr("shapeinv.multidim._legendre_theta", counted)
+    code, text = run(["3d", "--seed", "a0=2,a99999=0", "--grid", "8x8",
+                      "--lambda", "2", "--mu", "1"])
+    assert code == EXIT_PASS, text
+    assert degrees and max(degrees) == 0
+
+
+def test_3d_refuses_a_degree_too_high_for_the_region_whichever_half_is_used(tmp_path, monkeypatch):
+    # r^99999 only underflows on [0.2, 0.9], but r^100000 spans e^150000 there
+    def recurrence(*args):
+        raise AssertionError("Legendre recurrence ran")
+
+    monkeypatch.setattr("shapeinv.multidim._legendre_theta", recurrence)
+    out = tmp_path / "out"
+    code, text = run(["3d", "--region", "0.2:0.9:0.3:2.8", "--seed", "a0=2,a99999=1e-9",
+                      "--grid", "8x8", "--lambda", "2", "--mu", "1", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert text == ("error: bad seed term of degree 99999: r^100000 spans more than the "
+                    "float range on the region r in [0.2, 0.9]\n")
+    assert not out.exists()
 
 
 BAD_REGIONS = {
