@@ -20,7 +20,6 @@ from shapeinv import (
     make_grid2d,
     partner_fields,
     plane_wave_seed,
-    prepotential_riccati_residual,
     verify_3d_shape_invariance,
 )
 from shapeinv.multidim import DEFAULT_REGION, fields_to_csv, seed_manifest
@@ -33,13 +32,11 @@ chi = laplace_seed([(0, 2.0, 0.0), (1, 1.0, 0.0)])
 grid = make_grid2d(DEFAULT_REGION, 128, 128)
 R, TH = grid
 
-val, _, _, lap = chi.evaluate(R, TH)
+val, _, _, lap = chi.evaluate(R[:, :1], TH[:1, :])  # the axes broadcast to the grid
 print("seed chi = 2 + r cos(theta) on r in [0.5, 1.5], theta in [0.3, 2.8]")
 print(f"  harmonicity |lap chi / chi|  max: {np.max(np.abs(lap / val)):.2e}")
-print(f"  Riccati certificate residual:    "
-      f"{prepotential_riccati_residual(chi, grid):.2e}")
-
-vminus, vplus, report = partner_fields(chi, lam=2.0, grid2d=grid, mu=1.0)
+vminus, vplus, report, residual = partner_fields(chi, lam=2.0, grid2d=grid, mu=1.0)
+print(f"  Riccati certificate residual:    {residual:.2e}")
 print(f"  V-(lam=2) range: [{vminus.min():.4f}, {vminus.max():.4f}]")
 print(f"  V+(lam=2) range: [{vplus.min():.4f}, {vplus.max():.4f}]")
 print(f"  ladder certificate V+(2) - V-(1): constant "

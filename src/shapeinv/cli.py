@@ -324,8 +324,7 @@ def cmd_3d(args, out) -> int:
     chi = multidim.laplace_seed(terms, args.region)
     grid2d = multidim.make_grid2d(args.region, *args.grid)
     lam, mu = getattr(args, "lambda"), args.mu
-    ric = multidim.prepotential_riccati_residual(chi, grid2d)
-    vm, vp, report = multidim.partner_fields(chi, lam, grid2d, mu=mu)
+    vm, vp, report, ric = multidim.partner_fields(chi, lam, grid2d, mu=mu)
     payload = {**multidim.seed_manifest(chi, lam), "mu": mu, "riccati_residual": ric,
                "shape_invariance": report.to_json()}
     passed = report.passed and ric < 1e-8

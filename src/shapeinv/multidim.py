@@ -19,6 +19,11 @@ plane-wave seeds exp(k r cos theta) carrying K = -k^2.  Working regions
 keep clear of the polar axis and the origin, where the angular factors
 and the r^(-(n+1)) terms misbehave.
 
+Grids are tensor products: make_grid2d's (R, TH) take r along axis 0 and
+theta along axis 1.  A seed is evaluated once per grid, on its axes
+R[:, :1] and TH[:1, :], so its evaluate must broadcast; its outputs are
+broadcast to the grid.
+
 All derivatives are analytic; finite differences appear only in
 cross-checks.  Eigensolving and intertwining are deliberately out of
 scope here: the certificates are about the potential fields themselves.
@@ -80,8 +85,12 @@ class ScalarField2D:
     """Closed-form axially symmetric field with analytic derivatives.
 
     evaluate(r, theta) returns the arrays (chi, d chi/dr, d chi/dtheta,
-    nabla^2 chi) from one pass over the grid.  K is the Helmholtz constant
-    of the seed equation nabla^2 chi + K chi = 0 (zero for harmonic seeds).
+    nabla^2 chi) from one pass over the grid.  It receives the grid's axes,
+    r of shape (n_r, 1) and theta of shape (1, n_theta), so it must
+    broadcast the two; each output may have any shape that broadcasts to
+    the grid's (a field constant in theta may return (n_r, 1) arrays).  K
+    is the Helmholtz constant of the seed equation nabla^2 chi + K chi = 0
+    (zero for harmonic seeds).
     The Laplacian must be the spherical Laplacian of chi; consistency is
     spot-checked by finite differences at construction sites, not here.
     """
@@ -92,30 +101,52 @@ class ScalarField2D:
     terms: tuple = ()
 
 
-def legendre_table(n_max: int, x: np.ndarray):
-    """P_n(x) and P_n'(x) for n = 0..n_max by the three-term recurrence.
+def _legendre_rows(n_max: int, x: np.ndarray):
+    """(n, P_{n-1}(x), P_n(x)) for n = 0..n_max by the three-term recurrence.
 
-    The derivative comes from (1 - x^2) P_n' = n (P_{n-1} - x P_n), safe
-    here because working regions exclude |x| = 1.
+    Only these two rows are held, so memory does not grow with the degree.
+    P_{-1} is None.
     """
-    x = np.asarray(x, dtype=float)
-    P = [np.ones_like(x), x.copy()]
+    prev, cur = None, np.ones_like(x)
+    yield 0, prev, cur
+    if n_max:
+        prev, cur = cur, x.copy()
+        yield 1, prev, cur
     for n in range(1, n_max):
-        P.append(((2 * n + 1) * x * P[n] - n * P[n - 1]) / (n + 1))
-    P = P[: n_max + 1]
-    dP = [np.zeros_like(x)]
-    for n in range(1, n_max + 1):
-        dP.append(n * (P[n - 1] - x * P[n]) / (1.0 - x * x))
-    return P, dP
+        prev, cur = cur, ((2 * n + 1) * x * cur - n * prev) / (n + 1)
+        yield n + 1, prev, cur
 
 
-def _legendre_theta(n_max: int, theta: np.ndarray):
-    """P_n(cos theta), dP_n/dtheta and d^2P_n/dtheta^2 tables."""
+def _legendre_derivative(n: int, prev, cur, x: np.ndarray):
+    """P_n'(x) from (1 - x^2) P_n' = n (P_{n-1} - x P_n), safe here because
+    working regions exclude |x| = 1."""
+    return n * (prev - x * cur) / (1.0 - x * x) if n else np.zeros_like(x)
+
+
+def legendre_table(n_max: int, x: np.ndarray):
+    """P_n(x) and P_n'(x) for n = 0..n_max by the three-term recurrence."""
+    x = np.asarray(x, dtype=float)
+    rows = list(_legendre_rows(n_max, x))
+    return [p for _, _, p in rows], [_legendre_derivative(*row, x) for row in rows]
+
+
+def _legendre_theta(degrees, theta: np.ndarray):
+    """P_n(cos theta), dP_n/dtheta and d^2P_n/dtheta^2 for the given degrees.
+
+    Three dicts keyed by degree: the recurrence keeps two running rows and
+    the rows of these degrees, so memory grows with the number of degrees,
+    not with the highest one.
+    """
     ct, st = np.cos(theta), np.sin(theta)
-    P, dPx = legendre_table(n_max, ct)
-    dtheta = [-st * d for d in dPx]
-    # from the Legendre equation: d^2P/dtheta^2 = cos(theta) P' - n(n+1) P
-    d2theta = [ct * dPx[n] - n * (n + 1) * P[n] for n in range(n_max + 1)]
+    wanted = set(degrees)
+    P, dtheta, d2theta = {}, {}, {}
+    for n, prev, p in _legendre_rows(max(wanted), ct):
+        if n in wanted:
+            dPx = _legendre_derivative(n, prev, p, ct)
+            P[n] = p
+            dtheta[n] = -st * dPx
+            # from the Legendre equation: d^2P/dtheta^2 = cos(theta) P' - n(n+1) P
+            d2theta[n] = ct * dPx - n * (n + 1) * p
     return P, dtheta, d2theta
 
 
@@ -153,12 +184,12 @@ def laplace_seed(terms, region: Region = DEFAULT_REGION) -> ScalarField2D:
         if (n + 1) * math.log(region.r_hi / region.r_lo) > _LOG_FLOAT_RANGE:
             raise ValueError(f"bad seed term of degree {n}: r^{n + 1} spans more than the "
                              f"float range on the region r in [{region.r_lo:g}, {region.r_hi:g}]")
-    n_max = max(n for n, _, _ in used)
+    degrees = sorted({n for n, _, _ in used})
 
     def evaluate(r, theta):
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
-        P, dT, d2T = _legendre_theta(n_max, theta)
+        P, dT, d2T = _legendre_theta(degrees, theta)
         val = np.zeros(np.broadcast(r, theta).shape)
         v_r = np.zeros_like(val)
         v_rr = np.zeros_like(val)
@@ -171,11 +202,11 @@ def laplace_seed(terms, region: Region = DEFAULT_REGION) -> ScalarField2D:
                     rad = rad + c * r**k
                     rad_r = rad_r + c * k * r ** (k - 1)
                     rad_rr = rad_rr + c * k * (k - 1) * r ** (k - 2)
-            val = val + rad * P[n]
-            v_r = v_r + rad_r * P[n]
-            v_rr = v_rr + rad_rr * P[n]
-            v_t = v_t + rad * dT[n]
-            v_tt = v_tt + rad * d2T[n]
+            val += rad * P[n]
+            v_r += rad_r * P[n]
+            v_rr += rad_rr * P[n]
+            v_t += rad * dT[n]
+            v_tt += rad * d2T[n]
         lap = v_rr + 2.0 * v_r / r + (v_tt + v_t / np.tan(theta)) / r**2
         return val, v_r, v_t, lap
 
@@ -200,8 +231,8 @@ def plane_wave_seed(k: float, region: Region = DEFAULT_REGION) -> ScalarField2D:
 
 
 def _check_seed(field: ScalarField2D, n: int = 128) -> None:
-    R, TH = make_grid2d(field.region, n, n)
-    chi, _, _, lap = field.evaluate(R, TH)
+    R, TH = grid = make_grid2d(field.region, n, n)
+    chi, _, _, lap = _sample(field, grid)
     if np.min(chi) <= 0:
         bad = np.unravel_index(int(np.argmin(chi)), chi.shape)
         raise ValueError(
@@ -219,18 +250,38 @@ def make_grid2d(region: Region, n_r: int = 128, n_theta: int = 128):
     return np.meshgrid(r, th, indexing="ij")
 
 
-def _log_derivatives(R, chi, chi_r, chi_theta, lap_chi):
-    """(|grad F|^2, nabla^2 F) for F = log chi from one seed evaluation."""
-    if np.min(chi) <= 0:
+def _sample(chi: ScalarField2D, grid2d):
+    """chi's (value, d/dr, d/dtheta, Laplacian) on a tensor-product grid.
+
+    One evaluation on the grid's axes R[:, :1] and TH[:1, :], its outputs
+    broadcast to the grid.  Each value is computed from its own r and theta
+    alone, so it is the value an evaluation on every cell gives.
+    """
+    R, TH = grid2d
+    # contiguous like the grid, so that numpy takes the same loops on it
+    r, theta = np.ascontiguousarray(R[:, :1]), TH[:1, :]
+    if not ((R == r).all() and (TH == theta).all()):
+        raise ValueError("grid2d must be a tensor-product grid (R, TH) with r along "
+                         "axis 0 and theta along axis 1, as make_grid2d returns")
+    shape = np.broadcast_shapes(R.shape, TH.shape)
+    return tuple(np.broadcast_to(v, shape) for v in chi.evaluate(r, theta))
+
+
+def _log_derivatives(chi: ScalarField2D, grid2d):
+    """(|grad F|^2, nabla^2 F, max |(nabla^2 chi)/chi + K|) for F = log chi,
+    from one seed evaluation on the grid."""
+    val, chi_r, chi_theta, lap = _sample(chi, grid2d)
+    if np.min(val) <= 0:
         raise ValueError("chi must be positive on the grid (log undefined)")
-    gr = chi_r / chi
-    gt = chi_theta / (R * chi)
+    gr = chi_r / val
+    gt = chi_theta / (grid2d[0] * val)
     g2 = gr * gr + gt * gt
-    return g2, lap_chi / chi - g2
+    ratio = lap / val
+    return g2, ratio - g2, float(np.max(np.abs(ratio + chi.K)))
 
 
-def _ladder_report(R, TH, g2, lap_f, lam, mu, tolerance) -> VerificationReport:
-    return _constancy_report((R, TH), (lam * lam - mu * mu) * g2 + (lam + mu) * lap_f,
+def _ladder_report(grid2d, g2, lap_f, lam, mu, tolerance) -> VerificationReport:
+    return _constancy_report(tuple(grid2d), (lam * lam - mu * mu) * g2 + (lam + mu) * lap_f,
                              tolerance)
 
 
@@ -242,27 +293,24 @@ def prepotential_riccati_residual(chi: ScalarField2D, grid2d) -> float:
     seed satisfies its Helmholtz equation; seeds that do not (for example
     chi = r) report an order-one residual rather than having it masked.
     """
-    R, TH = grid2d
-    val, _, _, lap = chi.evaluate(R, TH)
-    if np.min(val) <= 0:
-        raise ValueError("chi must be positive on the grid (log undefined)")
-    return float(np.max(np.abs(lap / val + chi.K)))
+    return _log_derivatives(chi, grid2d)[2]
 
 
 def partner_fields(chi: ScalarField2D, lam: float, grid2d, mu: float = None):
     """Sampled (V_minus, V_plus) for the prepotential lam * log chi.
 
     V_pm = lam^2 |grad F|^2 +- lam nabla^2 F with F = log chi, all
-    derivatives analytic.  Passing mu also returns the ladder certificate
-    report for V_plus(lam) - V_minus(mu) (see verify_3d_shape_invariance).
+    derivatives analytic.  Passing mu also returns the two certificates of
+    `sip 3d`, from the same seed evaluation: the ladder report for
+    V_plus(lam) - V_minus(mu) (see verify_3d_shape_invariance) and the
+    Riccati residual (see prepotential_riccati_residual).
     """
-    R, TH = grid2d
-    g2, lap_f = _log_derivatives(R, *chi.evaluate(R, TH))
+    g2, lap_f, residual = _log_derivatives(chi, grid2d)
     vminus = lam * lam * g2 - lam * lap_f
     vplus = lam * lam * g2 + lam * lap_f
     if mu is None:
         return vminus, vplus
-    return vminus, vplus, _ladder_report(R, TH, g2, lap_f, lam, mu, LADDER_TOL)
+    return vminus, vplus, _ladder_report(grid2d, g2, lap_f, lam, mu, LADDER_TOL), residual
 
 
 def verify_3d_shape_invariance(chi: ScalarField2D, lam: float, mu: float,
@@ -274,15 +322,18 @@ def verify_3d_shape_invariance(chi: ScalarField2D, lam: float, mu: float,
     is the one that turns it into the constant -(lam + mu) K; the report
     carries the refit constant either way so other steps can be probed.
     """
-    R, TH = grid2d
-    g2, lap_f = _log_derivatives(R, *chi.evaluate(R, TH))
-    return _ladder_report(R, TH, g2, lap_f, lam, mu, tolerance)
+    g2, lap_f, _ = _log_derivatives(chi, grid2d)
+    return _ladder_report(grid2d, g2, lap_f, lam, mu, tolerance)
 
 
 def fields_to_csv(path, grid2d, vminus, vplus) -> None:
-    """RFC-4180 CSV with columns r, theta, Vminus, Vplus."""
+    """RFC-4180 CSV with columns r, theta, Vminus, Vplus, one row per cell.
+
+    The grid's axes go to the writer, which formats each of their values
+    once and broadcasts them to the cells.
+    """
     R, TH = grid2d
-    write_csv(path, ["r", "theta", "Vminus", "Vplus"], [R, TH, vminus, vplus])
+    write_csv(path, ["r", "theta", "Vminus", "Vplus"], [R[:, :1], TH[:1, :], vminus, vplus])
 
 
 def seed_manifest(chi: ScalarField2D, lam: float) -> dict:

@@ -7,6 +7,7 @@ Hamiltonian reads H = p^2 + V = -d^2/dx^2 + V.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,12 +182,13 @@ def normalize(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.asarray(values) / nrm
 
 
-#: values formatted per write: memory stays flat on any table size, and
-#: _format_block's temporaries stay small enough to be reused from cache
+#: rows of a block, whose values are formatted one column at a time: memory
+#: stays flat on any table size, and _format_slots's temporaries stay small
+#: enough to be reused from cache
 _CSV_BLOCK_VALUES = 8192
 
-#: columns before the separator in a value's slot in _format_block: the
-#: sign, then the longest '%.12g' ('-1.23456789012e-300' is 19 characters)
+#: bytes of a value's slot in _format_slots: the sign, then the longest
+#: '%.12g' ('-1.23456789012e-300' is 19 characters)
 _BODY = 20
 
 
@@ -198,7 +200,7 @@ def _cols(a, start, stop):
 
 @functools.cache
 def _digit_tables():
-    """Lookup tables of _format_block, built on its first call.
+    """Lookup tables of _format_slots, built on its first call.
 
     chunks[k], for k < 10000, is the four digits of k as one packed uint32;
     chunks[10000 + k] is the same with its trailing zeros as NUL bytes (all
@@ -217,10 +219,13 @@ def _digit_tables():
     return chunks, pow10, classes.astype(np.uint8)
 
 
-def _format_block(block, eol):
-    """The rows of a 2-D float block as '%.12g' CSV lines, in bytes.
+def _format_slots(v, dest):
+    """Write the values of a 1-D float array as '%.12g' text into dest.
 
-    Byte-identical to formatting each value with Python's '%.12g' % v.
+    dest holds one void item of _BODY bytes per value, which gets the sign
+    ('-' or NUL), then the text, padded with NUL bytes.  With the NUL bytes
+    deleted, the text is byte-identical to formatting the value with
+    Python's '%.12g' % v.
     Each value v is scaled once: with e = floor(log10|v|), possibly off by
     one at a power of ten, y = |v|*10**(11-e) by one multiply (or one divide
     for a negative power) by float(10**k), which is correctly rounded.  Two
@@ -236,13 +241,11 @@ def _format_block(block, eol):
     The 12 digits come from three 4-digit lookups, trailing zeros as NUL.
     Values are sorted by layout class -- fixed notation at e = -4..11,
     exponential with a 2- or 3-digit exponent, zero, fallback -- so that
-    each class fills a contiguous run of fixed-width slots by slice copies,
-    '.' only where a digit follows.  The slots are scattered back to row
-    order, given their sign and separator, and the NUL padding is deleted.
+    each class fills a contiguous run of slots by slice copies, '.' only
+    where a digit follows.  The slots get their sign and are scattered to
+    dest in value order.
     """
     chunks, pow10, classes = _digit_tables()
-    rows, ncols = block.shape
-    v = block.ravel()
     n = v.size
     a = np.abs(v)
     clipped = np.fmin(np.fmax(a, 1e-280), 1e280)  # NaN -> 1e-280
@@ -271,11 +274,9 @@ def _format_block(block, eol):
     cls[v == 0] = 18
     order = np.argsort(cls, kind="stable")
     ends = np.cumsum(np.bincount(cls, minlength=20))
-    eol = eol.encode()
-    width = _BODY + max(len(eol), 1)
     packed = np.take(packed, order, axis=0)
     digits = packed.view(np.uint8)
-    buf = np.zeros((n, width), np.uint8)
+    buf = np.zeros((n, _BODY), np.uint8)
     start = 0
     for c, end in enumerate(ends):
         if end == start:
@@ -308,29 +309,77 @@ def _format_block(block, eol):
             text = np.array(["%.12g" % f for f in v[order[start:end]].tolist()], "S")
             _cols(out, 1, 1 + text.itemsize)[...] = text.view(f"V{text.itemsize}")
         start = end
-    slots = np.empty_like(buf)
-    _cols(slots, 0, width)[order] = _cols(buf, 0, width)
-    slots[:, 0] = (np.signbit(v) & (cls != 19)).view(np.uint8) * np.uint8(ord("-"))
-    sep = np.zeros((ncols, width - _BODY), np.uint8)
-    sep[:-1, -1] = ord(",")
-    sep[-1, width - _BODY - len(eol):] = np.frombuffer(eol, np.uint8)
-    _cols(slots, _BODY, width).reshape(rows, ncols)[...] = _cols(sep, 0, width - _BODY)
-    return slots.tobytes().translate(None, b"\0")
+    # the fallback text carries its own sign
+    buf[:ends[18], 0] = np.signbit(v[order[:ends[18]]]).view(np.uint8) * np.uint8(ord("-"))
+    dest[order] = _cols(buf, 0, _BODY)
+
+
+def _row_blocks(shape, rows):
+    """Index tuples that cut a C-order table of the given shape into
+    consecutive blocks of at most `rows` rows (one row at the least), each
+    a slice of a single axis."""
+    inner = 1
+    for axis in range(len(shape) - 1, -1, -1):
+        if inner * shape[axis] > rows:
+            break
+        inner *= shape[axis]
+    else:
+        yield (...,)
+        return
+    step = max(1, rows // inner)
+    for lead in np.ndindex(shape[:axis]):
+        for start in range(0, shape[axis], step):
+            yield lead + (slice(start, start + step), ...)
 
 
 def write_csv(path, header, columns, eol="\r\n") -> None:
-    """CSV of equal-length numeric columns under a header row.
+    """CSV of numeric columns under a header row.
 
-    Every value is written as %.12g, byte-identical to Python's
-    '%.12g' % v, arrays in row-major order (see _format_block).  The
-    default line ending is the csv module's RFC-4180 one.
+    The columns broadcast to one table shape, whose cells are the rows in
+    C order: the axes r[:, None] and theta[None, :] of a tensor-product
+    grid write its meshgrids, and a column that cannot broadcast raises
+    ValueError.  Every value is written as %.12g, byte-identical to
+    Python's '%.12g' % v (see _format_slots).  A column smaller than the
+    table is formatted once, at its own shape, and its text is repeated
+    into the rows; full-size columns are formatted block by block, so the
+    memory a write takes does not grow with the table.  The default line
+    ending is the csv module's RFC-4180 one.
     """
-    table = np.column_stack([np.asarray(c, dtype=float).ravel() for c in columns])
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    if not columns:
+        raise ValueError("a CSV table needs at least one column")
+    shape = np.broadcast_shapes(*(c.shape for c in columns))
+    size = math.prod(shape)
+    views = []
+    for c in columns:
+        if c.size < size:  # formatted once, at its own shape
+            slots = np.empty(c.size, f"V{_BODY}")
+            _format_slots(c.ravel(), slots)
+            c = slots.reshape(c.shape)
+        views.append(np.broadcast_to(c, shape))
+    head = (",".join(header) + eol).encode()
+    eol = eol.encode()
+    width = _BODY + max(len(eol), 1)
+    sep = np.zeros((len(columns), width - _BODY), np.uint8)
+    sep[:-1, -1] = ord(",")
+    sep[-1, width - _BODY - len(eol):] = np.frombuffer(eol, np.uint8)
+    sep = _cols(sep, 0, width - _BODY)
     with open(path, "wb") as fh:
-        fh.write((",".join(header) + eol).encode())
-        step = max(1, _CSV_BLOCK_VALUES // table.shape[1])
-        for start in range(0, len(table), step):
-            fh.write(_format_block(table[start:start + step], eol))
+        fh.write(head)
+        if not size:
+            return
+        for block in _row_blocks(shape, _CSV_BLOCK_VALUES):
+            parts = [v[block] for v in views]
+            cut, n = parts[0].shape, parts[0].size
+            buf = np.empty((n * len(columns), width), np.uint8)
+            cells = _cols(buf, 0, _BODY).reshape(n, len(columns))
+            for j, p in enumerate(parts):
+                if p.dtype == float:  # a full-size column, formatted block by block
+                    _format_slots(p.ravel(), cells[:, j])
+                else:
+                    cells[:, j].reshape(cut)[...] = p
+            _cols(buf, _BODY, width).reshape(n, len(columns))[...] = sep
+            fh.write(buf.tobytes().translate(None, b"\0"))
 
 
 def fix_sign(values: np.ndarray) -> np.ndarray:

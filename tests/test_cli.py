@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from io import StringIO
 from pathlib import Path
 
@@ -380,9 +381,9 @@ def test_3d_drops_a_term_whose_coefficients_are_both_zero(outdir, monkeypatch):
     degrees = []
     recurrence = multidim._legendre_theta
 
-    def counted(n_max, theta):
-        degrees.append(n_max)
-        return recurrence(n_max, theta)
+    def counted(used, theta):
+        degrees.extend(used)
+        return recurrence(used, theta)
 
     monkeypatch.setattr("shapeinv.multidim._legendre_theta", counted)
     code, text = run(["3d", "--seed", "a0=2,a99999=0", "--grid", "8x8",
@@ -404,6 +405,25 @@ def test_3d_refuses_a_degree_too_high_for_the_region_whichever_half_is_used(tmp_
     assert text == ("error: bad seed term of degree 99999: r^100000 spans more than the "
                     "float range on the region r in [0.2, 0.9]\n")
     assert not out.exists()
+
+
+def test_3d_keeps_memory_flat_for_a_high_degree_on_a_narrow_region(tmp_path, capsys):
+    # r^100001 spans only e^20 on [0.9999, 1.0001], so degree 100000 passes
+    # both degree checks and the recurrence climbs to it: it must hold two
+    # running rows and the used ones, not a table of every degree
+    tracemalloc.start()
+    try:
+        code, text = run(["3d", "--region", "0.9999:1.0001:0.3:2.8", "--seed",
+                          "a0=2,a100000=0.5", "--lambda", "2", "--mu", "1",
+                          "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE)
+    if code == EXIT_USAGE:  # a refusal by the seed's checks, not a MemoryError
+        assert text.startswith("error: seed "), text
+    assert "Traceback" not in text + capsys.readouterr().err
+    assert peak < 16e6
 
 
 BAD_REGIONS = {

@@ -110,21 +110,70 @@ def test_non_finite_difference_field_raises(grid):
     assert set(thetas) == set(grid[1][0].tolist())
 
 
-def test_sip_3d_evaluates_the_seed_at_most_three_times(tmp_path, monkeypatch):
+def test_sip_3d_evaluates_the_seed_on_its_axes_at_most_twice(tmp_path, monkeypatch):
+    # once for the seed check, once on the grid; each time on the axes alone
     calls = []
     field = md.ScalarField2D
 
     def counting_field(evaluate, **kwargs):
         def counted(r, theta):
-            calls.append((r, theta))
+            calls.append((np.shape(r), np.shape(theta)))
             return evaluate(r, theta)
         return field(evaluate=counted, **kwargs)
 
     monkeypatch.setattr(md, "ScalarField2D", counting_field)
     argv = ["3d", "--seed", "a0=2,a1=1", "--lambda", "2", "--mu", "1",
-            "--grid", "16x16", "--out", str(tmp_path)]
+            "--grid", "16x24", "--out", str(tmp_path)]
     assert run_command(argv, StringIO()) == EXIT_PASS
-    assert 1 <= len(calls) <= 3
+    assert calls == [((128, 1), (1, 128)), ((16, 1), (1, 24))]
+
+
+def _bits(arrays):
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+AXIS_REGION = md.Region(0.6, 2.5, 0.2, 2.9)
+
+
+@pytest.mark.parametrize("seed", [
+    lambda region: md.laplace_seed([(0, 3.0, 0.5), (1, 0.4, 0.0), (2, 0.1, 0.05), (3, 0.0, 0.02)],
+                                   region),
+    lambda region: md.plane_wave_seed(0.7, region),
+], ids=["laplace", "plane-wave"])
+@pytest.mark.parametrize("region, n_r, n_theta", [
+    (md.DEFAULT_REGION, 256, 256), (AXIS_REGION, 100, 77)], ids=["256x256", "100x77"])
+def test_axis_evaluation_is_bit_identical_to_meshgrid_evaluation(seed, region, n_r, n_theta):
+    chi = seed(region)
+    grid = md.make_grid2d(region, n_r, n_theta)
+    on_cells = chi.evaluate(*grid)
+    on_axes = md._sample(chi, grid)
+    assert [a.shape for a in on_axes] == [(n_r, n_theta)] * 4
+    # bytes, not values: a -0.0 where the cells give 0.0 would differ
+    assert _bits(on_axes) == _bits(on_cells)
+
+
+def test_a_field_may_return_arrays_smaller_than_the_grid(grid):
+    # chi = 1/r, constant in theta, evaluated at the shape of the r axis
+    def evaluate(r, theta):
+        return 1.0 / r, -1.0 / r**2, np.zeros_like(r), np.zeros_like(r)
+
+    chi = md.ScalarField2D(evaluate=evaluate, region=md.DEFAULT_REGION)
+    R, TH = grid
+    assert md.prepotential_riccati_residual(chi, grid) == 0.0
+    vm, vp, report, residual = md.partner_fields(chi, 1.0, grid, mu=0.0)
+    assert vm.shape == vp.shape == R.shape
+    assert np.max(np.abs(vm - 2.0 / R**2)) < 1e-12
+    assert np.max(np.abs(vp)) < 1e-12
+    assert residual == 0.0 and report.passed
+    assert md.verify_3d_shape_invariance(chi, 2.0, 1.0, grid).passed
+
+
+def test_a_grid_that_is_not_a_tensor_product_in_ij_order_is_refused():
+    r = np.linspace(0.5, 1.5, 8)
+    th = np.linspace(0.3, 2.8, 6)
+    chi = md.laplace_seed([(0, 2.0, 0.0), (1, 1.0, 0.0)])
+    with pytest.raises(ValueError, match="tensor-product grid"):
+        md.partner_fields(chi, 2.0, np.meshgrid(r, th))  # 'xy' order: theta varies down axis 0
 
 
 def test_seed_rejects_sign_changing_combination():

@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -197,3 +198,69 @@ def test_write_csv_fields_table_is_byte_identical_to_percent_formatting(tmp_path
     grid = multidim.make_grid2d(chi.region, 256, 256)
     vminus, vplus = multidim.partner_fields(chi, 2.0, grid)
     _assert_same_csv(tmp_path, [*grid, vminus, vplus], "\r\n")
+    # the 3D writer passes the axes, which the writer broadcasts to the cells
+    multidim.fields_to_csv(tmp_path / "fields.csv", grid, vminus, vplus)
+    assert (tmp_path / "fields.csv").read_bytes() == (tmp_path / "old.csv").read_bytes().replace(
+        b"c0,c1,c2,c3", b"r,theta,Vminus,Vplus", 1)
+
+
+@st.composite
+def _broadcast_tables(draw):
+    """Columns that broadcast to one table shape: scalars, (n,), an (n, 1)
+    axis against a (1, m) one, three axes, and full columns among them.
+    Each keeps some axes of a drawn shape and sets the others to 1."""
+    shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kept = draw(st.lists(st.booleans(), min_size=len(shape), max_size=len(shape)))
+        dropped = draw(st.integers(0, len(shape)))  # leading axes a column may omit
+        own = tuple(n if keep else 1 for n, keep in zip(shape, kept))[dropped:]
+        size = math.prod(own)
+        values = draw(st.lists(_VALUES, min_size=size, max_size=size))
+        columns.append(np.array(values, dtype=float).reshape(own))
+    return columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(_broadcast_tables(), st.sampled_from(["\r\n", "\n"]), st.sampled_from([1, 7, 8192]))
+def test_write_csv_broadcasts_columns_to_the_table(tmp_path_factory, columns, eol, block):
+    shape = np.broadcast_shapes(*(c.shape for c in columns))
+    directory = tmp_path_factory.getbasetemp() / "write_csv_broadcast"
+    directory.mkdir(exist_ok=True)
+    header = [f"c{i}" for i in range(len(columns))]
+    explicit = [np.broadcast_to(c, shape) for c in columns]
+    with mock.patch.object(sampling, "_CSV_BLOCK_VALUES", block):
+        write_csv(directory / "broadcast.csv", header, columns, eol)
+        write_csv(directory / "explicit.csv", header, explicit, eol)
+    _percent_csv(directory / "old.csv", header, explicit, eol)
+    text = (directory / "broadcast.csv").read_bytes()
+    assert text == (directory / "explicit.csv").read_bytes()
+    assert text == (directory / "old.csv").read_bytes()
+    assert text.count(eol.encode()) == 1 + math.prod(shape)
+
+
+@pytest.mark.parametrize("columns", [
+    [np.zeros(3), np.zeros(4)],
+    [np.zeros((2, 3)), np.zeros(6)],  # equal sizes, but the shapes do not broadcast
+    [np.zeros((4, 1)), np.zeros((1, 3)), np.zeros((2, 3))],
+])
+def test_write_csv_refuses_columns_that_do_not_broadcast(tmp_path, columns):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "t.csv", [f"c{i}" for i in range(len(columns))], columns)
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_write_csv_memory_stays_flat_on_a_large_table(tmp_path):
+    # 1024 x 512 cells, about 15 MB of text: the writer holds blocks of it,
+    # and the two axes once formatted, never the whole table
+    r = np.linspace(0.5, 1.5, 1024)[:, None]
+    theta = np.linspace(0.3, 2.8, 512)[None, :]
+    field = np.sin(r * theta) / r
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "t.csv", ["r", "theta", "V"], [r, theta, field])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "t.csv").stat().st_size > 15e6
+    assert peak < 4e6
