@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sampling import derivative, make_grid, write_csv
+from .sampling import derivative, make_grid, uniform_step, write_csv
 from .spectral import Wavefunction
 
 __all__ = [
@@ -147,14 +147,15 @@ def radial_intertwine(ell: int, psi_minus: Wavefunction) -> Wavefunction:
     """B psi = psi' + ((ell+1)/r) psi = r^(-(ell+1)) d/dr (r^(ell+1) psi).
 
     4th-order central differences in the interior, one-sided at the edges;
-    the output is not normalized.  The grid must stay strictly positive.
+    the output is not normalized.  The grid must stay strictly positive and
+    pass sampling.uniform_step.
     """
     if ell < 1:
         raise ValueError("intertwining down needs ell >= 1")
     r = psi_minus.x
     if r[0] <= 0:
         raise ValueError("grid must not touch r = 0")
-    h = float(r[1] - r[0])
+    h = uniform_step(r)
     vals = derivative(psi_minus.values, h) + (ell + 1.0) / r * psi_minus.values
     return Wavefunction(x=r, values=vals, level=psi_minus.level, normalized=False)
 

@@ -27,6 +27,7 @@ from .sampling import (
     fix_sign,
     l2_norm,
     normalize,
+    uniform_step,
     write_csv,
 )
 
@@ -142,35 +143,43 @@ def ground_state(W, grid) -> Wavefunction:
     grid, keeping panel boundaries only: cumulative Simpson alternates its
     error signature between panel-boundary and mid-panel points, and that
     odd/even sawtooth survives the exponential and wrecks anything that
-    later differentiates psi_0 twice.  The exponent is rescaled by its
-    maximum before exponentiating, which changes only the normalization
-    and cannot overflow.  If the peak of the would-be state sits on a grid
-    endpoint the state is not normalizable on any extension of this grid
-    and NonNormalizable is raised.
+    later differentiates psi_0 twice.  W is evaluated once, on the refined
+    grid.  The exponent is rescaled by its maximum before exponentiating,
+    which changes only the normalization and cannot overflow.  If the peak
+    of the would-be state sits on a grid endpoint the state is not
+    normalizable on any extension of this grid and NonNormalizable is
+    raised.  The grid must pass sampling.uniform_step.
     """
     x = np.asarray(grid, dtype=float)
+    uniform_step(x)
+    return Wavefunction(x=x, values=_ground_state(W, x), level=0, normalized=True)
+
+
+def _ground_state(W, x: np.ndarray) -> np.ndarray:
+    """The values of ground_state(W, x), steps done in place."""
     fine = np.empty(2 * x.size - 1)
     fine[::2] = x
-    fine[1::2] = 0.5 * (x[:-1] + x[1:])
+    mid = fine[1::2]
+    np.add(x[:-1], x[1:], out=mid)
+    mid *= 0.5
     w = np.asarray(W(fine), dtype=float)
     if not np.all(np.isfinite(w)):
         raise ValueError("W is not finite on the grid")
-    omega = cumulative_integral(w, fine)[::2]
-    omega -= omega[x.size // 2]  # reference point: grid midpoint
-    expo = -omega
+    expo = cumulative_integral(w, fine)[::2]
+    expo -= expo[x.size // 2]  # reference point: grid midpoint
+    np.negative(expo, out=expo)
     expo -= expo.max()
     vals = np.exp(expo)
     peak = int(np.argmax(vals))
     if peak in (0, x.size - 1):
         raise NonNormalizable("exp(-int W) peaks on the grid boundary")
-    vals = normalize(vals, x)
-    return Wavefunction(x=x, values=vals, level=0, normalized=True)
+    return normalize(vals, x)
 
 
 def apply_A(W, psi: Wavefunction) -> Wavefunction:
     """(d/dx + W) psi; annihilates the ground state of W.  Not normalized."""
     x = psi.x
-    h = float(x[1] - x[0])
+    h = uniform_step(x)
     vals = derivative(psi.values, h) + np.asarray(W(x), float) * psi.values
     return Wavefunction(x=x, values=vals, level=max(psi.level - 1, 0), normalized=False)
 
@@ -178,9 +187,17 @@ def apply_A(W, psi: Wavefunction) -> Wavefunction:
 def apply_Adagger(W, psi: Wavefunction) -> Wavefunction:
     """(-d/dx + W) psi; raises a partner eigenfunction one rung.  Not normalized."""
     x = psi.x
-    h = float(x[1] - x[0])
-    vals = -derivative(psi.values, h) + np.asarray(W(x), float) * psi.values
+    h = uniform_step(x)
+    vals = _raise(psi.values, h, np.asarray(W(x), float))
     return Wavefunction(x=x, values=vals, level=psi.level + 1, normalized=False)
+
+
+def _raise(values: np.ndarray, h: float, w: np.ndarray) -> np.ndarray:
+    """-values' + w * values on a grid of step h, w being W on the grid."""
+    out = derivative(values, h)
+    np.negative(out, out=out)
+    out += w * values
+    return out
 
 
 def ladder_wavefunctions(family: PotentialFamily, p: ParamSet, n_levels: int, grid) -> list:
@@ -188,19 +205,26 @@ def ladder_wavefunctions(family: PotentialFamily, p: ParamSet, n_levels: int, gr
 
     psi_n is built from the ground state at the n-th rung parameters
     tau^n(p), then raised through (-d/dx + W(tau^k(p))) for k = n-1 ... 0.
-    Each output is normalized with the leftmost-maximum-positive sign
-    convention.  If the ladder ends early the list is truncated to the
-    levels whose rung parameters stay valid.
+    Rung k's W is evaluated on the grid once, at its first raise, and
+    reused for every level above k.  The grid must pass
+    sampling.uniform_step; it is checked once per call.  Each output is
+    normalized with the leftmost-maximum-positive sign convention.  If the
+    ladder ends early the list is truncated to the levels whose rung
+    parameters stay valid.
     """
     spec = algebraic_spectrum(family, p, n_levels)
     x = np.asarray(grid, dtype=float)
+    h = uniform_step(x)
     rungs = [family.recipe(q) for q in spec.level_params]
+    ws = []  # ws[k]: rung k's W on the grid
     out = []
-    for n, _ in enumerate(spec.energies):
-        psi = ground_state(rungs[n].W, x)
-        for k in range(n - 1, -1, -1):
-            psi = apply_Adagger(rungs[k].W, psi)
-        vals = fix_sign(normalize(psi.values, x))
+    for n, rung in enumerate(rungs):
+        vals = _ground_state(rung.W, x)
+        if n:
+            ws.append(np.asarray(rungs[n - 1].W(x), float))
+        for w in reversed(ws):
+            vals = _raise(vals, h, w)
+        vals = fix_sign(normalize(vals, x))
         out.append(Wavefunction(x=x, values=vals, level=n, normalized=True))
     return out
 

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shapeinv import multidim, oracle, sampling, spectral
+from shapeinv import multidim, oracle, radial, sampling, spectral
 from shapeinv.catalog import get_family
-from shapeinv.sampling import cumulative_integral, fix_sign, write_csv
+from shapeinv.sampling import (SampledFunction, cumulative_integral, derivative, fix_sign,
+                               uniform_step, write_csv)
 
 LENGTHS = [3, 4, 5, 6, 7, 8, 64, 65, 1000, 1001, 4096, 4097, 40000, 40001]
 
@@ -56,6 +57,74 @@ def test_cumulative_integral_rejects_short_or_non_increasing_grid(x):
     x = np.asarray(x)
     with pytest.raises(ValueError):
         cumulative_integral(np.ones_like(x), x)
+
+
+@pytest.mark.parametrize("n", [5, 6, 64, 2001, 20001])
+def test_derivative_is_bit_identical_to_its_stencil_expression(n):
+    # the interior is summed in place; this is the expression it replaced
+    rng = np.random.default_rng(n)
+    x = np.linspace(-3.0, 5.0, n)
+    h = float(x[1] - x[0])
+    for v in (rng.uniform(-1.0, 1.0, n), np.exp(rng.uniform(-300.0, 300.0, n)),
+              np.sin(3.0 * x), np.zeros(n), -np.zeros(n)):
+        ref = (-v[4:] + 8 * v[3:-1] - 8 * v[1:-3] + v[:-4]) / (12 * h)
+        np.testing.assert_array_equal(derivative(v, h)[2:-2].view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("lo,hi,n", [
+    (1e-3, 1e4, 20001),
+    (-1e5, 1e5, 20001),
+    (0.01, 3100.0, 20001),  # a Coulomb-like grid: inner wall near 0, outer far out
+    (0.01, 3100.0, 4097),
+    (-8.0, 8.0, 64),
+    (1e6, 1e6 + 1.0, 1001),  # spacing far below the largest |x|
+])
+def test_uniform_step_accepts_linspace_grids(lo, hi, n):
+    x = np.linspace(lo, hi, n)
+    assert uniform_step(x) == x[1] - x[0]
+    SampledFunction(x, np.ones(n))
+
+
+#: a sinh-stretched grid: strictly increasing, not uniform
+_STRETCHED = np.sinh(np.linspace(-3.0, 3.0, 2001))
+
+
+@pytest.mark.parametrize("x", [
+    [0.0],
+    [[0.0, 1.0], [2.0, 3.0]],
+    [0.0, 1.0, 1.0],
+    [0.0, 2.0, 1.0, 3.0],
+    [0.0, 1.0, np.nan, 3.0],
+    np.r_[np.linspace(0.0, 1.0, 100), 1.0 + 1e-9 + np.linspace(0.01, 1.0, 100)],
+    _STRETCHED,
+])
+def test_uniform_step_refuses_other_grids(x):
+    with pytest.raises(ValueError):
+        uniform_step(np.asarray(x, dtype=float))
+
+
+def test_every_stencil_user_refuses_a_stretched_grid():
+    # on this grid the ladder's psi1 of the oscillator was off by 1.8e-2
+    # (7e-10 on the uniform grid of the same ends and size), with no error,
+    # because the stencils took h = x[1] - x[0]
+    fam = get_family("shifted-oscillator")
+    p = {"omega": 2.0, "b": 0.0}
+    x = _STRETCHED
+    psi = spectral.Wavefunction(x=x, values=np.exp(-x * x / 2))
+    W = fam.recipe(p).W
+    calls = [
+        lambda: SampledFunction(x, np.ones_like(x)),
+        lambda: spectral.ground_state(W, x),
+        lambda: spectral.apply_A(W, psi),
+        lambda: spectral.apply_Adagger(W, psi),
+        lambda: spectral.ladder_wavefunctions(fam, p, 2, x),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="uniform"):
+            call()
+    r = 0.5 + np.sinh(np.linspace(0.0, 3.0, 2001))
+    with pytest.raises(ValueError, match="uniform"):
+        radial.radial_intertwine(1, spectral.Wavefunction(x=r, values=np.sin(r) / r))
 
 
 def _fix_sign_loop(values):

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from shapeinv.catalog import FAMILY_NAMES, get_family
-from shapeinv.sampling import make_grid, second_derivative
+from shapeinv.sampling import derivative, fix_sign, make_grid, normalize, second_derivative
 from shapeinv.spectral import (
     NonNormalizable,
     Spectrum,
@@ -184,3 +186,114 @@ def test_csv_export(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "x,psi0,psi1"
     assert len(lines) == 513
+
+
+def _ground_state_values(W, x):
+    """ground_state's values as first written, scipy doing the quadrature."""
+    from scipy.integrate import cumulative_simpson
+
+    fine = np.empty(2 * x.size - 1)
+    fine[::2] = x
+    fine[1::2] = 0.5 * (x[:-1] + x[1:])
+    w = np.asarray(W(fine), dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("W is not finite on the grid")
+    omega = cumulative_simpson(w, x=fine, initial=0.0)[::2]
+    omega -= omega[x.size // 2]
+    expo = -omega
+    expo -= expo.max()
+    vals = np.exp(expo)
+    peak = int(np.argmax(vals))
+    if peak in (0, x.size - 1):
+        raise NonNormalizable("exp(-int W) peaks on the grid boundary")
+    return normalize(vals, x)
+
+
+def _ladder_levels(fam, p, n_levels, x):
+    """The ladder as first written: a ground state per level, raised through
+    every rung below it, W evaluated afresh at each raise.  Yields each
+    level's values in turn, so that a level that raises stops the ladder."""
+    spec = algebraic_spectrum(fam, p, n_levels)
+    rungs = [fam.recipe(q) for q in spec.level_params]
+    h = float(x[1] - x[0])
+    for n in range(len(rungs)):
+        psi = _ground_state_values(rungs[n].W, x)
+        for k in range(n - 1, -1, -1):
+            psi = -derivative(psi, h) + np.asarray(rungs[k].W(x), float) * psi
+        yield fix_sign(normalize(psi, x))
+
+
+#: two valid points per family besides its reference_params; morse at
+#: A = 2 holds two levels, so its ladders of 3 to 6 levels truncate
+_LADDER_POINTS = {
+    "shifted-oscillator": [{"omega": 0.5, "b": 1.5}, {"omega": 3.7, "b": -2.0}],
+    "radial-oscillator": [{"omega": 1.0, "ell": 2.0}, {"omega": 4.5, "ell": 0.5}],
+    "coulomb": [{"e2": 1.0, "ell": 1.0}, {"e2": 5.0, "ell": 3.0}],
+    "morse": [{"A": 2.0, "B": 4.0, "a": 1.0}, {"A": 6.5, "B": 2.0, "a": 0.7}],
+    "scarf-II-hyperbolic": [{"A": 2.5, "B": -1.0, "a": 0.5}, {"A": 6.0, "B": 10.0, "a": 1.5}],
+    "rosen-morse-II-hyperbolic": [{"A": 3.0, "B": -2.0, "a": 1.0}, {"A": 5.0, "B": 10.0, "a": 0.8}],
+    "eckart": [{"A": 2.0, "B": 9.0, "a": 1.0}, {"A": 0.5, "B": 1.0, "a": 0.3}],
+    "scarf-I-trigonometric": [{"A": 6.0, "B": -2.0, "a": 1.0}, {"A": 3.0, "B": 2.5, "a": 0.5}],
+    "gen-poschl-teller": [{"A": 1.5, "B": 3.0, "a": 0.8}, {"A": 5.0, "B": 8.0, "a": 1.2}],
+    "rosen-morse-I-trigonometric": [{"A": 2.0, "B": -1.5, "a": 1.0}, {"A": 3.5, "B": 4.0, "a": 0.6}],
+}
+
+
+@pytest.mark.parametrize("n_points", [64, 1001, 20001])
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_ladder_is_bit_identical_to_the_first_ladder(name, n_points):
+    fam = get_family(name)
+    for p in [fam.reference_params, *_LADDER_POINTS[name]]:
+        fam.validate(p)
+        x = make_grid(*fam.domain(p).si_interval, n_points)
+        # level n depends on rungs 0..n only, so the levels of the longest
+        # ladder are the reference for every shorter one
+        want, error = [], None
+        try:
+            for values in _ladder_levels(fam, p, 6, x):
+                want.append(values)
+        except Exception as exc:  # the new ladder must raise it too
+            error = exc
+        for n_levels in range(1, 7):
+            if error is not None and n_levels > len(want):
+                with pytest.raises(type(error)) as raised:
+                    ladder_wavefunctions(fam, p, n_levels, x)
+                assert str(raised.value) == str(error)
+                continue
+            got = ladder_wavefunctions(fam, p, n_levels, x)
+            assert len(got) == min(n_levels, len(want)), (p, n_levels)
+            for w, values in zip(got, want):
+                # int64 views compare every bit, the sign of zero included
+                np.testing.assert_array_equal(w.values.view(np.int64), values.view(np.int64))
+
+
+def _peak_bytes(call):
+    call()  # warm: lazy set-up is not counted
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ground_state_memory():
+    # the refined grid has 2n - 1 points; the first version peaked at 14
+    # arrays of that size, holding both sets of Simpson windows at once
+    fam = get_family("morse")
+    p = fam.reference_params
+    n = 20001
+    x = make_grid(*fam.domain(p).si_interval, n)
+    peak = _peak_bytes(lambda: ground_state(fam.recipe(p).W, x))
+    assert peak <= 8 * (2 * n - 1) * 8
+
+
+def test_ladder_memory():
+    # four levels (the ladder truncates at A = 4) peaked at 5.1 MB, 32
+    # arrays of the grid's size
+    fam = get_family("morse")
+    p = fam.reference_params
+    n = 20001
+    x = make_grid(*fam.domain(p).si_interval, n)
+    peak = _peak_bytes(lambda: ladder_wavefunctions(fam, p, 6, x))
+    assert peak <= 20 * n * 8
