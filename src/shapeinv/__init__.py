@@ -20,10 +20,10 @@ __version__ = "0.1.0"
 import os as _os
 
 # No shapeinv routine calls BLAS on operands large enough for threads to
-# help, yet OpenBLAS starts a thread pool whenever numpy or scipy.linalg
-# loads it, and the spinning worker it starts costs a cold `sip` 60-80 ms
-# per library on a 2-CPU machine, or nothing, depending on where the
-# scheduler puts it.  So, unless the caller chose a thread count, both load
+# help, yet OpenBLAS starts a thread pool whenever numpy, or scipy's LAPACK
+# wrapper module that the oracle loads, brings in its copy, and the
+# spinning worker it starts costs a cold `sip` 60-80 ms per library on a
+# 2-CPU machine, or nothing, depending on where the scheduler puts it.  So, unless the caller chose a thread count, both load
 # with one thread.  This holds for the libraries loaded after this import,
 # and the variable is inherited by child processes.
 _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

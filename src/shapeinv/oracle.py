@@ -2,12 +2,16 @@
 
 Uniform-grid finite differences with Dirichlet walls: the symmetric
 tridiagonal matrix has 2/h^2 + V(x_i) on the diagonal and -1/h^2 off it.
-The lowest eigenvalues come from a deterministic bisection (no randomized
-methods).  Eigenvectors cost an inverse iteration and a normalization per
-level on top of that, and most callers read only the energies, so they are
-computed on the first read of ``OracleResult.wavefunctions``: the same
-solve run again with vectors, each normalized by the trapezoid rule and
-sign-fixed.
+The lowest eigenvalues come from a deterministic bisection, LAPACK's
+dstebz (no randomized methods).  Eigenvectors cost an inverse iteration,
+dstein, and a normalization per level on top of that, and most callers
+read only the energies, so they are computed on the first read of
+``OracleResult.wavefunctions``: the same bisection run again, then the
+vectors, each normalized by the trapezoid rule and sign-fixed.  Both
+routines are called through scipy's compiled LAPACK wrappers with the
+arguments scipy's ``eigh_tridiagonal`` passes them, so the results are
+bit-identical to it, without importing scipy's linalg package (see
+_lapack).
 
 This is the validation oracle for every algebraic result in the package;
 it shares nothing with the ladder construction except the potential.  Its
@@ -22,6 +26,8 @@ about 4x; convergence_factors measures those ratios.
 from __future__ import annotations
 
 import functools
+import sys
+import threading
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
@@ -56,6 +62,9 @@ class OracleConfig:
             raise ValueError("n_points must be >= 500")
         if self.n_levels < 1:
             raise ValueError("n_levels must be >= 1")
+        if self.n_levels > self.n_points:
+            raise ValueError(f"n_levels ({self.n_levels}) must be <= n_points "
+                             f"({self.n_points}): the grid has only n_points levels")
 
 
 @dataclass
@@ -77,12 +86,13 @@ class OracleResult:
     @functools.cached_property
     def wavefunctions(self) -> list:
         """Normalized eigenfunctions, leftmost maximum of |psi| positive."""
-        from scipy.linalg import eigh_tridiagonal
-
         cfg = self.config
         x, diag, off = _matrix(self.potential, *cfg.box, cfg.n_points)
-        # the bisection of _energies, then inverse iteration for the vectors
-        _, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, cfg.n_levels - 1))
+        # the bisection of _energies, block-ordered, then inverse iteration
+        w, iblock, isplit = _bisect(diag, off, cfg.n_levels, "B")
+        v, info = _lapack().dstein(diag, off, w, iblock, isplit)
+        _check(info, "dstein")
+        v = v[:, np.argsort(w)]
         return [Wavefunction(x=x, values=fix_sign(normalize(v[:, n], x)), level=n,
                              normalized=True)
                 for n in range(cfg.n_levels)]
@@ -100,16 +110,66 @@ def _matrix(V: Callable, lo: float, hi: float, n: int):
     return x, diag, off
 
 
+_FLAPACK = "scipy.linalg._flapack"
+_flapack_lock = threading.Lock()
+
+
+def _lapack():
+    """scipy's compiled LAPACK wrapper module, loaded once per process.
+
+    The oracle needs two of its routines, dstebz and dstein.  Reaching them
+    through scipy's linalg package runs its __init__, which took 240-290 ms
+    of a cold 0.45 s ``sip spectrum morse --oracle`` (python -X importtime,
+    scipy 1.17, 2-CPU x86_64 machine), 160-200 ms of it in
+    scipy._lib._array_api wrapping numpy submodules the oracle never uses.
+    ``import scipy`` and this one extension take about 20 ms.  ``import scipy`` still runs first:
+    on Windows wheels it puts scipy's bundled libraries on the DLL path.
+    The module is registered in sys.modules under its own name, so a later
+    import of the linalg package reuses it, and one that package loaded
+    first is used as it is.
+    """
+    with _flapack_lock:
+        module = sys.modules.get(_FLAPACK)
+        if module is None:
+            import importlib.machinery
+            import importlib.util
+            import os
+
+            import scipy
+
+            dirs = [os.path.join(path, "linalg") for path in scipy.__path__]
+            spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, dirs)
+            if spec is None:
+                raise ImportError(f"{_FLAPACK} not found in {dirs}")
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_FLAPACK] = module
+            spec.loader.exec_module(module)
+        return module
+
+
+def _check(info: int, routine: str):
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info={info})")
+
+
+def _bisect(diag, off, k: int, order: str):
+    """dstebz for the lowest k eigenvalues, as eigh_tridiagonal calls it.
+
+    order "E" sorts them; "B" groups them by block, as dstein needs.
+    """
+    m, w, iblock, isplit, info = _lapack().dstebz(diag, off, 2, 0.0, 1.0, 1, k, 0.0, order)
+    _check(info, "dstebz")
+    return w[:m], iblock, isplit
+
+
 def _energies(V: Callable, lo: float, hi: float, n: int, k: int):
-    """Lowest k eigenvalues by bisection (LAPACK stebz).
+    """Lowest k eigenvalues by bisection (LAPACK dstebz).
 
     The vector solve runs the same bisection before its inverse iteration,
     so its energies are bit-identical to these.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     _, diag, off = _matrix(V, lo, hi, n)
-    return eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, k - 1))
+    return _bisect(diag, off, k, "E")[0]
 
 
 def eigensolve(V: Callable, cfg: OracleConfig) -> OracleResult:

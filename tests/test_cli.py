@@ -720,7 +720,8 @@ def _threads_after_oracle(tmp_path, blas_threads):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
 def test_cold_start_runs_one_thread(tmp_path):
-    # numpy and scipy.linalg both loaded, neither with a BLAS thread pool
+    # numpy's OpenBLAS and scipy's, which its LAPACK wrappers load, neither
+    # with a thread pool
     result = _threads_after_oracle(tmp_path, None)
     assert result == {"code": EXIT_PASS, "env": "1", "threads": 1}
 
@@ -731,8 +732,20 @@ def test_chosen_blas_thread_count_is_kept(tmp_path):
     assert result["env"] == "2"
 
 
-def test_oracle_imports_only_scipy_linalg(tmp_path):
+def test_oracle_imports_no_scipy_subpackage(tmp_path):
     codes, scipy_modules = _scipy_modules_after([["spectrum", "morse", "--oracle"]], tmp_path)
     assert codes == [EXIT_PASS]
-    assert "scipy.linalg" in scipy_modules
-    assert not scipy_modules & {"scipy.integrate", "scipy.interpolate", "scipy.special"}
+    assert "scipy" in scipy_modules
+    assert not scipy_modules & {"scipy.linalg", "scipy.integrate", "scipy.interpolate",
+                                "scipy.special"}
+
+
+def test_more_oracle_levels_than_points_is_a_usage_error(tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "shapeinv.cli", "spectrum",
+                           "shifted-oscillator", "-n", "600", "--oracle", "--points", "500"],
+                          capture_output=True, text=True, env=_fresh_env(), cwd=tmp_path,
+                          timeout=120)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ("error: n_levels (600) must be <= n_points (500): "
+                           "the grid has only n_points levels\n")
+    assert proc.stderr == ""
