@@ -85,7 +85,6 @@ from .multidim import (
 from .radial import (
     MeasureWeight,
     GeneralizedFactorization,
-    unit_weight,
     r_squared_weight,
     generalized_qhj_residual,
     generalized_partners,

@@ -355,7 +355,7 @@ def cmd_radial(args, out) -> int:
         h = 1e-5
         probes = np.concatenate([rvals + h, rvals - h, rvals])
         # j[l] holds j_l at r + h, r - h and r, one row each
-        j = [radial.spherical_bessel_oracle(l, probes)[0].reshape(3, -1) for l in range(6)]
+        j = radial.spherical_bessel_j(range(6), probes).reshape(6, 3, -1)
         for l in range(1, 6):
             jp = (j[l][0] - j[l][1]) / (2 * h)
             worst = float(np.max(np.abs(jp + (l + 1) / rvals * j[l][2] - j[l - 1][2])))
@@ -366,9 +366,8 @@ def cmd_radial(args, out) -> int:
         for l, worst, ok in rows:
             print(f"{l:>4}  {_fmt(worst):>24}  {ok}", file=out)
     r = make_grid(*args.grid)
-    psi = radial.spherical_bessel_oracle(ell, r)[0]
+    psi, reference = radial.spherical_bessel_j((ell, ell - 1), r)
     lowered = radial.radial_intertwine(ell, spectral.Wavefunction(x=r, values=psi, level=ell))
-    reference = radial.spherical_bessel_oracle(ell - 1, r)[0]
     dev = float(np.max(np.abs(lowered.values - reference)) / np.max(np.abs(reference)))
     ok = dev < 1e-5
     all_ok &= ok

@@ -20,34 +20,38 @@ The flagship application is the free radial equation: f = r^2 and
 Q = (ell+1)/r give V_minus = ell(ell+1)/r^2, V_plus = ell(ell-1)/r^2, and
 B psi = psi' + ((ell+1)/r) psi = r^(-(ell+1)) d/dr (r^(ell+1) psi) lowers
 the spherical Bessel index by one.  The module carries its own spherical
-Bessel oracle: j_ell by downward (Miller) recurrence renormalized at
-j_0 = sin(r)/r, n_ell by upward recurrence, so the intertwining claim is
-checked against values that share nothing with the operator code.  The
-oracle takes a scalar r or an array of r and runs one recurrence sweep
-over all points.
+Bessel oracle: j_ell by downward (Miller) recurrence renormalized against
+the closed forms j_0 = sin(r)/r or j_1, n_ell by upward recurrence, so the
+intertwining claim is checked against values that share nothing with the
+operator code.  It takes a scalar r or an array of r and runs one
+recurrence sweep over all points.  The closed forms of a point set are
+evaluated once per call: spherical_bessel_table builds every row up to a
+degree, and spherical_bessel_j the single j rows of several degrees on one
+set, each with the bits of its table.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .sampling import derivative, make_grid, uniform_step, write_csv
+from .sampling import derivative, uniform_step, write_csv
 from .spectral import Wavefunction
 
 __all__ = [
     "MeasureWeight",
     "GeneralizedFactorization",
-    "unit_weight",
     "r_squared_weight",
     "generalized_qhj_residual",
     "generalized_partners",
     "radial_intertwine",
     "spherical_bessel_oracle",
     "spherical_bessel_table",
+    "spherical_bessel_j",
     "intertwine_to_csv",
 ]
 
@@ -59,39 +63,12 @@ class MeasureWeight:
     """Positive weight f with its log-derivative forms.
 
     logf_prime = f'/f and logf_second = (log f)'' must be supplied in
-    closed form; ``spot_check`` compares them against finite differences
-    of f on a probe interval (tolerance 1e-6).
+    closed form.
     """
 
     f: Callable
     logf_prime: Callable
     logf_second: Callable
-
-    def spot_check(self, lo: float, hi: float, n: int = 2048) -> float:
-        from .sampling import second_derivative
-
-        x = make_grid(lo, hi, n)
-        fx = np.asarray(self.f(x), dtype=float)
-        if np.min(fx) <= 0:
-            raise ValueError("weight must be positive on its domain")
-        h = x[1] - x[0]
-        logf = np.log(fx)
-        d1 = derivative(logf, h)
-        d2 = second_derivative(logf, h)
-        err1 = np.max(np.abs(d1 - self.logf_prime(x))[2:-2])
-        err2 = np.max(np.abs(d2 - self.logf_second(x))[2:-2])
-        err = float(max(err1, err2))
-        if err > 1e-6:
-            raise ValueError(f"weight derivative forms inconsistent ({err:.2e})")
-        return err
-
-
-def unit_weight() -> MeasureWeight:
-    return MeasureWeight(
-        f=lambda x: np.ones_like(np.asarray(x, float)),
-        logf_prime=lambda x: np.zeros_like(np.asarray(x, float)),
-        logf_second=lambda x: np.zeros_like(np.asarray(x, float)),
-    )
 
 
 def r_squared_weight() -> MeasureWeight:
@@ -164,35 +141,117 @@ def radial_intertwine(ell: int, psi_minus: Wavefunction) -> Wavefunction:
 # spherical Bessel oracle
 # ---------------------------------------------------------------------------
 
-def _miller_down(ell_max: int, r: np.ndarray, margin: int) -> np.ndarray:
-    """Unscaled rows j_0..j_ell_max of Miller's recurrence, a column per point.
+def _miller_down(top, r: np.ndarray, margin: int, kept: int) -> np.ndarray:
+    """Unscaled rows of Miller's recurrence, a column per point: rows
+    0..kept-1 hold j_0..j_{kept-1}, and row kept holds j_top for the
+    points whose degree top (an array, one per point) is kept or above.
 
-    Each point starts at its own index ell_max + margin + ceil(r) with
+    Each point starts at its own index top + margin + ceil(r) with
     j_start = 1e-30, j_start+1 = 0; the sweep runs down from the largest
-    start and leaves a point at exactly 0 until its start is reached.  Only
-    the stored rows and the two running rows are kept, and a column whose
-    value passes 1e250 is divided through on its own, so every column
-    holds the same bits as a recurrence run for that point alone.
+    start and leaves a point at exactly 0 until its start is reached.  The
+    kept rows are computed in place and only two more running rows are
+    held, and a column whose value passes 1e250 is divided through on its
+    own, so every column holds the same bits as a recurrence run for that
+    point alone.
     """
-    start = ell_max + margin + np.ceil(r).astype(int)
+    start = top + margin + np.ceil(r).astype(int)
     starts = set(start.tolist())
-    rows = np.zeros((ell_max + 1, r.size))
-    upper = np.zeros(r.size)  # j_{l+1}
-    cur = np.zeros(r.size)  # j_l
+    rows = np.zeros((kept + 1, r.size))
+    if not r.size:
+        return rows
+    tops = set(top.tolist()) if top.max() >= kept else ()
+    free = [np.zeros(r.size), np.empty(r.size), np.empty(r.size)]
+    upper, cur = free[0], free[0]  # j_{l+1}, j_l
     for l in range(max(starts) + 1, 0, -1):
-        low = (2 * l + 1) / r * cur - upper  # j_{l-1}
+        # j_{l-1} = (2l+1)/r j_l - j_{l+1}, into its row or a free buffer
+        low = rows[l - 1] if l - 1 < kept else next(
+            b for b in free if b is not upper and b is not cur)
+        np.divide(2 * l + 1, r, out=low)
+        low *= cur
+        low -= upper
         if l - 1 in starts:
             low[start == l - 1] = 1e-30
-        if np.abs(low).max() > 1e250:  # renormalize mid-run to dodge overflow
+        if low.max() > 1e250 or low.min() < -1e250:  # renormalize to dodge overflow
             big = np.abs(low) > 1e250
             scale = low[big]
             rows[:, big] /= scale
-            cur[big] /= scale
-            low[big] /= scale
-        if l - 1 <= ell_max:
-            rows[l - 1] = low
+            for run in (cur, low):
+                if run.base is not rows:
+                    run[big] /= scale
+        if l - 1 in tops:
+            at = top == l - 1
+            rows[kept, at] = low[at]
         upper, cur = cur, low
     return rows
+
+
+def _positive_points(r):
+    """r as a flat float array of positive points, and its original shape."""
+    r = np.asarray(r, dtype=float)
+    shape = r.shape
+    r = r.reshape(-1)
+    if not np.all(r > 0):
+        raise ValueError("r must be positive")
+    return r, shape
+
+
+def _check_degree(ell: int) -> None:
+    if ell < 0 or ell > 25:
+        raise ValueError("ell must be within 0..25")
+
+
+def _closed_forms(r):
+    """sin(r), cos(r), r**2 and the closed forms j_0, j_1 at the points of a
+    flat array r > 0, as (sin, cos, r2, pins).
+
+    sin, cos and r**2 come from libm one point at a time: numpy's SIMD
+    sin/cos and its r*r may round a last bit differently, and the tables
+    must hold the bits of the scalar closed forms on every machine.
+    pins = (on_j0, pin, exact, tol) is what _miller_j renormalizes and
+    checks against: whichever of j_0 = sin(r)/r and j_1 = sin(r)/r^2 -
+    cos(r)/r is larger in magnitude (pinning to j_0 alone blows up at the
+    zeros of sin(r)), the other one, and 1e-14 of the larger.
+    """
+    xs = r.tolist()
+    sin = np.fromiter(map(math.sin, xs), float, r.size)
+    cos = np.fromiter(map(math.cos, xs), float, r.size)
+    r2 = np.fromiter(map(math.pow, xs, itertools.repeat(2.0)), float, r.size)
+    j0e = sin / r
+    j1e = sin / r2 - cos / r
+    tol = 1e-14 * np.maximum(np.abs(j0e), np.abs(j1e))
+    on_j0 = np.abs(j0e) >= np.abs(j1e)
+    pin = np.where(on_j0, j0e, j1e)
+    exact = np.where(on_j0, j1e, j0e)
+    return sin, cos, r2, (on_j0, pin, exact, tol)
+
+
+def _miller_j(top, r, pins, kept: int) -> np.ndarray:
+    """Rows j_0..j_{kept-1} (kept >= 2), then j_top where top >= kept, at
+    the points of a flat r, renormalized against the closed forms pins of
+    _closed_forms; top >= 1 is one degree or one per point.
+
+    Each point's start index is top + margin + ceil(r) with margin 16; the
+    margin doubles, up to 256 and for the failing points only, until the
+    recurrence reproduces the closed form it was not pinned to within its
+    tolerance: a fixed margin loses accuracy as r grows and jumps
+    discontinuously with ceil(r), which matters once the table gets
+    differentiated.
+    """
+    on_j0, pin, exact, tol = pins
+    top = np.broadcast_to(top, r.shape)
+    margin = 16
+    j = _miller_down(top, r, margin, kept)
+    j *= pin / np.where(on_j0, j[0], j[1])
+    todo = np.flatnonzero(~(np.abs(np.where(on_j0, j[1], j[0]) - exact) <= tol))
+    while todo.size and margin < 256:
+        margin *= 2
+        rows = _miller_down(top[todo], r[todo], margin, kept)
+        pinned = on_j0[todo]
+        rows *= pin[todo] / np.where(pinned, rows[0], rows[1])
+        j[:, todo] = rows
+        check = np.where(pinned, rows[1], rows[0])
+        todo = todo[~(np.abs(check - exact[todo]) <= tol[todo])]
+    return j
 
 
 def spherical_bessel_table(ell_max: int, r):
@@ -201,54 +260,19 @@ def spherical_bessel_table(ell_max: int, r):
     Each returned array has shape (ell_max + 1,) + shape(r): row l holds
     j_l (or n_l) at every point of r.
 
-    j: Miller's downward recurrence renormalized against j_0 = sin(r)/r
+    j: Miller's downward recurrence renormalized against the better
+    conditioned of the closed forms j_0, j_1 and checked against the other
     (upward recurrence for j is unstable below the turning point
-    ell ~ r), run for all points in one sweep.  Each point's start index
-    is ell_max + margin + ceil(r) with margin 16; the margin doubles, up
-    to 256 and for the failing points only, until the recurrence
-    reproduces the closed-form j_1 = sin(r)/r^2 - cos(r)/r to near machine
-    precision: a fixed margin loses accuracy as r grows and jumps
-    discontinuously with ceil(r), which matters once the table gets
-    differentiated.  n: upward recurrence from n_0, n_1, the stable
-    direction for the irregular solution.
+    ell ~ r), run for all points in one sweep (_miller_j).  n: upward
+    recurrence from the closed forms n_0, n_1, the stable direction for the
+    irregular solution.  spherical_bessel_j gives single j rows of the same
+    bits without building the others.
     """
-    r = np.asarray(r, dtype=float)
-    shape = r.shape
-    r = r.reshape(-1)
-    if not np.all(r > 0):
-        raise ValueError("r must be positive")
-    if ell_max < 0 or ell_max > 25:
-        raise ValueError("ell must be within 0..25")
-    # sin, cos and r**2 come from libm one point at a time: numpy's SIMD
-    # sin/cos and its r*r may round a last bit differently, and the table
-    # must hold the bits of the scalar closed forms on every machine
-    xs = r.tolist()
-    sin = np.array([math.sin(x) for x in xs])
-    cos = np.array([math.cos(x) for x in xs])
-    r2 = np.array([x**2 for x in xs])
-    j0e = sin / r
-    j1e = sin / r2 - cos / r
-    tol = 1e-14 * np.maximum(np.abs(j0e), np.abs(j1e))
-    # renormalize against whichever closed form is better conditioned
-    # (pinning to j_0 alone blows up at the zeros of sin(r)) and check
-    # the table against the other one
-    on_j0 = np.abs(j0e) >= np.abs(j1e)
-    pin = np.where(on_j0, j0e, j1e)
-    exact = np.where(on_j0, j1e, j0e)
-    table_max = max(ell_max, 1)
-    j = np.empty((table_max + 1, r.size))
-    todo = np.arange(r.size)
-    margin = 16
-    while todo.size:
-        rows = _miller_down(table_max, r[todo], margin)
-        pinned = on_j0[todo]
-        j[:, todo] = rows * (pin[todo] / np.where(pinned, rows[0], rows[1]))
-        if margin >= 256:
-            break
-        check = np.where(pinned, j[1, todo], j[0, todo])
-        todo = todo[~(np.abs(check - exact[todo]) <= tol[todo])]
-        margin *= 2
-    j = j[: ell_max + 1]
+    r, shape = _positive_points(r)
+    _check_degree(ell_max)
+    sin, cos, r2, pins = _closed_forms(r)
+    top = max(ell_max, 1)
+    j = _miller_j(top, r, pins, top + 1)[: ell_max + 1]
 
     n = np.zeros((ell_max + 1, r.size))
     n[0] = -cos / r
@@ -257,6 +281,30 @@ def spherical_bessel_table(ell_max: int, r):
         for l in range(1, ell_max):
             n[l + 1] = (2 * l + 1) / r * n[l] - n[l - 1]
     return j.reshape((ell_max + 1,) + shape), n.reshape((ell_max + 1,) + shape)
+
+
+def spherical_bessel_j(ells, r) -> np.ndarray:
+    """j_ell at r > 0 for each degree of ells (each within 0..25), stacked:
+    row i has shape(r) and holds j_{ells[i]}.
+
+    The distinct degrees run as the columns of one Miller sweep, each
+    column starting, renormalizing and doubling its margin as its own
+    table's would, so row i holds the bits of
+    spherical_bessel_table(ells[i], r)[0][ells[i]].  Each column keeps
+    only j_0, j_1 and its own row.  The closed forms are evaluated once
+    for the whole call, and no n rows are built.
+    """
+    r, shape = _positive_points(r)
+    ells = [int(ell) for ell in ells]
+    for ell in ells:
+        _check_degree(ell)
+    pins = _closed_forms(r)[3]
+    degrees = list(dict.fromkeys(ells))
+    k = len(degrees)
+    cols = np.repeat(np.array(degrees, dtype=int), r.size)
+    j = _miller_j(np.maximum(cols, 1), np.tile(r, k), tuple(np.tile(p, k) for p in pins), 2)
+    rows = j[np.minimum(cols, 2), np.arange(cols.size)].reshape(k, r.size)
+    return rows[[degrees.index(ell) for ell in ells]].reshape((len(ells),) + shape)
 
 
 def spherical_bessel_oracle(ell: int, r):

@@ -233,10 +233,6 @@ def normalize(values: np.ndarray, x: np.ndarray) -> np.ndarray:
 #: enough to be reused from cache
 _CSV_BLOCK_VALUES = 8192
 
-#: bytes of a value's slot in _format_slots: the sign, then the longest
-#: '%.12g' ('-1.23456789012e-300' is 19 characters)
-_BODY = 20
-
 
 def _cols(a, start, stop):
     """Columns start:stop of a row-contiguous 2-D uint8 array as one void
@@ -251,7 +247,12 @@ def _digit_tables():
     chunks[k], for k < 10000, is the four digits of k as one packed uint32;
     chunks[10000 + k] is the same with its trailing zeros as NUL bytes (all
     NUL for k = 0).  pow10[k] is float(10**k), correctly rounded.
-    classes[e + 300] is the layout class of decimal exponent e.
+    classes[e + 300] is the layout class of decimal exponent e, and
+    widths[c] the bytes a slot of class c < 19 needs, the sign included:
+    18..15 for fixed notation at e = -4..-1, 14 at e = 0..10 and 13 at
+    e = 11 ('-0.000123456789012', '-1.23456789012', '-123456789012'), 18
+    and 19 for a 2- or 3-digit exponent ('-1.23456789012e-300'), 2 for
+    zero ('-0').
     """
     k = np.arange(10000)
     digits = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=1)
@@ -262,16 +263,20 @@ def _digit_tables():
     pow10 = np.array([float(10 ** j) for j in range(293)])
     e = np.arange(-300, 301)
     classes = np.where((e >= -4) & (e <= 11), e + 4, 16 + (np.abs(e) >= 100))
-    return chunks, pow10, classes.astype(np.uint8)
+    widths = (18, 17, 16, 15) + (14,) * 11 + (13, 18, 19, 2)
+    return chunks, pow10, classes.astype(np.uint8), widths
 
 
-def _format_slots(v, dest):
-    """Write the values of a 1-D float array as '%.12g' text into dest.
+def _format_slots(v):
+    """The values of a 1-D float array as '%.12g' text, in slots.
 
-    dest holds one void item of _BODY bytes per value, which gets the sign
-    ('-' or NUL), then the text, padded with NUL bytes.  With the NUL bytes
-    deleted, the text is byte-identical to formatting the value with
-    Python's '%.12g' % v.
+    Returns (slots, order): slots is a 1-D array of void items, one per
+    value, and slots[i] holds the sign of v[order[i]] ('-' or NUL), then
+    its text, padded with NUL bytes.  With the NUL bytes deleted, the text
+    is byte-identical to formatting the value with Python's '%.12g' % v.
+    A slot is as wide as the widest layout class among the values needs
+    (the widths of _digit_tables, or the longest fallback text), so a
+    column of a few classes carries fewer NUL bytes into the file.
     Each value v is scaled once: with e = floor(log10|v|), possibly off by
     one at a power of ten, y = |v|*10**(11-e) by one multiply (or one divide
     for a negative power) by float(10**k), which is correctly rounded.  Two
@@ -284,34 +289,31 @@ def _format_slots(v, dest):
     infinities, |v| outside [1e-280, 1e280], values near a 12-digit
     rounding half, and those whose e is one too low.  Zero is '0' or '-0'.
 
-    The 12 digits come from three 4-digit lookups, trailing zeros as NUL.
     Values are sorted by layout class -- fixed notation at e = -4..11,
-    exponential with a 2- or 3-digit exponent, zero, fallback -- so that
-    each class fills a contiguous run of slots by slice copies, '.' only
-    where a digit follows.  The slots get their sign and are scattered to
-    dest in value order.
+    exponential with a 2- or 3-digit exponent, zero, fallback -- and their
+    12 digits come from three 4-digit lookups in that order, trailing zeros
+    as NUL, so that each class fills a contiguous run of slots by slice
+    copies, '.' only where a digit follows.  The scaling steps run in
+    place, and the sign is one byte gather.
     """
-    chunks, pow10, classes = _digit_tables()
+    chunks, pow10, classes, widths = _digit_tables()
     n = v.size
     a = np.abs(v)
-    clipped = np.fmin(np.fmax(a, 1e-280), 1e280)  # NaN -> 1e-280
-    e = np.floor(np.log10(clipped)).astype(np.int64)
-    k = 11 - e
-    y = clipped * pow10[np.maximum(k, 0)]
-    big = k < 0
+    clipped = np.fmax(a, 1e-280)  # NaN -> 1e-280
+    np.fmin(clipped, 1e280, out=clipped)
+    e = np.log10(clipped)
+    e = np.floor(e, out=e).astype(np.int64)
+    y = pow10[np.maximum(11 - e, 0)]
+    y *= clipped
+    big = e > 11
     if big.any():
-        y[big] = clipped[big] / pow10[-k[big]]
+        y[big] = clipped[big] / pow10[e[big] - 11]
     m = np.rint(y)
-    fast = (clipped == a) & (y >= 1e11 - 0.04) & (y < 1e12 - 1) & (np.abs(y - m) < 0.499)
-    m = np.where(fast, m, 1e11).astype(np.int64)
-    hi = m // 100000000
-    rest = m - hi * 100000000
-    mid = rest // 10000
-    lo = rest - mid * 10000
-    packed = np.empty((n, 3), np.uint32)
-    packed[:, 0] = chunks[hi + 10000 * (rest == 0)]
-    packed[:, 1] = chunks[mid + 10000 * (lo == 0)]
-    packed[:, 2] = chunks[lo + 10000]
+    fast = np.less(y, 1e12 - 1)
+    fast &= y >= 1e11 - 0.04
+    fast &= clipped == a
+    y -= m
+    fast &= np.abs(y, out=y) < 0.499
 
     # classes 0..15: fixed notation at e = c - 4; 16, 17: exponential with
     # a 2- or 3-digit exponent; 18: zero; 19: fallback
@@ -319,14 +321,30 @@ def _format_slots(v, dest):
     cls[~fast] = 19
     cls[v == 0] = 18
     order = np.argsort(cls, kind="stable")
-    ends = np.cumsum(np.bincount(cls, minlength=20))
-    packed = np.take(packed, order, axis=0)
+    bounds = np.searchsorted(cls[order], np.arange(21)).tolist()  # class c: bounds[c]:bounds[c+1]
+    # the digits of the values that classes 0..17 lay out, sorted; a chunk
+    # index gets 10000 (the trimmed chunk) where every digit after it is 0
+    m = m[order[:bounds[18]]].astype(np.int64)
+    hi = m // 100000000
+    m -= hi * 100000000
+    hi[m == 0] += 10000
+    mid = m // 10000
+    m -= mid * 10000
+    mid[m == 0] += 10000
+    m += 10000
+    packed = np.empty((m.size, 3), np.uint32)
+    packed[:, 0] = chunks[hi]
+    packed[:, 1] = chunks[mid]
+    packed[:, 2] = chunks[m]
     digits = packed.view(np.uint8)
-    buf = np.zeros((n, _BODY), np.uint8)
-    start = 0
-    for c, end in enumerate(ends):
-        if end == start:
-            continue
+
+    present = [c for c in range(20) if bounds[c] < bounds[c + 1]]
+    if 19 in present:
+        text = np.array(["%.12g" % f for f in v[order[bounds[19]:]].tolist()], "S")
+    width = max([1 + text.itemsize if c == 19 else widths[c] for c in present], default=1)
+    buf = np.zeros((n, width), np.uint8)
+    for c in present:
+        start, end = bounds[c], bounds[c + 1]
         out, d = buf[start:end], digits[start:end]
         x = c - 4
         if 0 <= x <= 11:
@@ -352,12 +370,12 @@ def _format_slots(v, dest):
         elif c == 18:
             out[:, 1] = ord("0")
         else:
-            text = np.array(["%.12g" % f for f in v[order[start:end]].tolist()], "S")
             _cols(out, 1, 1 + text.itemsize)[...] = text.view(f"V{text.itemsize}")
-        start = end
     # the fallback text carries its own sign
-    buf[:ends[18], 0] = np.signbit(v[order[:ends[18]]]).view(np.uint8) * np.uint8(ord("-"))
-    dest[order] = _cols(buf, 0, _BODY)
+    sign = np.signbit(v).view(np.uint8)
+    sign *= ord("-")
+    buf[:bounds[19], 0] = sign[order[:bounds[19]]]
+    return _cols(buf, 0, width), order
 
 
 def _row_blocks(shape, rows):
@@ -386,10 +404,12 @@ def write_csv(path, header, columns, eol="\r\n") -> None:
     grid write its meshgrids, and a column that cannot broadcast raises
     ValueError.  Every value is written as %.12g, byte-identical to
     Python's '%.12g' % v (see _format_slots).  A column smaller than the
-    table is formatted once, at its own shape, and its text is repeated
-    into the rows; full-size columns are formatted block by block, so the
-    memory a write takes does not grow with the table.  The default line
-    ending is the csv module's RFC-4180 one.
+    table is formatted once, at its own shape and slot width, and its text
+    is repeated into the rows; full-size columns are formatted block by
+    block, so the memory a write takes does not grow with the table.  Each
+    block's rows are laid out with one cell width per column, the width of
+    its slots, and written with their NUL padding deleted.  The default
+    line ending is the csv module's RFC-4180 one.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
     if not columns:
@@ -399,17 +419,13 @@ def write_csv(path, header, columns, eol="\r\n") -> None:
     views = []
     for c in columns:
         if c.size < size:  # formatted once, at its own shape
-            slots = np.empty(c.size, f"V{_BODY}")
-            _format_slots(c.ravel(), slots)
-            c = slots.reshape(c.shape)
+            slots, order = _format_slots(c.ravel())
+            text = np.empty(c.size, slots.dtype)
+            text[order] = slots
+            c = text.reshape(c.shape)
         views.append(np.broadcast_to(c, shape))
     head = (",".join(header) + eol).encode()
     eol = eol.encode()
-    width = _BODY + max(len(eol), 1)
-    sep = np.zeros((len(columns), width - _BODY), np.uint8)
-    sep[:-1, -1] = ord(",")
-    sep[-1, width - _BODY - len(eol):] = np.frombuffer(eol, np.uint8)
-    sep = _cols(sep, 0, width - _BODY)
     with open(path, "wb") as fh:
         fh.write(head)
         if not size:
@@ -417,14 +433,23 @@ def write_csv(path, header, columns, eol="\r\n") -> None:
         for block in _row_blocks(shape, _CSV_BLOCK_VALUES):
             parts = [v[block] for v in views]
             cut, n = parts[0].shape, parts[0].size
-            buf = np.empty((n * len(columns), width), np.uint8)
-            cells = _cols(buf, 0, _BODY).reshape(n, len(columns))
-            for j, p in enumerate(parts):
-                if p.dtype == float:  # a full-size column, formatted block by block
-                    _format_slots(p.ravel(), cells[:, j])
+            # a full-size column is formatted block by block
+            cells = [_format_slots(p.ravel()) if p.dtype == float else (p, None) for p in parts]
+            width = sum(c.itemsize for c, _ in cells) + len(cells) - 1 + len(eol)
+            buf = np.empty((n, width), np.uint8)
+            at = 0
+            for c, order in cells:
+                if at:
+                    buf[:, at] = ord(",")
+                    at += 1
+                dest = _cols(buf, at, at + c.itemsize)
+                if order is None:
+                    dest.reshape(cut)[...] = c
                 else:
-                    cells[:, j].reshape(cut)[...] = p
-            _cols(buf, _BODY, width).reshape(n, len(columns))[...] = sep
+                    dest[order] = c
+                at += c.itemsize
+            if eol:
+                _cols(buf, at, width)[...] = np.frombuffer(eol, f"V{len(eol)}")
             fh.write(buf.tobytes().translate(None, b"\0"))
 
 

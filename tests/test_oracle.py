@@ -227,7 +227,8 @@ print(json.dumps({"alive": sum(t.is_alive() for t in threads), "loads": len(load
 
 
 def test_concurrent_first_solves_load_lapack_once(tmp_path):
-    # batch jobs run on threads, so the first oracle solves can race to load
+    # sip --batch runs its jobs one after another, but a library caller may
+    # solve on threads, and then the first oracle solves can race to load
     assert _fresh_run(_CONCURRENT_LOADS, tmp_path) == {
         "alive": 0, "loads": 8, "modules": 1, "registered": True}
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from io import StringIO
 
 import numpy as np
@@ -9,14 +10,15 @@ from shapeinv.catalog import get_family
 from shapeinv.cli import EXIT_PASS, run_command
 from shapeinv.radial import (
     GeneralizedFactorization,
+    MeasureWeight,
     generalized_partners,
     generalized_qhj_residual,
     intertwine_to_csv,
     r_squared_weight,
     radial_intertwine,
+    spherical_bessel_j,
     spherical_bessel_oracle,
     spherical_bessel_table,
-    unit_weight,
 )
 from shapeinv.sampling import derivative, make_grid, second_derivative
 from shapeinv.spectral import Wavefunction
@@ -40,11 +42,6 @@ def centrifugal_factorization(ell, scheme):
     )
 
 
-def test_weight_spot_checks():
-    assert r_squared_weight().spot_check(0.5, 10.0) < 1e-6
-    assert unit_weight().spot_check(-5.0, 5.0) < 1e-12
-
-
 def test_qhj_residual_centrifugal():
     ell = 2
     fac = centrifugal_factorization(ell, "weighted")
@@ -58,7 +55,7 @@ def test_qhj_residual_reduces_to_plain_for_unit_weight():
     p = fam.reference_params
     fac = GeneralizedFactorization(
         Q=lambda x: fam.W(p, x), Qprime=lambda x: fam.Wprime(p, x),
-        weight=unit_weight(), scheme="weighted")
+        weight=MeasureWeight(np.ones_like, np.zeros_like, np.zeros_like), scheme="weighted")
     g = make_grid(-3, 10, 512)
     res = generalized_qhj_residual(
         fac, lambda x: fam.W(p, x) ** 2 - fam.Wprime(p, x), 0.0, g)
@@ -98,7 +95,7 @@ def test_unit_weight_reduces_to_catalog_partners(scheme):
     p = fam.reference_params
     fac = GeneralizedFactorization(
         Q=lambda x: fam.W(p, x), Qprime=lambda x: fam.Wprime(p, x),
-        weight=unit_weight(), scheme=scheme)
+        weight=MeasureWeight(np.ones_like, np.zeros_like, np.zeros_like), scheme=scheme)
     g = make_grid(-6, 6, 512)
     vm, vp = generalized_partners(fac, g)
     w, wp = fam.W(p, g), fam.Wprime(p, g)
@@ -334,16 +331,61 @@ def test_table_matches_mpmath_half_integer_bessel():
 
 
 @pytest.mark.parametrize("ell, n", [(3, 512), (13, 8192)])
-def test_sip_radial_builds_at_most_twelve_tables(ell, n, tmp_path, monkeypatch):
-    calls = []
-    table = radial.spherical_bessel_table
+def test_sip_radial_evaluates_closed_forms_once_per_point_set(ell, n, tmp_path, monkeypatch):
+    # the 15 Bessel probes and the grid: libm's sin, cos and r**2 once on
+    # each, and no n rows, which only spherical_bessel_table builds
+    sizes = []
+    closed_forms = radial._closed_forms
 
-    def counted(ell_max, r):
-        calls.append(ell_max)
-        return table(ell_max, r)
+    def counted(r):
+        sizes.append(r.size)
+        return closed_forms(r)
 
-    monkeypatch.setattr(radial, "spherical_bessel_table", counted)
+    def refused(ell_max, r):
+        raise AssertionError("sip radial built a full Bessel table")
+
+    monkeypatch.setattr(radial, "_closed_forms", counted)
+    monkeypatch.setattr(radial, "spherical_bessel_table", refused)
     argv = ["radial", "--ell", str(ell), "--check-bessel", "--grid", f"0.5:20:{n}",
             "--out", str(tmp_path)]
     assert run_command(argv, StringIO()) == EXIT_PASS
-    assert 1 <= len(calls) <= 12
+    assert sizes == [15, n]
+
+
+@pytest.mark.parametrize("r", [
+    make_grid(0.5, 20, 8192),
+    make_grid(0.01, 60, 2048),  # the radial-ell25 golden grid, where margins double
+    np.float64(2.5),
+    np.array([[1e-6, 0.01, np.pi], [50.0, 99.5, 300.0]]),
+], ids=["grid-0.5-20", "grid-0.01-60", "scalar", "2d"])
+def test_spherical_bessel_j_holds_the_bits_of_its_table(r):
+    ells = [*range(25, -1, -2), *range(0, 26, 2), 13, 0, 25, 13]  # any order, with repeats
+    j = spherical_bessel_j(ells, r)
+    assert j.shape == (len(ells),) + np.shape(r)
+    tables = {ell: spherical_bessel_table(ell, r)[0][ell] for ell in range(26)}
+    for row, ell in zip(j, ells):
+        assert row.shape == tables[ell].shape
+        assert np.array_equal(row.view(np.int64), tables[ell].view(np.int64)), ell
+
+
+def test_spherical_bessel_j_memory_follows_its_output():
+    # one sweep for all 26 degrees keeps j_0, j_1 and each column's own
+    # row, not every row up to 25 (which peaked at 36 outputs' worth)
+    r = make_grid(0.5, 20, 8192)
+    tracemalloc.start()
+    try:
+        j = spherical_bessel_j(range(26), r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * j.nbytes
+
+
+@pytest.mark.parametrize("ells, r, bad", [
+    ([26], 1.0, 26), ([3, -1], 1.0, -1), ([2], 0.0, 2), ([2], [1.0, -1.0], 2), ([0], np.nan, 0)])
+def test_spherical_bessel_j_guards(ells, r, bad):
+    # what the table refuses, for the degree or the points that are out of range
+    with pytest.raises(ValueError):
+        spherical_bessel_table(bad, r)
+    with pytest.raises(ValueError):
+        spherical_bessel_j(ells, r)

@@ -273,6 +273,35 @@ def test_write_csv_fields_table_is_byte_identical_to_percent_formatting(tmp_path
         b"c0,c1,c2,c3", b"r,theta,Vminus,Vplus", 1)
 
 
+def _every_layout_class():
+    """Values of each layout class of sampling._format_slots, with both
+    signs: fixed notation at e = -4..11, exponents of 2 and 3 digits,
+    zero, and fallbacks -- NaN, infinities, a subnormal, |v| above 1e280,
+    12-digit rounding halves and the neighbours of powers of ten."""
+    fixed = [1.23456789012345 * 10.0 ** e for e in range(-4, 12)]
+    fixed += [10.0 ** e for e in range(-4, 12)] + [0.5, 2.5e-3, 1e11 + 0.5]
+    exponential = [2.5e-5, 6.02214076e23, 1e-99, 3.3e99, 1.5e-100, 7.77e123, 1e-280, 1e280]
+    fallback = [math.nan, math.inf, 5e-324, 1e300, 123456789012.5, 1.234567890125e-7,
+                math.nextafter(1e-5, 0), math.nextafter(1e23, 0), math.nextafter(1e23, math.inf)]
+    values = fixed + exponential + [0.0] + fallback
+    return np.array(values + [-v for v in values])
+
+
+@pytest.mark.parametrize("block", [1, 7, 8192])
+def test_write_csv_lays_out_every_class_in_one_block(tmp_path, block):
+    # at 8192 the whole table is one block, so each full column holds every
+    # class beside the broadcast axes; 1 and 7 cut it into rows and runs
+    values = _every_layout_class()
+    r = np.linspace(0.5, 1.5, values.size // 2)[:, None]
+    theta = np.array([[-2e-3, 3e5]])
+    columns = [r, theta, values.reshape(-1, 2), values[::-1].reshape(-1, 2)]
+    header = ["r", "theta", "v", "reversed"]
+    with mock.patch.object(sampling, "_CSV_BLOCK_VALUES", block):
+        write_csv(tmp_path / "new.csv", header, columns)
+    _percent_csv(tmp_path / "old.csv", header, np.broadcast_arrays(*columns))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 @st.composite
 def _broadcast_tables(draw):
     """Columns that broadcast to one table shape: scalars, (n,), an (n, 1)
