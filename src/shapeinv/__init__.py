@@ -37,7 +37,6 @@ from .catalog import (
     FAMILY_NAMES,
     list_families,
     get_family,
-    eval_superpotential,
     partner_potentials,
     parameter_step,
     energy_shift,
@@ -46,8 +45,6 @@ from .catalog import (
 from .verify import (
     VerificationReport,
     verify_shape_invariance,
-    verify_qhj,
-    verify_negation_condition,
     verify_generalized_si,
 )
 from .ansatz import (
@@ -78,7 +75,6 @@ from .multidim import (
     laplace_seed,
     plane_wave_seed,
     make_grid2d,
-    prepotential_riccati_residual,
     partner_fields,
     verify_3d_shape_invariance,
 )

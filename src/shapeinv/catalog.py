@@ -48,7 +48,6 @@ __all__ = [
     "FAMILY_NAMES",
     "list_families",
     "get_family",
-    "eval_superpotential",
     "partner_potentials",
     "parameter_step",
     "energy_shift",
@@ -339,12 +338,6 @@ def _check_point(fam: PotentialFamily, p: ParamSet, x) -> None:
         raise DomainViolation(
             f"{fam.name}: x outside ({dom.lo}, {dom.hi}) by margin {dom.margin}"
         )
-
-
-def eval_superpotential(fam: PotentialFamily, p: ParamSet, x):
-    """W(x; p), guarding parameters and the domain interval."""
-    _check_point(fam, p, x)
-    return fam.W(p, x)
 
 
 def partner_potentials(fam: PotentialFamily, p: ParamSet, x):

@@ -44,11 +44,9 @@ __all__ = [
     "Region",
     "DEFAULT_REGION",
     "ScalarField2D",
-    "legendre_table",
     "laplace_seed",
     "plane_wave_seed",
     "make_grid2d",
-    "prepotential_riccati_residual",
     "partner_fields",
     "verify_3d_shape_invariance",
     "fields_to_csv",
@@ -117,19 +115,6 @@ def _legendre_rows(n_max: int, x: np.ndarray):
         yield n + 1, prev, cur
 
 
-def _legendre_derivative(n: int, prev, cur, x: np.ndarray):
-    """P_n'(x) from (1 - x^2) P_n' = n (P_{n-1} - x P_n), safe here because
-    working regions exclude |x| = 1."""
-    return n * (prev - x * cur) / (1.0 - x * x) if n else np.zeros_like(x)
-
-
-def legendre_table(n_max: int, x: np.ndarray):
-    """P_n(x) and P_n'(x) for n = 0..n_max by the three-term recurrence."""
-    x = np.asarray(x, dtype=float)
-    rows = list(_legendre_rows(n_max, x))
-    return [p for _, _, p in rows], [_legendre_derivative(*row, x) for row in rows]
-
-
 def _legendre_theta(degrees, theta: np.ndarray):
     """P_n(cos theta), dP_n/dtheta and d^2P_n/dtheta^2 for the given degrees.
 
@@ -142,7 +127,9 @@ def _legendre_theta(degrees, theta: np.ndarray):
     P, dtheta, d2theta = {}, {}, {}
     for n, prev, p in _legendre_rows(max(wanted), ct):
         if n in wanted:
-            dPx = _legendre_derivative(n, prev, p, ct)
+            # P_n'(x) from (1 - x^2) P_n' = n (P_{n-1} - x P_n), safe here
+            # because working regions exclude |x| = 1
+            dPx = n * (prev - ct * p) / (1.0 - ct * ct) if n else np.zeros_like(ct)
             P[n] = p
             dtheta[n] = -st * dPx
             # from the Legendre equation: d^2P/dtheta^2 = cos(theta) P' - n(n+1) P
@@ -285,17 +272,6 @@ def _ladder_report(grid2d, g2, lap_f, lam, mu, tolerance) -> VerificationReport:
                              tolerance)
 
 
-def prepotential_riccati_residual(chi: ScalarField2D, grid2d) -> float:
-    """max |(nabla^2 chi)/chi + K| over the grid.
-
-    This is the log-form of the Riccati certificate
-    |grad F|^2 + nabla^2 F + K = 0 for F = log chi, exact whenever the
-    seed satisfies its Helmholtz equation; seeds that do not (for example
-    chi = r) report an order-one residual rather than having it masked.
-    """
-    return _log_derivatives(chi, grid2d)[2]
-
-
 def partner_fields(chi: ScalarField2D, lam: float, grid2d, mu: float = None):
     """Sampled (V_minus, V_plus) for the prepotential lam * log chi.
 
@@ -303,7 +279,11 @@ def partner_fields(chi: ScalarField2D, lam: float, grid2d, mu: float = None):
     derivatives analytic.  Passing mu also returns the two certificates of
     `sip 3d`, from the same seed evaluation: the ladder report for
     V_plus(lam) - V_minus(mu) (see verify_3d_shape_invariance) and the
-    Riccati residual (see prepotential_riccati_residual).
+    Riccati residual max |(nabla^2 chi)/chi + K| over the grid.  That is
+    the log form of |grad F|^2 + nabla^2 F + K = 0, exact whenever the
+    seed satisfies its Helmholtz equation; a seed that does not (for
+    example chi = r) reports an order-one residual rather than having it
+    masked.
     """
     g2, lap_f, residual = _log_derivatives(chi, grid2d)
     vminus = lam * lam * g2 - lam * lap_f

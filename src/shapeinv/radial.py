@@ -24,10 +24,9 @@ Bessel oracle: j_ell by downward (Miller) recurrence renormalized against
 the closed forms j_0 = sin(r)/r or j_1, n_ell by upward recurrence, so the
 intertwining claim is checked against values that share nothing with the
 operator code.  It takes a scalar r or an array of r and runs one
-recurrence sweep over all points.  The closed forms of a point set are
-evaluated once per call: spherical_bessel_table builds every row up to a
-degree, and spherical_bessel_j the single j rows of several degrees on one
-set, each with the bits of its table.
+recurrence sweep over all points, evaluating the closed forms of the point
+set once per call.  spherical_bessel_j runs that sweep for the j rows of
+several degrees at once, each with the bits the oracle gives it.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ __all__ = [
     "generalized_partners",
     "radial_intertwine",
     "spherical_bessel_oracle",
-    "spherical_bessel_table",
     "spherical_bessel_j",
     "intertwine_to_csv",
 ]
@@ -141,30 +139,30 @@ def radial_intertwine(ell: int, psi_minus: Wavefunction) -> Wavefunction:
 # spherical Bessel oracle
 # ---------------------------------------------------------------------------
 
-def _miller_down(top, r: np.ndarray, margin: int, kept: int) -> np.ndarray:
-    """Unscaled rows of Miller's recurrence, a column per point: rows
-    0..kept-1 hold j_0..j_{kept-1}, and row kept holds j_top for the
-    points whose degree top (an array, one per point) is kept or above.
+def _miller_down(top, r: np.ndarray, margin: int) -> np.ndarray:
+    """Unscaled rows of Miller's recurrence, a column per point: rows 0
+    and 1 hold j_0 and j_1, and row 2 holds j_top for the points whose
+    degree top (an array, one per point) is 2 or above.
 
     Each point starts at its own index top + margin + ceil(r) with
     j_start = 1e-30, j_start+1 = 0; the sweep runs down from the largest
     start and leaves a point at exactly 0 until its start is reached.  The
-    kept rows are computed in place and only two more running rows are
-    held, and a column whose value passes 1e250 is divided through on its
-    own, so every column holds the same bits as a recurrence run for that
-    point alone.
+    rows are computed in place and only two more running rows are held,
+    and a column whose value passes 1e250 is divided through on its own,
+    so every column holds the same bits as a recurrence run for that point
+    alone.
     """
     start = top + margin + np.ceil(r).astype(int)
     starts = set(start.tolist())
-    rows = np.zeros((kept + 1, r.size))
+    rows = np.zeros((3, r.size))
     if not r.size:
         return rows
-    tops = set(top.tolist()) if top.max() >= kept else ()
+    tops = set(top.tolist()) if top.max() >= 2 else ()
     free = [np.zeros(r.size), np.empty(r.size), np.empty(r.size)]
     upper, cur = free[0], free[0]  # j_{l+1}, j_l
     for l in range(max(starts) + 1, 0, -1):
         # j_{l-1} = (2l+1)/r j_l - j_{l+1}, into its row or a free buffer
-        low = rows[l - 1] if l - 1 < kept else next(
+        low = rows[l - 1] if l - 1 < 2 else next(
             b for b in free if b is not upper and b is not cur)
         np.divide(2 * l + 1, r, out=low)
         low *= cur
@@ -180,7 +178,7 @@ def _miller_down(top, r: np.ndarray, margin: int, kept: int) -> np.ndarray:
                     run[big] /= scale
         if l - 1 in tops:
             at = top == l - 1
-            rows[kept, at] = low[at]
+            rows[2, at] = low[at]
         upper, cur = cur, low
     return rows
 
@@ -195,9 +193,12 @@ def _positive_points(r):
     return r, shape
 
 
-def _check_degree(ell: int) -> None:
-    if ell < 0 or ell > 25:
-        raise ValueError("ell must be within 0..25")
+def _check_degree(ell) -> int:
+    """ell as an int, if it is an integral value within 0..25 (2.0 is
+    degree 2; 2.5 is refused rather than truncated)."""
+    if not (0 <= ell <= 25 and ell == int(ell)):
+        raise ValueError(f"ell must be an integer within 0..25, got {ell}")
+    return int(ell)
 
 
 def _closed_forms(r):
@@ -205,7 +206,7 @@ def _closed_forms(r):
     flat array r > 0, as (sin, cos, r2, pins).
 
     sin, cos and r**2 come from libm one point at a time: numpy's SIMD
-    sin/cos and its r*r may round a last bit differently, and the tables
+    sin/cos and its r*r may round a last bit differently, and the values
     must hold the bits of the scalar closed forms on every machine.
     pins = (on_j0, pin, exact, tol) is what _miller_j renormalizes and
     checks against: whichever of j_0 = sin(r)/r and j_1 = sin(r)/r^2 -
@@ -225,27 +226,27 @@ def _closed_forms(r):
     return sin, cos, r2, (on_j0, pin, exact, tol)
 
 
-def _miller_j(top, r, pins, kept: int) -> np.ndarray:
-    """Rows j_0..j_{kept-1} (kept >= 2), then j_top where top >= kept, at
-    the points of a flat r, renormalized against the closed forms pins of
-    _closed_forms; top >= 1 is one degree or one per point.
+def _miller_j(top, r, pins) -> np.ndarray:
+    """Rows j_0, j_1, then j_top where top >= 2, at the points of a flat r,
+    renormalized against the closed forms pins of _closed_forms; top >= 1
+    is one degree or one per point.
 
     Each point's start index is top + margin + ceil(r) with margin 16; the
     margin doubles, up to 256 and for the failing points only, until the
     recurrence reproduces the closed form it was not pinned to within its
     tolerance: a fixed margin loses accuracy as r grows and jumps
-    discontinuously with ceil(r), which matters once the table gets
+    discontinuously with ceil(r), which matters once the values get
     differentiated.
     """
     on_j0, pin, exact, tol = pins
     top = np.broadcast_to(top, r.shape)
     margin = 16
-    j = _miller_down(top, r, margin, kept)
+    j = _miller_down(top, r, margin)
     j *= pin / np.where(on_j0, j[0], j[1])
     todo = np.flatnonzero(~(np.abs(np.where(on_j0, j[1], j[0]) - exact) <= tol))
     while todo.size and margin < 256:
         margin *= 2
-        rows = _miller_down(top[todo], r[todo], margin, kept)
+        rows = _miller_down(top[todo], r[todo], margin)
         pinned = on_j0[todo]
         rows *= pin[todo] / np.where(pinned, rows[0], rows[1])
         j[:, todo] = rows
@@ -254,55 +255,24 @@ def _miller_j(top, r, pins, kept: int) -> np.ndarray:
     return j
 
 
-def spherical_bessel_table(ell_max: int, r):
-    """(j_0..j_ell_max, n_0..n_ell_max) at r > 0, a scalar or an array.
-
-    Each returned array has shape (ell_max + 1,) + shape(r): row l holds
-    j_l (or n_l) at every point of r.
-
-    j: Miller's downward recurrence renormalized against the better
-    conditioned of the closed forms j_0, j_1 and checked against the other
-    (upward recurrence for j is unstable below the turning point
-    ell ~ r), run for all points in one sweep (_miller_j).  n: upward
-    recurrence from the closed forms n_0, n_1, the stable direction for the
-    irregular solution.  spherical_bessel_j gives single j rows of the same
-    bits without building the others.
-    """
-    r, shape = _positive_points(r)
-    _check_degree(ell_max)
-    sin, cos, r2, pins = _closed_forms(r)
-    top = max(ell_max, 1)
-    j = _miller_j(top, r, pins, top + 1)[: ell_max + 1]
-
-    n = np.zeros((ell_max + 1, r.size))
-    n[0] = -cos / r
-    if ell_max >= 1:
-        n[1] = -cos / r2 - sin / r
-        for l in range(1, ell_max):
-            n[l + 1] = (2 * l + 1) / r * n[l] - n[l - 1]
-    return j.reshape((ell_max + 1,) + shape), n.reshape((ell_max + 1,) + shape)
-
-
 def spherical_bessel_j(ells, r) -> np.ndarray:
     """j_ell at r > 0 for each degree of ells (each within 0..25), stacked:
     row i has shape(r) and holds j_{ells[i]}.
 
     The distinct degrees run as the columns of one Miller sweep, each
     column starting, renormalizing and doubling its margin as its own
-    table's would, so row i holds the bits of
-    spherical_bessel_table(ells[i], r)[0][ells[i]].  Each column keeps
-    only j_0, j_1 and its own row.  The closed forms are evaluated once
-    for the whole call, and no n rows are built.
+    sweep would, so row i holds the bits of
+    spherical_bessel_oracle(ells[i], r)[0].  Each column keeps only j_0,
+    j_1 and its own row.  The closed forms are evaluated once for the
+    whole call, and no n rows are built.
     """
     r, shape = _positive_points(r)
-    ells = [int(ell) for ell in ells]
-    for ell in ells:
-        _check_degree(ell)
+    ells = [_check_degree(ell) for ell in ells]
     pins = _closed_forms(r)[3]
     degrees = list(dict.fromkeys(ells))
     k = len(degrees)
     cols = np.repeat(np.array(degrees, dtype=int), r.size)
-    j = _miller_j(np.maximum(cols, 1), np.tile(r, k), tuple(np.tile(p, k) for p in pins), 2)
+    j = _miller_j(np.maximum(cols, 1), np.tile(r, k), tuple(np.tile(p, k) for p in pins))
     rows = j[np.minimum(cols, 2), np.arange(cols.size)].reshape(k, r.size)
     return rows[[degrees.index(ell) for ell in ells]].reshape((len(ells),) + shape)
 
@@ -311,11 +281,25 @@ def spherical_bessel_oracle(ell: int, r):
     """(j_ell(r), n_ell(r)) for r > 0, 0 <= ell <= 25.
 
     Floats for a scalar r, arrays of r's shape for an array r.
+
+    j: Miller's downward recurrence renormalized against the better
+    conditioned of the closed forms j_0, j_1 and checked against the other
+    (upward recurrence for j is unstable below the turning point
+    ell ~ r), run for all points in one sweep (_miller_j).  n: upward
+    recurrence from the closed forms n_0, n_1, the stable direction for the
+    irregular solution.
     """
-    j, n = spherical_bessel_table(ell, r)
-    if np.ndim(r) == 0:
-        return float(j[ell]), float(n[ell])
-    return j[ell], n[ell]
+    r, shape = _positive_points(r)
+    ell = _check_degree(ell)
+    sin, cos, r2, pins = _closed_forms(r)
+    j = _miller_j(max(ell, 1), r, pins)[min(ell, 2)]
+    n = (-cos / r, -cos / r2 - sin / r)
+    for l in range(1, ell):
+        n = (n[1], (2 * l + 1) / r * n[1] - n[0])
+    j, n = j.reshape(shape), n[min(ell, 1)].reshape(shape)
+    if not shape:
+        return float(j), float(n)
+    return j, n
 
 
 def intertwine_to_csv(path, r, psi, lowered, reference) -> None:

@@ -19,7 +19,6 @@ from shapeinv.radial import (
     generalized_partners,
     r_squared_weight,
     spherical_bessel_oracle,
-    spherical_bessel_table,
 )
 
 from test_catalog_proofs import table_values
@@ -126,7 +125,7 @@ def test_criterion_5_axisymmetric_construction():
     val, _, _, lap = chi.evaluate(R, TH)
     helm = float(np.max(np.abs(lap / val)))
     assert helm < 1e-10
-    ric = md.prepotential_riccati_residual(chi, grid)
+    ric = md.partner_fields(chi, 2.0, grid, mu=1.0)[3]
     assert ric < 1e-8
     rep = md.verify_3d_shape_invariance(chi, 2.0, 1.0, grid, tolerance=1e-8)
     assert rep.passed
@@ -163,10 +162,11 @@ def test_criterion_6_radial_factorization():
     # regular/irregular Wronskian
     for l in range(1, 6):
         for r in (0.5, 1.0, 2.0, 5.0, 10.0):
-            j, n = spherical_bessel_table(l + 1, r)
-            jp = j[l - 1] - (l + 1) / r * j[l]
-            np_ = n[l - 1] - (l + 1) / r * n[l]
-            assert abs(j[l] * np_ - jp * n[l] - 1.0 / r**2) < 1e-8
+            j, n = spherical_bessel_oracle(l, r)
+            jm1, nm1 = spherical_bessel_oracle(l - 1, r)
+            jp = jm1 - (l + 1) / r * j
+            np_ = nm1 - (l + 1) / r * n
+            assert abs(j * np_ - jp * n - 1.0 / r**2) < 1e-8
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _report("6 (centrifugal partners, recurrence, Wronskian)", elapsed, 1,

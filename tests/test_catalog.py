@@ -13,7 +13,6 @@ from shapeinv.catalog import (
     InvalidParameters,
     FAMILY_NAMES,
     energy_shift,
-    eval_superpotential,
     family_descriptor,
     get_family,
     list_families,
@@ -54,21 +53,23 @@ def test_domain_kinds():
 
 def test_eval_superpotential_closed_forms():
     so = get_family("shifted-oscillator")
-    assert eval_superpotential(so, {"omega": 2.0, "b": 0.0}, 1.0) == pytest.approx(1.0)
+    assert so.W({"omega": 2.0, "b": 0.0}, 1.0) == pytest.approx(1.0)
     mo = get_family("morse")
-    assert eval_superpotential(mo, {"A": 4.0, "B": 4.0, "a": 1.0}, 0.0) == pytest.approx(0.0)
+    assert mo.W({"A": 4.0, "B": 4.0, "a": 1.0}, 0.0) == pytest.approx(0.0)
     ro = get_family("radial-oscillator")
-    assert eval_superpotential(ro, {"omega": 2.0, "ell": 0.0}, 1.0) == pytest.approx(0.0)
+    assert ro.W({"omega": 2.0, "ell": 0.0}, 1.0) == pytest.approx(0.0)
 
 
 def test_eval_guards_domain_and_parameters():
+    # partner_potentials refuses a point outside the domain and a parameter
+    # set outside the validity region before evaluating anything
     ro = get_family("radial-oscillator")
     with pytest.raises(DomainViolation):
-        eval_superpotential(ro, {"omega": 2.0, "ell": 0.0}, -1.0)
+        partner_potentials(ro, {"omega": 2.0, "ell": 0.0}, -1.0)
     with pytest.raises(InvalidParameters):
-        eval_superpotential(ro, {"omega": -2.0, "ell": 0.0}, 1.0)
+        partner_potentials(ro, {"omega": -2.0, "ell": 0.0}, 1.0)
     with pytest.raises(InvalidParameters):
-        eval_superpotential(ro, {"omega": 2.0}, 1.0)
+        partner_potentials(ro, {"omega": 2.0}, 1.0)
 
 
 def test_partner_potentials_shifted_oscillator():

@@ -21,13 +21,24 @@ def test_region_validation():
         md.Region(0.5, 1.5, 0.0, np.pi)  # touches the axis
 
 
+def riccati_residual(chi, grid2d):
+    """The log-form Riccati residual that partner_fields returns beside the
+    fields; it does not depend on lam or mu."""
+    return md.partner_fields(chi, 1.0, grid2d, mu=0.0)[3]
+
+
 def test_legendre_table_against_known_polynomials():
+    # P_n(cos theta) and its theta derivatives, with x = cos theta:
+    # dP/dtheta = -sin(theta) P'(x), d^2P/dtheta^2 = -x P'(x) + (1 - x^2) P''(x)
     x = np.linspace(-0.9, 0.9, 101)
-    P, dP = md.legendre_table(3, x)
+    P, dT, d2T = md._legendre_theta([2, 3], np.arccos(x))
+    s = np.sqrt(1 - x**2)
     assert np.allclose(P[2], 0.5 * (3 * x**2 - 1), atol=1e-14)
     assert np.allclose(P[3], 0.5 * (5 * x**3 - 3 * x), atol=1e-14)
-    assert np.allclose(dP[2], 3 * x, atol=1e-12)
-    assert np.allclose(dP[3], 0.5 * (15 * x**2 - 3), atol=1e-12)
+    assert np.allclose(dT[2], -s * 3 * x, atol=1e-12)
+    assert np.allclose(dT[3], -s * 0.5 * (15 * x**2 - 3), atol=1e-12)
+    assert np.allclose(d2T[2], -x * 3 * x + s**2 * 3, atol=1e-12)
+    assert np.allclose(d2T[3], -x * 0.5 * (15 * x**2 - 3) + s**2 * 15 * x, atol=1e-12)
 
 
 def test_constant_seed(grid):
@@ -43,7 +54,7 @@ def test_monopole_seed_fields(grid):
     # chi = 1/r: V_pm = lam(lam -+ 1)/r^2; V_plus vanishes at lam = 1
     chi = md.laplace_seed([(0, 0.0, 1.0)])
     R, TH = grid
-    assert md.prepotential_riccati_residual(chi, grid) < 1e-10
+    assert riccati_residual(chi, grid) < 1e-10
     vm, vp = md.partner_fields(chi, 1.0, grid)
     assert np.max(np.abs(vp)) < 1e-13
     assert np.max(np.abs(vm - 2.0 / R**2)) < 1e-12
@@ -58,7 +69,7 @@ def test_worked_two_term_seed(grid):
     assert np.max(np.abs(d_r - np.cos(TH))) < 1e-14
     assert np.max(np.abs(d_theta + R * np.sin(TH))) < 1e-14
     assert np.max(np.abs(lap)) < 1e-13
-    assert md.prepotential_riccati_residual(chi, grid) < 1e-10
+    assert riccati_residual(chi, grid) < 1e-10
 
 
 def test_derivatives_match_finite_differences(grid):
@@ -94,7 +105,7 @@ def test_non_harmonic_field_reports_order_one_residual(grid):
         region=md.DEFAULT_REGION,
         K=0.0,
     )
-    assert md.prepotential_riccati_residual(bad, grid) > 0.5
+    assert riccati_residual(bad, grid) > 0.5
 
 
 def test_non_finite_difference_field_raises(grid):
@@ -159,7 +170,7 @@ def test_a_field_may_return_arrays_smaller_than_the_grid(grid):
 
     chi = md.ScalarField2D(evaluate=evaluate, region=md.DEFAULT_REGION)
     R, TH = grid
-    assert md.prepotential_riccati_residual(chi, grid) == 0.0
+    assert riccati_residual(chi, grid) == 0.0
     vm, vp, report, residual = md.partner_fields(chi, 1.0, grid, mu=0.0)
     assert vm.shape == vp.shape == R.shape
     assert np.max(np.abs(vm - 2.0 / R**2)) < 1e-12
@@ -210,7 +221,7 @@ def test_degenerate_step_reports_laplacian_field(grid):
 
 def test_multi_term_seed_certificate(grid):
     chi = md.laplace_seed([(0, 2.0, 0.0), (1, 1.0, 0.0), (2, 0.2, 0.05), (3, 0.0, 0.02)])
-    assert md.prepotential_riccati_residual(chi, grid) < 1e-10
+    assert riccati_residual(chi, grid) < 1e-10
     for lam in (1.5, 2.0, 3.0):
         rep = md.verify_3d_shape_invariance(chi, lam, lam - 1.0, grid)
         assert rep.passed and abs(rep.estimated_constant) < 1e-10
@@ -219,7 +230,7 @@ def test_multi_term_seed_certificate(grid):
 def test_plane_wave_seed_carries_negative_K(grid):
     pw = md.plane_wave_seed(0.7)
     assert pw.K == pytest.approx(-0.49)
-    assert md.prepotential_riccati_residual(pw, grid) < 1e-12
+    assert riccati_residual(pw, grid) < 1e-12
     rep = md.verify_3d_shape_invariance(pw, 2.0, 1.0, grid)
     assert rep.passed
     # Helmholtz seeds keep the unit-step ladder with constant -(lam+mu) K
@@ -257,7 +268,7 @@ def test_positivity_guard_on_evaluation_grid():
                           region=md.Region(0.5, 1.5, 0.3, 2.8))
     wide = md.make_grid2d(md.Region(0.5, 10.0, 0.3, 2.8), 64, 64)
     with pytest.raises(ValueError):
-        md.prepotential_riccati_residual(chi, wide)  # 2 + r cos(theta) < 0 out there
+        riccati_residual(chi, wide)  # 2 + r cos(theta) < 0 out there
 
 
 def test_csv_and_manifest_roundtrip(tmp_path, grid):

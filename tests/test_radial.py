@@ -18,7 +18,6 @@ from shapeinv.radial import (
     radial_intertwine,
     spherical_bessel_j,
     spherical_bessel_oracle,
-    spherical_bessel_table,
 )
 from shapeinv.sampling import derivative, make_grid, second_derivative
 from shapeinv.spectral import Wavefunction
@@ -184,10 +183,11 @@ def test_wronskian_identity():
     # j_l n_l' - j_l' n_l = 1/r^2 with recurrence derivatives
     for ell in range(1, 6):
         for r in (0.5, 1.0, 2.0, 5.0, 10.0):
-            j, n = spherical_bessel_table(ell + 1, r)
-            jp = j[ell - 1] - (ell + 1) / r * j[ell]
-            np_ = n[ell - 1] - (ell + 1) / r * n[ell]
-            w = j[ell] * np_ - jp * n[ell]
+            j, n = spherical_bessel_oracle(ell, r)
+            jm1, nm1 = spherical_bessel_oracle(ell - 1, r)
+            jp = jm1 - (ell + 1) / r * j
+            np_ = nm1 - (ell + 1) / r * n
+            w = j * np_ - jp * n
             assert abs(w - 1.0 / r**2) < 1e-8, (ell, r)
 
 
@@ -242,9 +242,9 @@ def _reference_miller_down(ell_max, r, margin, renormalized):
 
 
 def _reference_table(ell_max, r, renormalized, doubled):
-    """The Miller table for one point at a time, which the array sweep must
-    reproduce bit for bit; notes the r values that renormalized mid-run or
-    needed a margin above 16."""
+    """The Miller table for one point at a time, whose row ell_max the
+    array sweep must reproduce bit for bit; notes the r values that
+    renormalized mid-run or needed a margin above 16."""
     j0e = math.sin(r) / r
     j1e = math.sin(r) / r**2 - math.cos(r) / r
     tol = 1e-14 * max(abs(j0e), abs(j1e))
@@ -266,12 +266,13 @@ def _reference_table(ell_max, r, renormalized, doubled):
     return j[: ell_max + 1], n
 
 
-def _assert_same_bits(ell_max, r, renormalized, doubled):
-    j, n = spherical_bessel_table(ell_max, r)
+def _assert_same_bits(ell, r, renormalized, doubled):
+    j, n = spherical_bessel_oracle(ell, r)
+    (j_only,) = spherical_bessel_j([ell], r)
     for i, rv in enumerate(r.tolist()):
-        jr, nr = _reference_table(ell_max, rv, renormalized, doubled)
-        assert j[:, i].tobytes() == jr.tobytes(), (ell_max, rv)
-        assert n[:, i].tobytes() == nr.tobytes(), (ell_max, rv)
+        jr, nr = _reference_table(ell, rv, renormalized, doubled)
+        assert j[i].tobytes() == j_only[i].tobytes() == jr[ell].tobytes(), (ell, rv)
+        assert n[i].tobytes() == nr[ell].tobytes(), (ell, rv)
 
 
 PROBES = (1e-6, 1e-4, 0.01, np.pi, 2 * np.pi, 50.0, 99.5, 300.0)
@@ -289,20 +290,18 @@ def test_array_table_matches_point_by_point_recurrence():
     assert {1e-6, 50.0, 99.5, 300.0} <= doubled
     _assert_same_bits(13, grid, set(), set())
     for rv in PROBES:
-        j, n = spherical_bessel_table(25, rv)
         jr, nr = _reference_table(25, rv, set(), set())
-        assert j.tobytes() == jr.tobytes() and n.tobytes() == nr.tobytes()
         assert spherical_bessel_oracle(25, rv) == (float(jr[25]), float(nr[25]))
+        assert spherical_bessel_j([25], rv).tobytes() == jr[25:].tobytes()
 
 
 def test_table_shapes():
-    j, n = spherical_bessel_table(4, np.full((2, 3), 1.5))
-    assert j.shape == n.shape == (5, 2, 3)
-    j, n = spherical_bessel_table(4, 1.5)
-    assert j.shape == n.shape == (5,)
-    jl, nl = spherical_bessel_oracle(4, 1.5)
-    assert type(jl) is float and type(nl) is float
-    assert spherical_bessel_oracle(4, make_grid(0.5, 2, 7))[0].shape == (7,)
+    for ell in (0, 1, 4):
+        j, n = spherical_bessel_oracle(ell, np.full((2, 3), 1.5))
+        assert j.shape == n.shape == (2, 3)
+        jl, nl = spherical_bessel_oracle(ell, 1.5)
+        assert type(jl) is float and type(nl) is float
+        assert spherical_bessel_oracle(ell, make_grid(0.5, 2, 7))[0].shape == (7,)
 
 
 def test_table_matches_mpmath_half_integer_bessel():
@@ -317,7 +316,8 @@ def test_table_matches_mpmath_half_integer_bessel():
     g1, g2 = make_grid(0.5, 20, 8192), make_grid(0.01, 60, 2048)
     r = np.concatenate([g1[::512], g1[-1:], g2[::128], g2[-1:],
                         [1e-6, 1e-4, np.pi, 50.0, 300.0]])
-    j, n = (t.tolist() for t in spherical_bessel_table(25, r))
+    j, n = zip(*((j.tolist(), n.tolist()) for j, n in
+                 (spherical_bessel_oracle(ell, r) for ell in range(26))))
     with mpmath.workdps(40):
         for i, x in enumerate(r.tolist()):
             half = mpmath.sqrt(mpmath.pi / (2 * mpmath.mpf(x)))
@@ -332,8 +332,7 @@ def test_table_matches_mpmath_half_integer_bessel():
 
 @pytest.mark.parametrize("ell, n", [(3, 512), (13, 8192)])
 def test_sip_radial_evaluates_closed_forms_once_per_point_set(ell, n, tmp_path, monkeypatch):
-    # the 15 Bessel probes and the grid: libm's sin, cos and r**2 once on
-    # each, and no n rows, which only spherical_bessel_table builds
+    # the 15 Bessel probes and the grid: libm's sin, cos and r**2 once on each
     sizes = []
     closed_forms = radial._closed_forms
 
@@ -341,11 +340,7 @@ def test_sip_radial_evaluates_closed_forms_once_per_point_set(ell, n, tmp_path, 
         sizes.append(r.size)
         return closed_forms(r)
 
-    def refused(ell_max, r):
-        raise AssertionError("sip radial built a full Bessel table")
-
     monkeypatch.setattr(radial, "_closed_forms", counted)
-    monkeypatch.setattr(radial, "spherical_bessel_table", refused)
     argv = ["radial", "--ell", str(ell), "--check-bessel", "--grid", f"0.5:20:{n}",
             "--out", str(tmp_path)]
     assert run_command(argv, StringIO()) == EXIT_PASS
@@ -359,10 +354,11 @@ def test_sip_radial_evaluates_closed_forms_once_per_point_set(ell, n, tmp_path, 
     np.array([[1e-6, 0.01, np.pi], [50.0, 99.5, 300.0]]),
 ], ids=["grid-0.5-20", "grid-0.01-60", "scalar", "2d"])
 def test_spherical_bessel_j_holds_the_bits_of_its_table(r):
+    # many degrees in one sweep give each the bits of its own oracle sweep
     ells = [*range(25, -1, -2), *range(0, 26, 2), 13, 0, 25, 13]  # any order, with repeats
     j = spherical_bessel_j(ells, r)
     assert j.shape == (len(ells),) + np.shape(r)
-    tables = {ell: spherical_bessel_table(ell, r)[0][ell] for ell in range(26)}
+    tables = {ell: np.asarray(spherical_bessel_oracle(ell, r)[0]) for ell in range(26)}
     for row, ell in zip(j, ells):
         assert row.shape == tables[ell].shape
         assert np.array_equal(row.view(np.int64), tables[ell].view(np.int64)), ell
@@ -384,8 +380,21 @@ def test_spherical_bessel_j_memory_follows_its_output():
 @pytest.mark.parametrize("ells, r, bad", [
     ([26], 1.0, 26), ([3, -1], 1.0, -1), ([2], 0.0, 2), ([2], [1.0, -1.0], 2), ([0], np.nan, 0)])
 def test_spherical_bessel_j_guards(ells, r, bad):
-    # what the table refuses, for the degree or the points that are out of range
+    # what the oracle refuses, for the degree or the points that are out of range
     with pytest.raises(ValueError):
-        spherical_bessel_table(bad, r)
+        spherical_bessel_oracle(bad, r)
     with pytest.raises(ValueError):
         spherical_bessel_j(ells, r)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda ell: spherical_bessel_oracle(ell, 1.0)[0],
+    lambda ell: float(spherical_bessel_j([ell], 1.0)[0]),
+], ids=["oracle", "j"])
+def test_bessel_degree_must_be_integral(entry):
+    # an integral float or numpy integer is that degree; 2.5 is refused, not truncated
+    j2 = entry(2)
+    for ell in (np.int64(2), 2.0, np.float64(2.0)):
+        assert entry(ell) == j2
+    with pytest.raises(ValueError, match="2.5"):
+        entry(2.5)
