@@ -45,6 +45,8 @@ from .catalog import (
 from .verify import (
     VerificationReport,
     verify_shape_invariance,
+    verify_qhj,
+    verify_negation_condition,
     verify_generalized_si,
 )
 from .ansatz import (

@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sampling import derivative, uniform_step, write_csv
+from .sampling import derivative, require_finite, uniform_step, write_csv
 from .spectral import Wavefunction
 
 __all__ = [
@@ -90,14 +90,18 @@ class GeneralizedFactorization:
 
 
 def generalized_qhj_residual(fac: GeneralizedFactorization, V, E: float, grid) -> float:
-    """max |Q^2 - Q' - (f'/f) Q - V + E| over the grid (analytic derivatives)."""
+    """max |Q^2 - Q' - (f'/f) Q - V + E| over the grid (analytic derivatives).
+
+    Raises sampling.NonFiniteValues naming the grid points where the
+    residual is NaN or inf, such as a pole of Q or V on the grid.
+    """
     x = np.asarray(grid, dtype=float)
     fx = np.asarray(fac.weight.f(x), dtype=float)
     if np.min(fx) <= 0:
         raise ValueError("weight must be positive on the grid")
     q = np.asarray(fac.Q(x), dtype=float)
     res = q * q - fac.Qprime(x) - fac.weight.logf_prime(x) * q - V(x) + E
-    return float(np.max(np.abs(res)))
+    return float(np.max(np.abs(require_finite(x, res, "residual field"))))
 
 
 def generalized_partners(fac: GeneralizedFactorization, grid):
@@ -226,20 +230,21 @@ def _closed_forms(r):
     return sin, cos, r2, (on_j0, pin, exact, tol)
 
 
-def _miller_j(top, r, pins) -> np.ndarray:
-    """Rows j_0, j_1, then j_top where top >= 2, at the points of a flat r,
-    renormalized against the closed forms pins of _closed_forms; top >= 1
-    is one degree or one per point.
+def _miller_j(ell, r, pins) -> np.ndarray:
+    """j_ell at the points of a flat r, renormalized against the closed
+    forms pins of _closed_forms; ell is one degree or one per point.
 
-    Each point's start index is top + margin + ceil(r) with margin 16; the
-    margin doubles, up to 256 and for the failing points only, until the
-    recurrence reproduces the closed form it was not pinned to within its
-    tolerance: a fixed margin loses accuracy as r grows and jumps
-    discontinuously with ceil(r), which matters once the values get
-    differentiated.
+    Each point sweeps down from top = max(ell, 1), keeping j_0, j_1 and
+    j_top, and takes the row of its own degree.  Its start index is
+    top + margin + ceil(r) with margin 16; the margin doubles, up to 256
+    and for the failing points only, until the recurrence reproduces the
+    closed form it was not pinned to within its tolerance: a fixed margin
+    loses accuracy as r grows and jumps discontinuously with ceil(r), which
+    matters once the values get differentiated.
     """
     on_j0, pin, exact, tol = pins
-    top = np.broadcast_to(top, r.shape)
+    ell = np.broadcast_to(ell, r.shape)
+    top = np.maximum(ell, 1)
     margin = 16
     j = _miller_down(top, r, margin)
     j *= pin / np.where(on_j0, j[0], j[1])
@@ -252,7 +257,7 @@ def _miller_j(top, r, pins) -> np.ndarray:
         j[:, todo] = rows
         check = np.where(pinned, rows[1], rows[0])
         todo = todo[~(np.abs(check - exact[todo]) <= tol[todo])]
-    return j
+    return j[np.minimum(ell, 2), np.arange(r.size)]
 
 
 def spherical_bessel_j(ells, r) -> np.ndarray:
@@ -272,8 +277,7 @@ def spherical_bessel_j(ells, r) -> np.ndarray:
     degrees = list(dict.fromkeys(ells))
     k = len(degrees)
     cols = np.repeat(np.array(degrees, dtype=int), r.size)
-    j = _miller_j(np.maximum(cols, 1), np.tile(r, k), tuple(np.tile(p, k) for p in pins))
-    rows = j[np.minimum(cols, 2), np.arange(cols.size)].reshape(k, r.size)
+    rows = _miller_j(cols, np.tile(r, k), tuple(np.tile(p, k) for p in pins)).reshape(k, r.size)
     return rows[[degrees.index(ell) for ell in ells]].reshape((len(ells),) + shape)
 
 
@@ -292,7 +296,7 @@ def spherical_bessel_oracle(ell: int, r):
     r, shape = _positive_points(r)
     ell = _check_degree(ell)
     sin, cos, r2, pins = _closed_forms(r)
-    j = _miller_j(max(ell, 1), r, pins)[min(ell, 2)]
+    j = _miller_j(ell, r, pins)
     n = (-cos / r, -cos / r2 - sin / r)
     for l in range(1, ell):
         n = (n[1], (2 * l + 1) / r * n[1] - n[0])

@@ -23,6 +23,8 @@ __all__ = [
     "VerificationReport",
     "ANALYTIC_TOL",
     "verify_shape_invariance",
+    "verify_qhj",
+    "verify_negation_condition",
     "verify_generalized_si",
 ]
 
@@ -62,6 +64,20 @@ def _constancy_report(x, d, tolerance) -> VerificationReport:
     )
 
 
+def _zero_report(x, r, offset, tolerance) -> VerificationReport:
+    """Report on whether the residual field r(x) vanishes."""
+    r = require_finite(x, r, "residual field")
+    mean = float(np.mean(r))
+    max_res = float(np.max(np.abs(r)))
+    return VerificationReport(
+        max_residual=max_res,
+        mean=mean,
+        estimated_constant=float(offset - mean),
+        passed=max_res < tolerance,
+        tolerance=tolerance,
+    )
+
+
 def verify_shape_invariance(
     W,
     Wprime,
@@ -78,6 +94,31 @@ def verify_shape_invariance(
     every value bit-identical, -0.0 included.
     """
     return verify_generalized_si(W, Wprime, p, tau, lambda x: 0.0, grid, tolerance)
+
+
+def verify_qhj(W, Wprime, V, E: float, grid, tolerance: float = ANALYTIC_TOL) -> VerificationReport:
+    """Residual of the Riccati relation W^2 - W' - V + E over the grid.
+
+    W, Wprime are x -> value callables here (single parameter point); the
+    estimated constant is the energy that would zero the mean residual.
+    """
+    x = np.asarray(grid, dtype=float)
+    w = W(x)
+    r = w * w - Wprime(x) - V(x) + E
+    return _zero_report(x, r, E, tolerance)
+
+
+def verify_negation_condition(W, p: ParamSet, tau, grid, tolerance: float = ANALYTIC_TOL) -> VerificationReport:
+    """Residual of W(x; tau(p)) + W(x; p).
+
+    Passing certifies the sufficient condition for shape invariance in
+    which the mapped superpotential is the negation of the original.  The
+    condition is sufficient, not necessary, so failure is informative
+    rather than fatal.
+    """
+    x = np.asarray(grid, dtype=float)
+    r = W(tau(p), x) + W(p, x)
+    return _zero_report(x, r, 0.0, tolerance)
 
 
 def verify_generalized_si(

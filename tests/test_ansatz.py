@@ -18,7 +18,7 @@ from shapeinv.ansatz import (
 )
 from shapeinv.catalog import get_family
 from shapeinv.sampling import SampledFunction, make_grid
-from shapeinv.verify import verify_shape_invariance
+from shapeinv.verify import verify_negation_condition, verify_shape_invariance
 
 from test_catalog_proofs import table_values
 
@@ -223,10 +223,11 @@ def test_case_round_trip_shape_invariance(K, branch, interval):
     (0.0, "linear", (0.3, 3.0)),
 ])
 def test_negation_condition_for_bare_cases(K, branch, interval):
-    # W(x; tau(lam)) = -W(x; lam) with tau(lam) = -lam
     cons = construct_case(K, branch, 1.0, 2.0)
-    x = make_grid(*interval, 128)
-    assert np.max(np.abs(cons.W_at(-2.0, x) + cons.W_at(2.0, x))) == 0.0
+    rep = verify_negation_condition(
+        lambda lam, x: cons.W_at(lam, x), 2.0, lambda lam: -lam,
+        make_grid(*interval, 128))
+    assert rep.passed and rep.max_residual == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from shapeinv.radial import (
     spherical_bessel_j,
     spherical_bessel_oracle,
 )
-from shapeinv.sampling import derivative, make_grid, second_derivative
+from shapeinv.sampling import NonFiniteValues, derivative, make_grid, second_derivative
 from shapeinv.spectral import Wavefunction
 
 # closed forms evaluated in 40-digit arithmetic, frozen
@@ -68,6 +68,18 @@ def test_qhj_residual_zero_solution():
         weight=r_squared_weight(), scheme="weighted")
     g = make_grid(0.5, 5, 256)
     assert generalized_qhj_residual(fac, lambda r: np.zeros_like(r), 0.0, g) == 0.0
+
+
+def test_qhj_residual_names_a_pole_on_the_grid():
+    # Q = 1/x and V = 2/x^2 with the unit weight: the residual is 0 except at x = 0
+    fac = GeneralizedFactorization(
+        Q=lambda x: 1.0 / x, Qprime=lambda x: -1.0 / x**2,
+        weight=MeasureWeight(np.ones_like, np.zeros_like, np.zeros_like))
+    g = make_grid(-1, 1, 129)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteValues) as err:
+            generalized_qhj_residual(fac, lambda x: 2.0 / x**2, 0.0, g)
+    assert err.value.locations == (0.0,)
 
 
 def test_product_scheme_partner_pair():

@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 
 from shapeinv.catalog import FAMILY_NAMES, get_family
-from shapeinv.radial import GeneralizedFactorization, MeasureWeight, generalized_qhj_residual
 from shapeinv.sampling import NonFiniteValues, make_grid
-from shapeinv.verify import VerificationReport, verify_generalized_si, verify_shape_invariance
+from shapeinv.verify import (
+    VerificationReport,
+    verify_generalized_si,
+    verify_negation_condition,
+    verify_qhj,
+    verify_shape_invariance,
+)
 
 
 def test_report_consistency_enforced():
@@ -47,40 +52,33 @@ def test_all_catalog_families_certify(name):
     assert rep.passed, (name, rep.max_residual)
 
 
-def qhj_residual(W, Wprime, V, E, grid):
-    """max |W^2 - W' - V + E| over the grid: the Riccati relation, as the
-    measure-weighted residual with the unit weight f = 1."""
-    unit = MeasureWeight(np.ones_like, np.zeros_like, np.zeros_like)
-    return generalized_qhj_residual(GeneralizedFactorization(W, Wprime, unit), V, E, grid)
-
-
 def test_qhj_oscillator():
-    res = qhj_residual(lambda x: x, lambda x: np.ones_like(x), lambda x: x * x, 1.0,
-                       make_grid(-5, 5, 256))
-    assert res == 0.0
+    rep = verify_qhj(lambda x: x, lambda x: np.ones_like(x), lambda x: x * x, 1.0,
+                     make_grid(-5, 5, 256))
+    assert rep.passed and rep.max_residual == 0.0
 
 
 def test_qhj_centrifugal():
     ell = 1.0
-    res = qhj_residual(
+    rep = verify_qhj(
         lambda r: (ell + 1) / r,
         lambda r: -(ell + 1) / r**2,
         lambda r: (ell + 1) * (ell + 2) / r**2,
         0.0,
         make_grid(0.2, 5, 256),
     )
-    assert res < 1e-12
+    assert rep.passed and rep.max_residual < 1e-12
 
 
 def test_qhj_tanh_well():
-    res = qhj_residual(
+    rep = verify_qhj(
         np.tanh,
         lambda x: 1 / np.cosh(x) ** 2,
         lambda x: 1 - 2 / np.cosh(x) ** 2,
         0.0,
         make_grid(-6, 6, 256),
     )
-    assert res < 1e-12
+    assert rep.passed and rep.max_residual < 1e-12
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
@@ -88,36 +86,36 @@ def test_qhj_self_consistency_for_catalog(name):
     # V- built from the family's own W must satisfy the relation at E = 0
     fam = get_family(name)
     p = fam.reference_params
-    res = qhj_residual(
+    rep = verify_qhj(
         lambda x: fam.W(p, x),
         lambda x: fam.Wprime(p, x),
         lambda x: fam.W(p, x) ** 2 - fam.Wprime(p, x),
         0.0,
         make_grid(*fam.domain(p).si_interval, 256),
+        tolerance=1e-12,
     )
-    assert res < 1e-12, name
+    assert rep.passed, name
 
 
 def test_negation_condition_odd_families():
-    # W(x; tau(p)) = -W(x; p), the sufficient condition for shape invariance
     W = lambda p, x: p["lam"] * np.tanh(x)
     tau = lambda p: {"lam": -p["lam"]}
-    x = make_grid(-4, 4, 128)
-    assert np.max(np.abs(W(tau({"lam": 3.0}), x) + W({"lam": 3.0}, x))) == 0.0
+    rep = verify_negation_condition(W, {"lam": 3.0}, tau, make_grid(-4, 4, 128))
+    assert rep.passed and rep.max_residual == 0.0
 
     Winv = lambda p, x: p["lam"] / x
-    x = make_grid(0.5, 4, 128)
-    assert np.max(np.abs(Winv(tau({"lam": 2.0}), x) + Winv({"lam": 2.0}, x))) < 1e-10
+    rep = verify_negation_condition(Winv, {"lam": 2.0}, tau, make_grid(0.5, 4, 128))
+    assert rep.passed
 
 
 def test_negation_condition_is_only_sufficient():
-    # flipping b alone does not negate the shifted oscillator: residual ~ |omega x|,
-    # yet the family is shape invariant
+    # flipping b alone does not negate the shifted oscillator: residual ~ |omega x|
     fam = get_family("shifted-oscillator")
-    p = {"omega": 2.0, "b": 1.0}
-    x = make_grid(-8, 8, 128)
-    residual = np.max(np.abs(fam.W({**p, "b": -p["b"]}, x) + fam.W(p, x)))
-    assert residual == pytest.approx(16.0)  # max |omega x| on the grid
+    tau = lambda p: {**p, "b": -p["b"]}
+    rep = verify_negation_condition(fam.W, {"omega": 2.0, "b": 1.0}, tau,
+                                    make_grid(-8, 8, 128))
+    assert not rep.passed
+    assert rep.max_residual == pytest.approx(16.0)  # max |omega x| on the grid
 
 
 def test_generalized_si_reduces_to_plain():
