@@ -99,7 +99,8 @@ _CLOSED_FORMS = {
              lambda c, xi: 1.0 / np.sinh(c["c"] * xi)),
     "cosh": (lambda c, xi: c["c"] * np.tanh(c["c"] * xi),
              lambda c, xi: 1.0 / np.cosh(c["c"] * xi)),
-    "exp": (lambda c, xi: np.full_like(xi, c["c"]),
+    # [()] makes a scalar xi give a scalar, as the other forms do
+    "exp": (lambda c, xi: np.full_like(xi, c["c"])[()],
             lambda c, xi: np.exp(-c["c"] * xi)),
 }
 
@@ -242,21 +243,28 @@ class ConstructedSuperpotential:
 
     def phi_xi(self, xi):
         """C (int u)/u + D/u; the term of a zero coefficient is not formed."""
-        phi = self.D * self.seed.inverse(xi) if self.D else np.zeros_like(np.asarray(xi, float))
-        return self.C * self.seed.integral_ratio(xi) + phi if self.C else phi
+        if not self.C:
+            return self.D * self.seed.inverse(xi) if self.D else np.zeros_like(np.asarray(xi, float))
+        phi = self.seed.integral_ratio(xi)
+        phi *= self.C
+        phi += self.D * self.seed.inverse(xi) if self.D else 0.0  # a zero D still turns -0.0 to 0.0
+        return phi
 
     def phi(self, x):
         return self.phi_xi(self.alpha * np.asarray(x, dtype=float))
 
     # --- assembled superpotential --------------------------------------------
+    # W and W' are built in place in one array, in the operation order of the plain
+    # expressions: every bit (-0.0 too) is theirs, as IEEE rounds a - b as (-b) + a
     def W_at(self, lam: float, x):
         """The family member at ladder parameter lam (same F, phi, shift)."""
         xi = self.alpha * np.asarray(x, dtype=float)
-        w = lam * self.F_xi(xi)
+        w = self.F_xi(xi)
+        w *= lam
         if self.C is not None:
-            w = w + self.phi_xi(xi)
+            w += self.phi_xi(xi)
         if self.shift_const is not None:
-            w = w + self.shift_const / lam
+            w += self.shift_const / lam
         return w
 
     def Wprime_at(self, lam: float, x):
@@ -264,10 +272,18 @@ class ConstructedSuperpotential:
         xi = self.alpha * np.asarray(x, dtype=float)
         f = self.F_xi(xi)
         v0 = self.V0(xi) if self.V0 is not None else 0.0
-        d = lam * (-self.seed.K + v0 - f * f)
+        d = -f
+        d *= f
+        d += -self.seed.K + v0
+        d *= lam
         if self.C is not None:
-            d = d + (self.C - f * self.phi_xi(xi))
-        return self.alpha * d
+            p = self.phi_xi(xi)
+            p *= f
+            p *= -1.0
+            p += self.C
+            d += p
+        d *= self.alpha
+        return d
 
     def W(self, x):
         return self.W_at(self.lam, x)

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import math
 import os
@@ -173,6 +174,21 @@ def test_verify_names_the_constraint_an_undefined_partner_breaks():
     assert text.startswith("error: partner rung tau(p) is undefined: ")
     assert "violate constraints ['A > 0', 'A^2 > |B|']" in text
     assert text.count("\n") == 1
+
+
+def test_verify_notes_a_partner_outside_the_valid_region():
+    # tau(p) has A = -0.5: W is still defined there, so the certificate runs
+    argv = ["verify", "morse", "--A", "0.5", "--a", "1"]
+    code, text = run(argv)
+    assert code == EXIT_PASS
+    assert text.splitlines()[-1] == (
+        "note:               partner rung tau(p) leaves the valid region: morse: parameters "
+        "{'A': -0.5, 'B': 4.0, 'a': 1.0} violate constraints ['A > 0']")
+    code_json, text_json = run([*argv, "--json"])
+    assert code_json == EXIT_PASS
+    assert "note" not in text_json
+    # a partner inside the region gets no note
+    assert "note" not in run(["verify", "morse", "--A", "2", "--a", "1"])[1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -663,23 +679,23 @@ def test_closed_pipe_exits_quietly(tmp_path):
     assert err == b""
 
 
-_SCIPY_MODULES_AFTER = """
+_MODULES_AFTER = """
 import json, sys
 from io import StringIO
 from shapeinv.cli import run_command
 codes = [run_command(argv, StringIO()) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "scipy": sorted(
-    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
 """
 
 
-def _scipy_modules_after(jobs, tmp_path):
-    """Exit codes of jobs run in a fresh interpreter, and the scipy modules it then holds."""
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_MODULES_AFTER, json.dumps(jobs)],
+def _modules_after(jobs, tmp_path, package):
+    """Exit codes of jobs run in a fresh interpreter, and the modules of package it then holds."""
+    proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER, json.dumps(jobs)],
                           capture_output=True, text=True, env=_fresh_env(), cwd=tmp_path,
                           timeout=120, check=True)
     result = json.loads(proc.stdout)
-    return result["codes"], set(result["scipy"])
+    return result["codes"], {m for m in result["modules"]
+                             if m == package or m.startswith(package + ".")}
 
 
 def test_cold_start_imports_no_scipy(tmp_path):
@@ -692,7 +708,7 @@ def test_cold_start_imports_no_scipy(tmp_path):
         ["3d", "--seed", "a0=2,a1=1", "--lambda", "2", "--mu", "1", "--out", out],
         ["radial", "--ell", "3", "--check-bessel", "--out", out],
     ]
-    codes, scipy_modules = _scipy_modules_after(jobs, tmp_path)
+    codes, scipy_modules = _modules_after(jobs, tmp_path, "scipy")
     assert codes == [EXIT_PASS] * len(jobs)
     assert scipy_modules == set()
 
@@ -733,11 +749,65 @@ def test_chosen_blas_thread_count_is_kept(tmp_path):
 
 
 def test_oracle_imports_no_scipy_subpackage(tmp_path):
-    codes, scipy_modules = _scipy_modules_after([["spectrum", "morse", "--oracle"]], tmp_path)
+    codes, scipy_modules = _modules_after([["spectrum", "morse", "--oracle"]], tmp_path, "scipy")
     assert codes == [EXIT_PASS]
     assert "scipy" in scipy_modules
     assert not scipy_modules & {"scipy.linalg", "scipy.integrate", "scipy.interpolate",
                                 "scipy.special"}
+
+
+#: what every subcommand loads: the CLI, the catalog with the ansatz its
+#: recipes build on, the certificate and the sampling helpers
+_CLI_MODULES = {"cli", "catalog", "ansatz", "verify", "sampling"}
+
+
+@pytest.mark.parametrize("argv, own", [
+    (["list", "--json"], set()),
+    (["verify", "morse", "--json"], set()),
+    (["spectrum", "morse", "--json"], {"spectral"}),
+    (["spectrum", "morse", "--oracle", "--json"], {"spectral", "oracle"}),
+    (["construct", "--K", "0", "--branch", "linear", "--alpha", "1", "--lambda", "1",
+      "--out", "sip-out"], set()),
+    (["3d", "--seed", "a0=2,a1=1", "--lambda", "2", "--mu", "1", "--grid", "16x16",
+      "--out", "sip-out"], {"multidim"}),
+    (["radial", "--ell", "3", "--grid", "0.5:20:256", "--out", "sip-out"], {"radial", "spectral"}),
+], ids=lambda v: "-".join(v[:2]) if isinstance(v, list) else None)
+def test_each_subcommand_loads_only_its_own_modules(argv, own, tmp_path):
+    codes, modules = _modules_after([argv], tmp_path, "shapeinv")
+    assert codes == [EXIT_PASS]
+    assert modules == {"shapeinv", *(f"shapeinv.{m}" for m in _CLI_MODULES | own)}
+
+
+def test_commands_leave_the_collector_alone(tmp_path, outdir):
+    # only main(), which ends its process, freezes the collector's objects
+    jobs = [
+        ["list", "--json"],
+        ["verify", "morse", "--json"],
+        ["spectrum", "morse", "--oracle", "--json"],
+        ["construct", "--K", "0", "--branch", "linear", "--alpha", "1", "--lambda", "1"],
+        ["3d", "--seed", "a0=2,a1=1", "--lambda", "2", "--mu", "1", "--grid", "16x16"],
+        ["radial", "--ell", "3", "--grid", "0.5:20:256"],
+    ]
+    jobfile = tmp_path / "jobs.txt"
+    jobfile.write_text("".join(" ".join(argv) + "\n" for argv in jobs))
+    for argv in [*jobs, ["--batch", str(jobfile)]]:
+        assert run(argv)[0] == EXIT_PASS
+        assert gc.get_freeze_count() == 0
+        assert gc.isenabled()
+
+
+def test_piped_output_is_complete(tmp_path, outdir):
+    jobfile = tmp_path / "jobs.txt"
+    jobfile.write_text("list --json\nverify morse\nspectrum morse --oracle --json\n"
+                       "spectrum eckart -n 10\n")
+    for argv in (["list", "--json"], ["--batch", str(jobfile)]):
+        proc = subprocess.Popen([sys.executable, "-m", "shapeinv.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=_fresh_env(), cwd=tmp_path)
+        piped, err = proc.communicate(timeout=120)
+        code, text = run(argv)
+        assert (proc.returncode, piped.decode(), err) == (code, text, b"")
+    assert code == EXIT_TRUNCATED  # the batch's worst job, the truncated ladder
 
 
 def test_more_oracle_levels_than_points_is_a_usage_error(tmp_path):
