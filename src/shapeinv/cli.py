@@ -13,10 +13,14 @@ Exit codes: 0 pass, 1 verification failure, 2 usage or validation error,
 3 truncated-but-valid ladder.  All numbers print with 12 significant
 digits; JSON is key-sorted and byte-deterministic for fixed inputs.
 File-producing commands write into --out (or $SIP_OUT_DIR, default
-./sip-out) along with a run manifest.  --batch runs one command per line
-of a job file in file order and prints each one's output in its own
-section; a job that fails, on a file or memory error too, prints its
-error line there and the batch goes on.
+./sip-out) along with a run manifest, each file under a temporary name
+renamed into place.  --batch runs one command per line of a job file and
+prints each one's output in its own section, in file order; a job that
+fails, on a file or memory error too, prints its error line there and the
+batch goes on.  On Linux the jobs run in forked worker processes, one per
+usable CPU.  Each batch job writes into <out>/job-NNN/, NNN being its
+1-based position among the file's jobs, so jobs that share an --out keep
+their own files.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +48,6 @@ from .catalog import (
     list_families,
 )
 from .sampling import make_grid, write_csv
-from .verify import ANALYTIC_TOL, verify_shape_invariance
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -81,8 +85,7 @@ class RunManifest:
     all_passed: bool
     tool_version: str = __version__
 
-    def write(self, directory: Path) -> Path:
-        path = directory / "manifest.json"
+    def write(self, path: Path) -> Path:
         _write_json(path, asdict(self))
         return path
 
@@ -90,22 +93,31 @@ class RunManifest:
 def _write_run(args, inputs: tuple, passed: bool, artifacts) -> None:
     """Write a run's artifacts in order, then the manifest that lists them.
 
-    The directory is --out, else $SIP_OUT_DIR, else ./sip-out.  inputs
-    names the options the manifest records; artifacts holds (file name,
-    writer) pairs, each writer taking its file's path.  An OSError becomes
-    a ValueError that names the path, so it ends only its own job.
+    The directory is --out, else $SIP_OUT_DIR, else ./sip-out, and its
+    job-NNN/ for the NNNth job of a --batch.  inputs names the options the
+    manifest records; artifacts holds (file name, writer) pairs, each writer
+    taking a path.  Each file is written under a temporary name and renamed
+    into place, so no reader sees it half written.  An OSError becomes a
+    ValueError that names the file, so it ends only its own job.
     """
     directory = Path(args.out or os.environ.get("SIP_OUT_DIR") or "sip-out")
+    if args.job is not None:
+        directory /= f"job-{args.job:03d}"
     paths = [directory / name for name, _ in artifacts]
+    manifest = RunManifest(args.command, {k: getattr(args, k) for k in inputs},
+                           [str(p) for p in paths], passed)
+    path = directory
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        for path, (_, write) in zip(paths, artifacts):
-            write(path)
-        RunManifest(args.command, {k: getattr(args, k) for k in inputs},
-                    [str(p) for p in paths], passed).write(directory)
+        for name, write in [*artifacts, ("manifest.json", manifest.write)]:
+            path, tmp = directory / name, directory / f".{name}.{os.getpid()}.tmp"
+            try:
+                write(tmp)
+                os.replace(tmp, path)
+            finally:
+                tmp.unlink(missing_ok=True)
     except OSError as exc:
-        where = exc.filename or directory
-        raise ValueError(f"cannot write {where}: {exc.strerror or exc}") from None
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _param_flags() -> tuple:
@@ -209,6 +221,8 @@ def cmd_list(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    from .verify import ANALYTIC_TOL, verify_shape_invariance
+
     fam = get_family(args.family)
     p = _collect_params(args, fam)
     fam.validate(p)
@@ -233,7 +247,8 @@ def cmd_verify(args, out) -> int:
         # W of the partner rung is undefined
         raise InvalidParameters(f"partner rung tau(p) is undefined: {broken}") from None
     report = verify_shape_invariance(
-        fam.W, fam.Wprime, p, fam.tau, make_grid(lo, hi, n), tolerance=args.tolerance
+        fam.W, fam.Wprime, p, fam.tau, make_grid(lo, hi, n),
+        tolerance=ANALYTIC_TOL if args.tolerance is None else args.tolerance,
     )
     if args.json:
         print(_dump_json(report.to_json()), file=out)
@@ -293,6 +308,7 @@ def cmd_spectrum(args, out) -> int:
 
 def cmd_construct(args, out) -> int:
     from . import ansatz
+    from .verify import ANALYTIC_TOL, verify_shape_invariance
 
     cons = ansatz.construct_case(args.K, args.branch, args.alpha, getattr(args, "lambda"),
                                  slope=args.slope, intercept=args.intercept)
@@ -450,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=FAMILY_NAMES)
     _add_param_flags(p)
     p.add_argument("--grid", type=_grid_spec, default=None, metavar="LO:HI:N")
-    p.add_argument("--tolerance", type=_tolerance, default=ANALYTIC_TOL)
+    p.add_argument("--tolerance", type=_tolerance, default=None)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("spectrum", help="algebraic spectrum, optional oracle check")
@@ -521,11 +537,12 @@ _HANDLERS = {
 }
 
 
-def run_command(argv, out, err=None) -> int:
+def run_command(argv, out, err=None, job=None) -> int:
     """Run one sip command line, writing its output to out.
 
     Usage errors go to err, sys.stderr by default; a --batch job passes its
-    own section's stream.  --help goes to out.
+    own section's stream, and its 1-based position as job, which names the
+    directory its files go to.  --help goes to out.
     """
     parser = _parser()
     try:
@@ -539,11 +556,13 @@ def run_command(argv, out, err=None) -> int:
     if not (args.batch or args.command):
         parser.print_usage(out)
         return EXIT_USAGE
+    args.job = job
     try:
         if args.batch:
             return _run_batch(args.batch, out)
         return _HANDLERS[args.command](args, out)
-    except (InvalidParameters, DomainViolation, KeyError, ValueError, MemoryError) as exc:
+    except (InvalidParameters, DomainViolation, KeyError, ValueError, MemoryError,
+            ChildProcessError) as exc:
         print(f"error: {exc}", file=out)
         return EXIT_USAGE
 
@@ -562,34 +581,134 @@ def _selects_batch(argv) -> bool:
     return False
 
 
-def _run_batch(path: str, out) -> int:
+def _run_job(line: str, job: int) -> tuple:
+    """(exit code, transcript section) of the job-th line of a --batch."""
     import shlex
 
+    out = StringIO()
+    # split in its turn, so a line that cannot be split ends only its own job
+    try:
+        argv = shlex.split(line)
+    except ValueError as exc:
+        print(f"$ sip {line}\nerror: {exc}", file=out)
+        code = EXIT_USAGE
+    else:
+        print(f"$ sip {' '.join(argv)}", file=out)
+        if _selects_batch(argv):
+            print("error: nested --batch is not allowed", file=out)
+            code = EXIT_USAGE
+        else:
+            code = run_command(argv, out, err=out, job=job)
+    print(f"[exit {code}]", file=out)
+    return code, out.getvalue()
+
+
+def _worker_count(n_jobs: int) -> int:
+    """Forked workers for a batch of n_jobs: one per usable CPU, at most one per job.
+
+    1 runs the batch in this process: off Linux, and where another thread
+    runs, whose locks a forked child could inherit held.
+    """
+    threading = sys.modules.get("threading")
+    if sys.platform != "linux" or (threading is not None and threading.active_count() > 1):
+        return 1
+    return min(n_jobs, len(os.sched_getaffinity(0)))
+
+
+def _run_batch(path: str, out) -> int:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
     jobs = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+    workers = _worker_count(len(jobs))
+    if workers > 1:
+        codes = _run_forked(jobs, workers, out)
+    else:
+        codes = []
+        for i, line in enumerate(jobs):
+            code, section = _run_job(line, i + 1)
+            out.write(section)
+            codes.append(code)
     severity = {EXIT_PASS: 0, EXIT_TRUNCATED: 1, EXIT_FAIL: 2, EXIT_USAGE: 3}
-    worst = EXIT_PASS
-    for line in jobs:
-        # split in its turn, so a line that cannot be split ends only its own job
+    return max(codes, key=lambda code: severity.get(code, 3), default=EXIT_PASS)
+
+
+def _run_forked(jobs: list, workers: int, out) -> list:
+    """Run jobs in forked workers, print their sections in file order, return their codes.
+
+    Workers take job indices from one pipe, ending at one past the last job,
+    and answer on another in records of (index, exit code, length) and a
+    piece of the section, each written atomically.  The parent adds an index
+    per answer, so it holds only the sections that wait for an earlier one.
+    """
+    import select
+    import signal
+    import struct
+
+    head = struct.Struct("<iiI")
+    piece = select.PIPE_BUF - head.size
+    for stream in (out, sys.stdout, sys.stderr):
+        stream.flush()  # else a child could write the parent's buffered text again
+    parent = os.getpid()
+    todo_r, todo_w = os.pipe()
+    answers_r, answers_w = os.pipe()
+    pids, parts, held, codes = [], {}, {}, []
+
+    def work():
+        # a child's whole life: it ends in os._exit, on an exception too, since
+        # unwinding would run the caller's code and the parent's cleanup here
         try:
-            argv = shlex.split(line)
-        except ValueError as exc:
-            print(f"$ sip {line}\nerror: {exc}", file=out)
-            code = EXIT_USAGE
-        else:
-            print(f"$ sip {' '.join(argv)}", file=out)
-            if _selects_batch(argv):
-                print("error: nested --batch is not allowed", file=out)
-                code = EXIT_USAGE
-            else:
-                code = run_command(argv, out, err=out)
-        print(f"[exit {code}]", file=out)
-        if severity.get(code, 3) > severity.get(worst, 3):
-            worst = code
-    return worst
+            os.close(todo_w)
+            os.close(answers_r)
+            while os.getppid() == parent:
+                index = int.from_bytes(os.read(todo_r, 4) or b"\xff" * 4, "little")
+                if index >= len(jobs):  # no job left, or the parent has gone
+                    break
+                code, section = _run_job(jobs[index], index + 1)
+                data = section.encode()
+                for start in range(0, len(data) + 1, piece):  # the last piece is short
+                    chunk = data[start:start + piece]
+                    os.write(answers_w, head.pack(index, code, len(chunk)) + chunk)
+        except BaseException:
+            os._exit(1)
+        os._exit(0)
+
+    try:
+        try:
+            for _ in range(workers):
+                pid = os.fork()
+                if pid == 0:
+                    work()
+                pids.append(pid)
+        finally:
+            os.close(answers_w)
+        issued = workers
+        os.write(todo_w, b"".join(i.to_bytes(4, "little") for i in range(issued)))
+        while record := os.read(answers_r, head.size):  # empty once every worker has ended
+            index, code, size = head.unpack(record)
+            parts.setdefault(index, []).append(os.read(answers_r, size))
+            if size < piece:
+                held[index] = code, b"".join(parts.pop(index)).decode()
+                os.write(todo_w, issued.to_bytes(4, "little"))
+                issued += 1
+                while len(codes) in held:
+                    code, section = held.pop(len(codes))
+                    out.write(section)
+                    codes.append(code)
+        if len(codes) < len(jobs):
+            for index in sorted(held):
+                out.write(held[index][1])
+            lost = [f"job {i + 1} ({jobs[i]})" for i in range(len(codes), len(jobs)) if i not in held]
+            raise ChildProcessError(f"a --batch worker died; unfinished: {', '.join(lost)}")
+        return codes
+    finally:
+        for fd in (todo_r, todo_w, answers_r):
+            os.close(fd)
+        for pid in pids:
+            if len(codes) < len(jobs):  # ended early: stop the workers mid-job
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def main(argv=None) -> int:

@@ -508,7 +508,7 @@ def test_unwritable_out_ends_only_its_own_batch_job(tmp_path):
     code, text = run(["--batch", str(jobfile)])
     assert code == EXIT_USAGE
     first, second = text.split("$ sip ")[1:]
-    assert first.endswith(f"error: cannot write {blocker}/x: Not a directory\n[exit 2]\n")
+    assert first.endswith(f"error: cannot write {blocker}/x/job-001: Not a directory\n[exit 2]\n")
     assert second.startswith("list --json\n[")
     assert second.endswith("[exit 0]\n")
 
@@ -521,6 +521,16 @@ def test_failed_artifact_write_is_an_error_line(tmp_path):
     assert code == EXIT_USAGE
     assert text.startswith(f"error: cannot write {out / 'fields.csv'}: ")
     assert not (out / "manifest.json").exists()
+
+
+def test_a_failed_write_leaves_no_temporary_file(tmp_path):
+    out = tmp_path / "out"
+    (out / "seed.json").mkdir(parents=True)  # fields.csv is written, seed.json cannot be
+    code, text = run(["3d", "--seed", "a0=2", "--lambda", "2", "--mu", "1", "--grid", "8x8",
+                      "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert text.startswith(f"error: cannot write {out / 'seed.json'}: ")
+    assert sorted(p.name for p in out.iterdir()) == ["fields.csv", "seed.json"]
 
 
 # 2**57 float64 values are 1 EiB, more than any address space holds
@@ -592,6 +602,160 @@ def test_batch_jobs_do_not_share_options(outdir, tmp_path):
     # the third job reads the reference A = 4, not the 3 the second one set
     assert "parameters:         {A: 3, B: 4, a: 1}\n" in alone[1]
     assert "parameters:         {A: 4, B: 4, a: 1}\n" in alone[2]
+
+
+def test_batch_jobs_sharing_an_out_keep_their_solo_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    jobs = ["construct --K 1 --branch sin --alpha 1 --lambda 2 --grid 0.1:3:64",
+            "construct --K 0 --branch linear --alpha 1.5 --lambda 1 --grid 0.1:3:64"]
+    (tmp_path / "jobs.txt").write_text("".join(f"{job} --out shared\n" for job in jobs))
+    assert run(["--batch", "jobs.txt"])[0] == EXIT_PASS
+    for n, job in enumerate(jobs, 1):
+        assert run([*job.split(), "--out", f"solo-{n}"])[0] == EXIT_PASS
+        solo, own = f"solo-{n}/", f"shared/job-{n:03d}/"
+        for name in ("constructed.json", "superpotential.csv", "manifest.json"):
+            want = (tmp_path / solo / name).read_bytes().replace(solo.encode(), own.encode())
+            assert (tmp_path / own / name).read_bytes() == want
+
+
+_linux_only = pytest.mark.skipif(sys.platform != "linux", reason="batch jobs fork only on Linux")
+
+#: every subcommand, and every way a job can fail without ending its batch
+_MIXED_JOBS = f"""\
+list --json
+verify morse --A 3 --tolerance 1e-300
+spectrum morse --oracle -n 3
+construct --K 1 --branch sin --alpha 1 --lambda 2 --grid 0.1:3:64 --out out
+3d --seed a0=2,a1=1 --lambda 2 --mu 1 --grid 12x10 --json --out out
+radial --ell 2 --check-bessel --grid 0.5:20:256 --out out
+verify morse --bogus 1
+verify "morse
+--batch jobs.txt
+radial --ell 2 --grid 0.5:20:64 --out blocker/x
+spectrum morse --oracle --points {HUGE}
+construct --K 0 --branch linear --alpha 1.5 --lambda 1 --grid 0.1:3:64 --out out
+"""
+
+
+def _mixed_batch(run_dir, monkeypatch, workers):
+    """(exit code, transcript, {path: bytes}) of _MIXED_JOBS run in run_dir by workers."""
+    from shapeinv import cli
+
+    run_dir.mkdir()
+    (run_dir / "blocker").write_text("")
+    (run_dir / "jobs.txt").write_text(_MIXED_JOBS)
+    monkeypatch.chdir(run_dir)
+    monkeypatch.setattr(cli, "_worker_count", lambda n_jobs: min(n_jobs, workers))
+    code, text = run(["--batch", "jobs.txt"])
+    files = {p.relative_to(run_dir).as_posix(): p.read_bytes()
+             for p in sorted(run_dir.rglob("*")) if p.is_file()}
+    return code, text, files
+
+
+@_linux_only
+def test_forked_and_serial_batches_agree(tmp_path, monkeypatch):
+    forked = _mixed_batch(tmp_path / "forked", monkeypatch, 2)
+    serial = _mixed_batch(tmp_path / "serial", monkeypatch, 1)
+    assert forked == serial
+    code, text, files = forked
+    assert code == EXIT_USAGE
+    assert [int(line[6:-1]) for line in text.splitlines() if line.startswith("[exit ")] == \
+        [0, 1, 0, 0, 0, 0, 2, 2, 2, 2, 2, 0]
+    assert "error: nested --batch is not allowed" in text
+    assert "error: Unable to allocate " in text
+    assert sorted({path.rpartition("/")[0] for path in files if path.startswith("out/")}) == \
+        ["out/job-004", "out/job-005", "out/job-006", "out/job-012"]
+
+
+@_linux_only
+def test_a_worker_that_dies_ends_the_batch_naming_its_job(tmp_path, monkeypatch):
+    from shapeinv import cli
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(cli._HANDLERS, "list", lambda args, out: os._exit(9))
+    monkeypatch.setattr(cli, "_worker_count", lambda n_jobs: min(n_jobs, 2))
+    (tmp_path / "jobs.txt").write_text(
+        "construct --K 0 --branch linear --alpha 1 --lambda 1 --grid 0.1:3:64 --out out\n"
+        "list --json\n"
+        "radial --ell 2 --grid 0.5:20:64 --out out\n"
+        "verify morse\n")
+    code, text = run(["--batch", "jobs.txt"])
+    assert code == EXIT_USAGE
+    assert text.endswith("\nerror: a --batch worker died; unfinished: job 2 (list --json)\n")
+    # the other jobs still print, in file order
+    assert [line for line in text.splitlines() if line.startswith("$ sip ")] == \
+        ["$ sip construct --K 0 --branch linear --alpha 1 --lambda 1 --grid 0.1:3:64 --out out",
+         "$ sip radial --ell 2 --grid 0.5:20:64 --out out",
+         "$ sip verify morse"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every worker was reaped
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+                  if p.is_file()) == [
+        "jobs.txt", "out/job-001/constructed.json", "out/job-001/manifest.json",
+        "out/job-001/superpotential.csv", "out/job-003/intertwine.csv",
+        "out/job-003/manifest.json"]
+
+
+_FOUR_WORKERS = """
+import sys
+from shapeinv import cli
+cli._worker_count = lambda n_jobs: min(n_jobs, 4)
+sys.exit(cli.main(["--batch", sys.argv[1]]))
+"""
+
+
+@_linux_only
+def test_more_workers_than_cpus_keep_every_section_whole(tmp_path, monkeypatch):
+    # a 90 kB spectrum section, more than a pipe holds, takes 23 pipe writes
+    # and a verify one a part of one, so the records of four workers
+    # interleave on their way back
+    from shapeinv import cli
+
+    jobfile = tmp_path / "jobs.txt"
+    jobfile.write_text("spectrum shifted-oscillator -n 4000\nverify morse --json\nlist --json\n" * 8)
+    proc = subprocess.run([sys.executable, "-c", _FOUR_WORKERS, str(jobfile)],
+                          capture_output=True, text=True, env=_fresh_env(), cwd=tmp_path,
+                          timeout=120)
+    monkeypatch.setattr(cli, "_worker_count", lambda n_jobs: 1)
+    code, text = run(["--batch", str(jobfile)])
+    assert text.count("[exit 0]") == 24
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, text, "")
+
+
+class _InterruptedOut(StringIO):
+    def write(self, text):
+        raise KeyboardInterrupt
+
+
+@_linux_only
+def test_an_interrupted_batch_leaves_no_worker(tmp_path, monkeypatch):
+    from shapeinv import cli
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_worker_count", lambda n_jobs: min(n_jobs, 2))
+    (tmp_path / "jobs.txt").write_text("verify morse\n" * 6)
+    with pytest.raises(KeyboardInterrupt):
+        run_command(["--batch", "jobs.txt"], _InterruptedOut())
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@_linux_only
+def test_a_process_that_runs_threads_runs_its_batch_in_process():
+    import threading
+
+    from shapeinv import cli
+
+    assert cli._worker_count(16) == min(16, len(os.sched_getaffinity(0)))
+    assert cli._worker_count(1) == 1
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert cli._worker_count(16) == 1
+    finally:
+        stop.set()
+        thread.join()
 
 
 @pytest.mark.parametrize("form", ["--batch {}", "--batch={}", "--bat {}"])
@@ -757,19 +921,19 @@ def test_oracle_imports_no_scipy_subpackage(tmp_path):
 
 
 #: what every subcommand loads: the CLI, the catalog with the ansatz its
-#: recipes build on, the certificate and the sampling helpers
-_CLI_MODULES = {"cli", "catalog", "ansatz", "verify", "sampling"}
+#: recipes build on, and the sampling helpers
+_CLI_MODULES = {"cli", "catalog", "ansatz", "sampling"}
 
 
 @pytest.mark.parametrize("argv, own", [
     (["list", "--json"], set()),
-    (["verify", "morse", "--json"], set()),
+    (["verify", "morse", "--json"], {"verify"}),
     (["spectrum", "morse", "--json"], {"spectral"}),
     (["spectrum", "morse", "--oracle", "--json"], {"spectral", "oracle"}),
     (["construct", "--K", "0", "--branch", "linear", "--alpha", "1", "--lambda", "1",
-      "--out", "sip-out"], set()),
+      "--out", "sip-out"], {"verify"}),
     (["3d", "--seed", "a0=2,a1=1", "--lambda", "2", "--mu", "1", "--grid", "16x16",
-      "--out", "sip-out"], {"multidim"}),
+      "--out", "sip-out"], {"multidim", "verify"}),
     (["radial", "--ell", "3", "--grid", "0.5:20:256", "--out", "sip-out"], {"radial", "spectral"}),
 ], ids=lambda v: "-".join(v[:2]) if isinstance(v, list) else None)
 def test_each_subcommand_loads_only_its_own_modules(argv, own, tmp_path):
