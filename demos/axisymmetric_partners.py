@@ -20,7 +20,6 @@ from shapeinv import (
     make_grid2d,
     partner_fields,
     plane_wave_seed,
-    verify_3d_shape_invariance,
 )
 from shapeinv.multidim import DEFAULT_REGION, fields_to_csv, seed_manifest
 
@@ -43,18 +42,18 @@ print(f"  ladder certificate V+(2) - V-(1): constant "
       f"{report.estimated_constant:+.2e}, flat to {report.max_residual:.2e}")
 
 # Probing a wrong step shows the certificate is doing real work.
-bad = verify_3d_shape_invariance(chi, 2.0, 1.5, grid)
+bad = partner_fields(chi, 2.0, grid, mu=1.5)[2]
 print(f"  wrong step mu=1.5: max deviation {bad.max_residual:.3f} -> rejected\n")
 
 # Richer multipole content works just as well.
 rich = laplace_seed([(0, 2.0, 0.0), (1, 1.0, 0.0), (2, 0.2, 0.05), (3, 0.0, 0.02)])
-rep = verify_3d_shape_invariance(rich, 3.0, 2.0, grid)
+rep = partner_fields(rich, 3.0, grid, mu=2.0)[2]
 print(f"four-term seed, lam=3: ladder constant {rep.estimated_constant:+.2e}, "
       f"flat to {rep.max_residual:.2e}")
 
 # Helmholtz seeds carry K != 0; the same unit step leaves -(lam+mu)K.
 pw = plane_wave_seed(0.7)
-rep = verify_3d_shape_invariance(pw, 2.0, 1.0, grid)
+rep = partner_fields(pw, 2.0, grid, mu=1.0)[2]
 print(f"plane-wave seed (K = {pw.K:+.2f}): ladder constant "
       f"{rep.estimated_constant:+.6f} (expect {-(2 + 1) * pw.K:+.6f})\n")
 

@@ -34,7 +34,7 @@ for name, p, levels in [
     alg = algebraic_spectrum(fam, p, levels)
     cfg = OracleConfig(box=fam.domain(p).oracle_box, n_points=2000, n_levels=levels)
     res = eigensolve(lambda x: fam.W(p, x) ** 2 - fam.Wprime(p, x), cfg)
-    cmp = compare_spectra(alg, res.spectrum, mode="relative-gap", tolerance=1e-3)
+    cmp = compare_spectra(alg, res.spectrum, tolerance=1e-3)
     print(f"{name} ({levels} levels)")
     print(f"  ladder sums:  {[f'{e:.6f}' for e in alg.energies]}")
     print(f"  oracle gaps:  {[f'{e:.6f}' for e in res.spectrum.gaps()]}")

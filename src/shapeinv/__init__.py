@@ -55,7 +55,7 @@ _SOURCE = {
         "oracle": ("OracleConfig", "OracleResult", "eigensolve", "convergence_factors",
                    "compare_spectra"),
         "multidim": ("Region", "ScalarField2D", "laplace_seed", "plane_wave_seed", "make_grid2d",
-                     "partner_fields", "verify_3d_shape_invariance"),
+                     "partner_fields"),
         "radial": ("MeasureWeight", "GeneralizedFactorization", "r_squared_weight",
                    "generalized_qhj_residual", "generalized_partners", "radial_intertwine",
                    "spherical_bessel_oracle"),

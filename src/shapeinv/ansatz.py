@@ -47,6 +47,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .sampling import (
+    NonFiniteValues,
     SampledFunction,
     cumulative_integral,
     derivative,
@@ -79,12 +80,8 @@ class BranchError(ValueError):
     """Branch name inconsistent with the sign of K, or unknown."""
 
 
-class PoleOnGrid(ValueError):
+class PoleOnGrid(NonFiniteValues):
     """A grid crosses a zero of the seed u; locations are reported."""
-
-    def __init__(self, message, locations=()):
-        super().__init__(message)
-        self.locations = tuple(float(v) for v in locations)
 
 
 #: named branch -> (F = u'/u, 1/u) as functions of the seed constants and xi
@@ -295,10 +292,9 @@ class ConstructedSuperpotential:
     def tau(self, lam: float) -> float:
         return lam - self.alpha
 
-    def energy_shift(self, lam: Optional[float] = None) -> float:
+    def energy_shift(self) -> float:
         """R(lam) = V_plus(x; lam) - V_minus(x; lam - alpha), closed form."""
-        lam = self.lam if lam is None else lam
-        mu = self.tau(lam)
+        lam, mu = self.lam, self.tau(self.lam)
         r = -(lam**2 - mu**2) * self.seed.K
         if self.C is not None:
             r += 2.0 * self.alpha * self.C
@@ -376,14 +372,14 @@ def extend_second_solution(base: ConstructedSuperpotential, C: float, D: float) 
     return replace(base, seed=seed, C=float(C), D=float(D))
 
 
-def _integral_by_quadrature(seed: SeedSolution, n: int = 4097):
+def _integral_by_quadrature(seed: SeedSolution):
     """A spline of the integral of u from the left end of the working interval."""
     from scipy.interpolate import CubicSpline
 
     if seed.interval is None:
         raise ValueError("custom seed needs a working interval for its quadrature")
     lo, hi = seed.interval
-    xi = make_grid(lo, hi, n)
+    xi = make_grid(lo, hi, 4097)
     u = np.asarray(seed.u(xi), float)
     full = cumulative_integral(u, xi)
     halfres = cumulative_integral(u[::2], xi[::2])
@@ -403,18 +399,17 @@ def extend_constant_shift(base: ConstructedSuperpotential, c: float) -> Construc
     return replace(base, shift_const=float(c))
 
 
-def isospectral_shift_residual(W, chi: SampledFunction, K_lambda: float,
-                               chi_prime=None) -> float:
-    """max |chi^2 + 2 W chi + chi' - K_lambda| over the grid.
+def isospectral_shift_residual(W, chi: SampledFunction, K_lambda: float) -> float:
+    """max |chi^2 + 2 W chi + chi' - K_lambda| over the grid's interior.
 
     A residual below tolerance certifies chi as an additive deformation of
-    W that shifts the partner by the constant K_lambda.  chi' defaults to
-    central differences; pass an array to use an analytic derivative.
+    W that shifts the partner by the constant K_lambda.  chi' is chi's
+    4th-order central difference on its grid.
     """
     x, c = chi.x, chi.values
     if np.any(np.abs(c) > POLE_THRESHOLD):
         raise PoleOnGrid("chi diverges on the grid", x[np.abs(c) > POLE_THRESHOLD])
-    cp = chi.derivative() if chi_prime is None else np.asarray(chi_prime, float)
+    cp = chi.derivative()
     w = np.asarray(W(x), dtype=float)
     if np.any(~np.isfinite(w)):
         raise PoleOnGrid("W diverges on the grid", x[~np.isfinite(w)])

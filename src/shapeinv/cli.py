@@ -31,6 +31,7 @@ import gc
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass
 from io import StringIO
@@ -286,8 +287,7 @@ def cmd_spectrum(args, out) -> int:
         cfg = oracle.OracleConfig(box=box, n_points=args.points,
                                   n_levels=len(spec.energies))
         res = oracle.eigensolve(lambda x: fam.W(p, x) ** 2 - fam.Wprime(p, x), cfg)
-        comparison = oracle.compare_spectra(spec, res.spectrum, mode="relative-gap",
-                                            tolerance=args.tolerance)
+        comparison = oracle.compare_spectra(spec, res.spectrum, tolerance=args.tolerance)
         payload["oracle"] = res.spectrum.to_json()
         payload["comparison"] = comparison.to_json()
         lines[0] += f"  {'oracle gap':>16}  {'deviation':>12}"
@@ -399,11 +399,13 @@ def cmd_radial(args, out) -> int:
             ok = worst < 1e-8
             all_ok &= ok
             rows.append((l, worst, ok))
+    # spherical_bessel_j refuses an r <= 0, before anything is printed
+    r = make_grid(*args.grid)
+    psi, reference = radial.spherical_bessel_j((ell, ell - 1), r)
+    if args.check_bessel:
         print(f"{'ell':>4}  {'max recurrence residual':>24}  pass", file=out)
         for l, worst, ok in rows:
             print(f"{l:>4}  {_fmt(worst):>24}  {ok}", file=out)
-    r = make_grid(*args.grid)
-    psi, reference = radial.spherical_bessel_j((ell, ell - 1), r)
     lowered = radial.radial_intertwine(ell, spectral.Wavefunction(x=r, values=psi, level=ell))
     dev = float(np.max(np.abs(lowered.values - reference)) / np.max(np.abs(reference)))
     ok = dev < 1e-5
@@ -435,12 +437,17 @@ class _HelpRequested(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that hands usage errors and --help to its caller.
+    """ArgumentParser that hands usage errors and --help to its caller, and
+    takes a token of - and a digit or .digit as a value, as in --grid -3:10:512.
 
     argparse prints them to sys.stderr and sys.stdout and exits; raising
     instead lets run_command write them to the stream of the job that made
-    them.  Subparsers inherit the class.
+    them.  No sip option starts with a digit.  Subparsers inherit the class.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}\n")

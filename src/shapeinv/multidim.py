@@ -11,6 +11,9 @@ the constant -(2 lam - 1) K: identically zero for harmonic seeds (K = 0).
 The scalar certificate behind this is |grad F|^2 + nabla^2 F + K = 0,
 whose log-form residual (nabla^2 chi)/chi + K is what the field check
 evaluates; it linearizes exactly to the seed equation.
+partner_fields(chi, lam, grid2d, mu) is the one entry point: it returns
+both fields, the ladder report for V_plus(lam) - V_minus(mu) and that
+residual.
 
 Shipped seeds: axially symmetric harmonic sums
 chi = sum_n (a_n r^n + b_n r^(-(n+1))) P_n(cos theta), built on our own
@@ -38,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .sampling import write_csv
-from .verify import VerificationReport, _constancy_report
+from .verify import _constancy_report
 
 __all__ = [
     "Region",
@@ -48,7 +51,6 @@ __all__ = [
     "plane_wave_seed",
     "make_grid2d",
     "partner_fields",
-    "verify_3d_shape_invariance",
     "fields_to_csv",
     "seed_manifest",
 ]
@@ -217,8 +219,8 @@ def plane_wave_seed(k: float, region: Region = DEFAULT_REGION) -> ScalarField2D:
     return field
 
 
-def _check_seed(field: ScalarField2D, n: int = 128) -> None:
-    R, TH = grid = make_grid2d(field.region, n, n)
+def _check_seed(field: ScalarField2D) -> None:
+    R, TH = grid = make_grid2d(field.region, 128, 128)
     chi, _, _, lap = _sample(field, grid)
     if np.min(chi) <= 0:
         bad = np.unravel_index(int(np.argmin(chi)), chi.shape)
@@ -231,7 +233,7 @@ def _check_seed(field: ScalarField2D, n: int = 128) -> None:
         raise ValueError("seed violates its Helmholtz equation on the region")
 
 
-def make_grid2d(region: Region, n_r: int = 128, n_theta: int = 128):
+def make_grid2d(region: Region, n_r: int, n_theta: int):
     r = np.linspace(region.r_lo, region.r_hi, n_r)
     th = np.linspace(region.theta_lo, region.theta_hi, n_theta)
     return np.meshgrid(r, th, indexing="ij")
@@ -267,43 +269,24 @@ def _log_derivatives(chi: ScalarField2D, grid2d):
     return g2, ratio - g2, float(np.max(np.abs(ratio + chi.K)))
 
 
-def _ladder_report(grid2d, g2, lap_f, lam, mu, tolerance) -> VerificationReport:
-    return _constancy_report(tuple(grid2d), (lam * lam - mu * mu) * g2 + (lam + mu) * lap_f,
-                             tolerance)
+def partner_fields(chi: ScalarField2D, lam: float, grid2d, mu: float):
+    """(V_minus, V_plus, ladder report, Riccati residual) for the
+    prepotential lam * log chi, from one seed evaluation.
 
-
-def partner_fields(chi: ScalarField2D, lam: float, grid2d, mu: float = None):
-    """Sampled (V_minus, V_plus) for the prepotential lam * log chi.
-
-    V_pm = lam^2 |grad F|^2 +- lam nabla^2 F with F = log chi, all
-    derivatives analytic.  Passing mu also returns the two certificates of
-    `sip 3d`, from the same seed evaluation: the ladder report for
-    V_plus(lam) - V_minus(mu) (see verify_3d_shape_invariance) and the
-    Riccati residual max |(nabla^2 chi)/chi + K| over the grid.  That is
-    the log form of |grad F|^2 + nabla^2 F + K = 0, exact whenever the
-    seed satisfies its Helmholtz equation; a seed that does not (for
-    example chi = r) reports an order-one residual rather than having it
-    masked.
+    V_pm = lam^2 |grad F|^2 +- lam nabla^2 F with F = log chi.  The ladder
+    report checks V_plus(lam) - V_minus(mu) for constancy to LADDER_TOL;
+    for a Helmholtz seed it is (lam + mu) [(lam - mu - 1) |grad F|^2 - K],
+    constant at the step mu = lam - 1, and the refit constant lets other
+    steps be probed.  The Riccati residual max |(nabla^2 chi)/chi + K| is
+    exact for a seed that satisfies its Helmholtz equation; one that does
+    not (for example chi = r) reports an order-one residual, not masked.
     """
     g2, lap_f, residual = _log_derivatives(chi, grid2d)
     vminus = lam * lam * g2 - lam * lap_f
     vplus = lam * lam * g2 + lam * lap_f
-    if mu is None:
-        return vminus, vplus
-    return vminus, vplus, _ladder_report(grid2d, g2, lap_f, lam, mu, LADDER_TOL), residual
-
-
-def verify_3d_shape_invariance(chi: ScalarField2D, lam: float, mu: float,
-                               grid2d, tolerance: float = LADDER_TOL) -> VerificationReport:
-    """Certify that V_plus(lam) - V_minus(mu) is constant over the region.
-
-    For a Helmholtz seed the difference field is
-    (lam + mu) [(lam - mu - 1) |grad F|^2 - K], so the step mu = lam - 1
-    is the one that turns it into the constant -(lam + mu) K; the report
-    carries the refit constant either way so other steps can be probed.
-    """
-    g2, lap_f, _ = _log_derivatives(chi, grid2d)
-    return _ladder_report(grid2d, g2, lap_f, lam, mu, tolerance)
+    report = _constancy_report(tuple(grid2d), (lam * lam - mu * mu) * g2 + (lam + mu) * lap_f,
+                               LADDER_TOL)
+    return vminus, vplus, report, residual
 
 
 def fields_to_csv(path, grid2d, vminus, vplus) -> None:

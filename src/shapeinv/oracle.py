@@ -93,8 +93,7 @@ class OracleResult:
         v, info = _lapack().dstein(diag, off, w, iblock, isplit)
         _check(info, "dstein")
         v = v[:, np.argsort(w)]
-        return [Wavefunction(x=x, values=fix_sign(normalize(v[:, n], x)), level=n,
-                             normalized=True)
+        return [Wavefunction(x=x, values=fix_sign(normalize(v[:, n], x)), level=n)
                 for n in range(cfg.n_levels)]
 
 
@@ -222,29 +221,23 @@ class SpectrumComparison:
         return asdict(self)
 
 
-def compare_spectra(a: Spectrum, b: Spectrum, mode: str = "relative-gap",
-                    tolerance: float = 1e-3) -> SpectrumComparison:
-    """Per-level deviations between two spectra.
+def compare_spectra(a: Spectrum, b: Spectrum, tolerance: float = 1e-3) -> SpectrumComparison:
+    """Per-level deviations between the gaps E_n - E_0 of two spectra.
 
-    relative-gap mode subtracts each spectrum's own E_0 first, removing
-    convention offsets; absolute mode compares raw energies.  Spectra of
+    Subtracting each spectrum's own E_0 removes convention offsets; the
+    comparison's mode records this as "relative-gap".  Spectra of
     different lengths are compared on the common prefix and flagged.
     """
     if not a.energies or not b.energies:
         raise ValueError("cannot compare empty spectra")
-    if mode not in ("absolute", "relative-gap"):
-        raise ValueError("mode must be 'absolute' or 'relative-gap'")
     n = min(len(a.energies), len(b.energies))
-    ea = np.asarray(a.energies[:n])
-    eb = np.asarray(b.energies[:n])
-    if mode == "relative-gap":
-        ea = ea - a.energies[0]
-        eb = eb - b.energies[0]
+    ea = np.asarray(a.energies[:n]) - a.energies[0]
+    eb = np.asarray(b.energies[:n]) - b.energies[0]
     dev = np.abs(ea - eb)
     return SpectrumComparison(
         deviations=[float(d) for d in dev],
         passed=bool(np.all(dev < tolerance)),
         tolerance=tolerance,
-        mode=mode,
+        mode="relative-gap",
         truncated=len(a.energies) != len(b.energies),
     )

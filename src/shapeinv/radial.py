@@ -136,7 +136,7 @@ def radial_intertwine(ell: int, psi_minus: Wavefunction) -> Wavefunction:
         raise ValueError("grid must not touch r = 0")
     h = uniform_step(r)
     vals = derivative(psi_minus.values, h) + (ell + 1.0) / r * psi_minus.values
-    return Wavefunction(x=r, values=vals, level=psi_minus.level, normalized=False)
+    return Wavefunction(x=r, values=vals, level=psi_minus.level)
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,6 @@ class Wavefunction:
     x: np.ndarray
     values: np.ndarray
     level: int = 0
-    normalized: bool = False
 
     def norm(self) -> float:
         return l2_norm(self.values, self.x)
@@ -152,7 +151,7 @@ def ground_state(W, grid) -> Wavefunction:
     """
     x = np.asarray(grid, dtype=float)
     uniform_step(x)
-    return Wavefunction(x=x, values=_ground_state(W, x), level=0, normalized=True)
+    return Wavefunction(x=x, values=_ground_state(W, x), level=0)
 
 
 def _ground_state(W, x: np.ndarray) -> np.ndarray:
@@ -181,7 +180,7 @@ def apply_A(W, psi: Wavefunction) -> Wavefunction:
     x = psi.x
     h = uniform_step(x)
     vals = derivative(psi.values, h) + np.asarray(W(x), float) * psi.values
-    return Wavefunction(x=x, values=vals, level=max(psi.level - 1, 0), normalized=False)
+    return Wavefunction(x=x, values=vals, level=max(psi.level - 1, 0))
 
 
 def apply_Adagger(W, psi: Wavefunction) -> Wavefunction:
@@ -189,7 +188,7 @@ def apply_Adagger(W, psi: Wavefunction) -> Wavefunction:
     x = psi.x
     h = uniform_step(x)
     vals = _raise(psi.values, h, np.asarray(W(x), float))
-    return Wavefunction(x=x, values=vals, level=psi.level + 1, normalized=False)
+    return Wavefunction(x=x, values=vals, level=psi.level + 1)
 
 
 def _raise(values: np.ndarray, h: float, w: np.ndarray) -> np.ndarray:
@@ -225,7 +224,7 @@ def ladder_wavefunctions(family: PotentialFamily, p: ParamSet, n_levels: int, gr
         for w in reversed(ws):
             vals = _raise(vals, h, w)
         vals = fix_sign(normalize(vals, x))
-        out.append(Wavefunction(x=x, values=vals, level=n, normalized=True))
+        out.append(Wavefunction(x=x, values=vals, level=n))
     return out
 
 

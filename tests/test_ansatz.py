@@ -17,7 +17,7 @@ from shapeinv.ansatz import (
     verify_case_riccati,
 )
 from shapeinv.catalog import get_family
-from shapeinv.sampling import SampledFunction, make_grid
+from shapeinv.sampling import NonFiniteValues, SampledFunction, make_grid
 from shapeinv.verify import verify_negation_condition, verify_shape_invariance
 
 from test_catalog_proofs import table_values
@@ -108,6 +108,13 @@ def test_riccati_pole_reported_not_clipped():
     with pytest.raises(PoleOnGrid) as info:
         verify_case_riccati(F, 0.0)
     assert len(info.value.locations) >= 1
+
+
+def test_pole_on_grid_is_a_non_finite_values_error_with_float_locations():
+    err = PoleOnGrid("grid crosses a pole", np.array([0.5, 1.0]))
+    assert isinstance(err, NonFiniteValues)
+    assert err.locations == (0.5, 1.0)
+    assert all(type(v) is float for v in err.locations)
 
 
 @pytest.mark.parametrize("K,branch,window", [

@@ -297,6 +297,32 @@ def test_radial_rejects_a_bad_grid(outdir, grid, capsys):
     _rejected_at_parse(["radial", "--ell", "3", f"--grid={grid}"], "--grid", capsys)
 
 
+@pytest.mark.parametrize("argv,option", [
+    (["verify", "morse"], ["--grid", "-3:10:512"]),
+    (["construct", "--K", "-1", "--branch", "cosh", "--alpha", "1", "--lambda", "2"],
+     ["--grid", "-2:2:64"]),
+    (["spectrum", "morse"], ["--offset", "-1e-3"]),
+    (["spectrum", "morse"], ["--offset", "-.5"]),
+    (["verify", "scarf-II-hyperbolic"], ["--B", "-2e0"]),
+], ids=["verify-grid", "construct-grid", "offset-exponent", "offset-dot", "parameter"])
+def test_a_negative_value_may_follow_its_option_after_a_space(outdir, argv, option, capsys):
+    spaced = run(argv + option)
+    assert spaced[0] == EXIT_PASS, spaced
+    assert spaced == run(argv + ["=".join(option)])
+    assert capsys.readouterr().err == ""
+
+
+def test_a_negative_level_count_is_still_refused():
+    assert run(["spectrum", "morse", "-n", "-1"]) == (EXIT_USAGE, "error: n_levels must be >= 1\n")
+
+
+@pytest.mark.parametrize("grid", [["--grid=-1:2:64"], ["--grid", "-1:2:64"], ["--grid=0:2:64"]])
+def test_radial_refuses_r_at_or_below_zero_before_printing(outdir, grid):
+    code, text = run(["radial", "--ell", "2", "--check-bessel", *grid])
+    assert (code, text) == (EXIT_USAGE, "error: r must be positive\n")
+    assert not (outdir / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("grid", ["1x1", "4x8", "8x4", "0x8", "8x", "8", "8x8x8", "axb"])
 def test_3d_rejects_a_bad_grid(outdir, grid, capsys):
     _rejected_at_parse(["3d", "--seed", "a0=2", "--lambda", "2", "--mu", "1",

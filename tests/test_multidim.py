@@ -46,7 +46,7 @@ def test_constant_seed(grid):
     R, TH = grid
     assert np.allclose(chi.evaluate(R, TH)[0], 1.0)
     assert np.max(np.abs(chi.evaluate(R, TH)[3])) < 1e-14
-    vm, vp = md.partner_fields(chi, 2.0, grid)
+    vm, vp = md.partner_fields(chi, 2.0, grid, mu=1.0)[:2]
     assert np.max(np.abs(vm)) == 0.0 and np.max(np.abs(vp)) == 0.0
 
 
@@ -55,7 +55,7 @@ def test_monopole_seed_fields(grid):
     chi = md.laplace_seed([(0, 0.0, 1.0)])
     R, TH = grid
     assert riccati_residual(chi, grid) < 1e-10
-    vm, vp = md.partner_fields(chi, 1.0, grid)
+    vm, vp = md.partner_fields(chi, 1.0, grid, mu=0.0)[:2]
     assert np.max(np.abs(vp)) < 1e-13
     assert np.max(np.abs(vm - 2.0 / R**2)) < 1e-12
 
@@ -115,7 +115,7 @@ def test_non_finite_difference_field_raises(grid):
 
     chi = md.ScalarField2D(evaluate=evaluate, region=md.DEFAULT_REGION)
     with pytest.raises(NonFiniteValues) as exc:
-        md.verify_3d_shape_invariance(chi, 2.0, 1.0, grid)
+        md.partner_fields(chi, 2.0, grid, mu=1.0)[2]
     rs, thetas = zip(*exc.value.locations)
     assert min(rs) > 1.4
     assert set(thetas) == set(grid[1][0].tolist())
@@ -176,7 +176,7 @@ def test_a_field_may_return_arrays_smaller_than_the_grid(grid):
     assert np.max(np.abs(vm - 2.0 / R**2)) < 1e-12
     assert np.max(np.abs(vp)) < 1e-12
     assert residual == 0.0 and report.passed
-    assert md.verify_3d_shape_invariance(chi, 2.0, 1.0, grid).passed
+    assert md.partner_fields(chi, 2.0, grid, mu=1.0)[2].passed
 
 
 def test_a_grid_that_is_not_a_tensor_product_in_ij_order_is_refused():
@@ -184,7 +184,7 @@ def test_a_grid_that_is_not_a_tensor_product_in_ij_order_is_refused():
     th = np.linspace(0.3, 2.8, 6)
     chi = md.laplace_seed([(0, 2.0, 0.0), (1, 1.0, 0.0)])
     with pytest.raises(ValueError, match="tensor-product grid"):
-        md.partner_fields(chi, 2.0, np.meshgrid(r, th))  # 'xy' order: theta varies down axis 0
+        md.partner_fields(chi, 2.0, np.meshgrid(r, th), mu=1.0)  # 'xy' order: theta varies down axis 0
 
 
 def test_seed_rejects_sign_changing_combination():
@@ -201,21 +201,21 @@ def test_seed_rejects_empty_terms():
 
 def test_3d_shape_invariance_unit_step(grid):
     chi = md.laplace_seed([(0, 2.0, 0.0), (1, 1.0, 0.0)])
-    rep = md.verify_3d_shape_invariance(chi, 2.0, 1.0, grid)
+    rep = md.partner_fields(chi, 2.0, grid, mu=1.0)[2]
     assert rep.passed
     assert rep.estimated_constant == pytest.approx(0.0, abs=1e-12)
 
 
 def test_3d_shape_invariance_rejects_other_steps(grid):
     chi = md.laplace_seed([(0, 2.0, 0.0), (1, 1.0, 0.0)])
-    assert not md.verify_3d_shape_invariance(chi, 2.0, 2.0, grid).passed
-    assert not md.verify_3d_shape_invariance(chi, 2.0, 0.5, grid).passed
+    assert not md.partner_fields(chi, 2.0, grid, mu=2.0)[2].passed
+    assert not md.partner_fields(chi, 2.0, grid, mu=0.5)[2].passed
 
 
 def test_degenerate_step_reports_laplacian_field(grid):
     # lam = mu leaves D = 2 lam nabla^2 F, constant only for constant |grad log chi|
     chi = md.laplace_seed([(0, 0.0, 1.0)])  # 1/r: nabla^2 F = -1/r^2, not constant
-    rep = md.verify_3d_shape_invariance(chi, 1.5, 1.5, grid)
+    rep = md.partner_fields(chi, 1.5, grid, mu=1.5)[2]
     assert not rep.passed
 
 
@@ -223,7 +223,7 @@ def test_multi_term_seed_certificate(grid):
     chi = md.laplace_seed([(0, 2.0, 0.0), (1, 1.0, 0.0), (2, 0.2, 0.05), (3, 0.0, 0.02)])
     assert riccati_residual(chi, grid) < 1e-10
     for lam in (1.5, 2.0, 3.0):
-        rep = md.verify_3d_shape_invariance(chi, lam, lam - 1.0, grid)
+        rep = md.partner_fields(chi, lam, grid, mu=lam - 1.0)[2]
         assert rep.passed and abs(rep.estimated_constant) < 1e-10
 
 
@@ -231,7 +231,7 @@ def test_plane_wave_seed_carries_negative_K(grid):
     pw = md.plane_wave_seed(0.7)
     assert pw.K == pytest.approx(-0.49)
     assert riccati_residual(pw, grid) < 1e-12
-    rep = md.verify_3d_shape_invariance(pw, 2.0, 1.0, grid)
+    rep = md.partner_fields(pw, 2.0, grid, mu=1.0)[2]
     assert rep.passed
     # Helmholtz seeds keep the unit-step ladder with constant -(lam+mu) K
     assert rep.estimated_constant == pytest.approx(-(2.0 + 1.0) * pw.K, abs=1e-10)
@@ -243,7 +243,7 @@ def test_axisymmetric_seed_matches_weighted_radial_scheme(grid):
     chi = md.laplace_seed([(0, 2.0, 1.0)])  # 2 + 1/r
     R, TH = grid
     lam = 2.0
-    vm, vp = md.partner_fields(chi, lam, grid)
+    vm, vp = md.partner_fields(chi, lam, grid, mu=lam - 1.0)[:2]
     r = R[:, 0]
 
     def Q(rr):
@@ -273,7 +273,7 @@ def test_positivity_guard_on_evaluation_grid():
 
 def test_csv_and_manifest_roundtrip(tmp_path, grid):
     chi = md.laplace_seed([(0, 2.0, 0.0), (1, 1.0, 0.0)])
-    vm, vp = md.partner_fields(chi, 2.0, grid)
+    vm, vp = md.partner_fields(chi, 2.0, grid, mu=1.0)[:2]
     path = tmp_path / "fields.csv"
     md.fields_to_csv(path, grid, vm, vp)
     lines = path.read_text().splitlines()

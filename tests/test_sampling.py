@@ -265,7 +265,7 @@ def test_write_csv_near_rounding_halves_is_byte_identical_to_percent_formatting(
 def test_write_csv_fields_table_is_byte_identical_to_percent_formatting(tmp_path):
     chi = multidim.laplace_seed([(0, 2.0, 0.0), (1, 1.0, 0.0)])
     grid = multidim.make_grid2d(chi.region, 256, 256)
-    vminus, vplus = multidim.partner_fields(chi, 2.0, grid)
+    vminus, vplus = multidim.partner_fields(chi, 2.0, grid, mu=1.0)[:2]
     _assert_same_csv(tmp_path, [*grid, vminus, vplus], "\r\n")
     # the 3D writer passes the axes, which the writer broadcasts to the cells
     multidim.fields_to_csv(tmp_path / "fields.csv", grid, vminus, vplus)

@@ -63,7 +63,7 @@ def test_ground_state_gaussian():
     psi = ground_state(lambda x: x, g)
     ref = np.exp(-g * g / 2.0)
     ref /= np.sqrt(np.trapezoid(ref**2, g))
-    assert psi.normalized and abs(psi.norm() - 1.0) < 1e-8
+    assert abs(psi.norm() - 1.0) < 1e-8
     assert np.max(np.abs(psi.values - ref)) < 1e-8
 
 
