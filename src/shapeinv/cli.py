@@ -360,11 +360,12 @@ def cmd_3d(args, out) -> int:
     grid2d = multidim.make_grid2d(region, *args.grid)
     lam, mu = getattr(args, "lambda"), args.mu
     vm, vp, report, ric = multidim.partner_fields(chi, lam, grid2d, mu=mu)
+    if not ric <= multidim.HELMHOLTZ_TOL:  # a NaN is refused too
+        raise ValueError("seed violates its Helmholtz equation on the region")
     payload = {**multidim.seed_manifest(chi, lam), "mu": mu, "riccati_residual": ric,
                "shape_invariance": report.to_json()}
-    passed = report.passed and ric < 1e-8
     _write_run(
-        args, ("seed", "lambda", "mu"), passed,
+        args, ("seed", "lambda", "mu"), report.passed,
         [("fields.csv", lambda path: multidim.fields_to_csv(path, grid2d, vm, vp)),
          ("seed.json", lambda path: _write_json(path, payload))],
     )
@@ -376,7 +377,7 @@ def cmd_3d(args, out) -> int:
         print(f"ladder constant:   {_fmt(report.estimated_constant)}", file=out)
         print(f"max deviation:     {_fmt(report.max_residual)}", file=out)
         print(f"passed:            {report.passed}", file=out)
-    return EXIT_PASS if passed else EXIT_FAIL
+    return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def cmd_radial(args, out) -> int:
@@ -438,16 +439,19 @@ class _HelpRequested(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that hands usage errors and --help to its caller, and
-    takes a token of - and a digit or .digit as a value, as in --grid -3:10:512.
+    takes a token of - and a digit or .digit as a value, as in --grid -3:10:512,
+    and so -inf, -infinity and -nan in any case.
 
     argparse prints them to sys.stderr and sys.stdout and exits; raising
     instead lets run_command write them to the stream of the job that made
-    them.  No sip option starts with a digit.  Subparsers inherit the class.
+    them.  No sip option starts with a digit or is -inf or -nan, but argparse
+    splits off a short option before it asks this pattern, so spectrum reads
+    -nan as -n an.  Subparsers inherit the class.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(inf(inity)?|nan)$", re.I)
 
     def error(self, message):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}\n")
@@ -549,7 +553,8 @@ def run_command(argv, out, err=None, job=None) -> int:
 
     Usage errors go to err, sys.stderr by default; a --batch job passes its
     own section's stream, and its 1-based position as job, which names the
-    directory its files go to.  --help goes to out.
+    directory its files go to; a job may not run a --batch itself.  --help
+    goes to out.
     """
     parser = _parser()
     try:
@@ -566,26 +571,14 @@ def run_command(argv, out, err=None, job=None) -> int:
     args.job = job
     try:
         if args.batch:
+            if job is not None:
+                raise ValueError("nested --batch is not allowed")
             return _run_batch(args.batch, out)
         return _HANDLERS[args.command](args, out)
     except (InvalidParameters, DomainViolation, KeyError, ValueError, MemoryError,
             ChildProcessError) as exc:
         print(f"error: {exc}", file=out)
         return EXIT_USAGE
-
-
-def _selects_batch(argv) -> bool:
-    """Whether argv selects --batch, also spelled --batch=FILE or --bat.
-
-    The top-level parser reads only the options before the subcommand, and
-    --batch is the only one of them that starts with --b.
-    """
-    for arg in argv:
-        if not arg.startswith("-"):
-            return False
-        if arg.startswith("--b"):
-            return True
-    return False
 
 
 def _run_job(line: str, job: int) -> tuple:
@@ -601,11 +594,7 @@ def _run_job(line: str, job: int) -> tuple:
         code = EXIT_USAGE
     else:
         print(f"$ sip {' '.join(argv)}", file=out)
-        if _selects_batch(argv):
-            print("error: nested --batch is not allowed", file=out)
-            code = EXIT_USAGE
-        else:
-            code = run_command(argv, out, err=out, job=job)
+        code = run_command(argv, out, err=out, job=job)
     print(f"[exit {code}]", file=out)
     return code, out.getvalue()
 

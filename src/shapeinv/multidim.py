@@ -13,7 +13,9 @@ whose log-form residual (nabla^2 chi)/chi + K is what the field check
 evaluates; it linearizes exactly to the seed equation.
 partner_fields(chi, lam, grid2d, mu) is the one entry point: it returns
 both fields, the ladder report for V_plus(lam) - V_minus(mu) and that
-residual.
+residual.  A seed is judged there, on that grid, not when it is built: a
+chi that is not positive is refused, and sip 3d refuses a residual above
+HELMHOLTZ_TOL.
 
 Shipped seeds: axially symmetric harmonic sums
 chi = sum_n (a_n r^n + b_n r^(-(n+1))) P_n(cos theta), built on our own
@@ -76,6 +78,9 @@ DEFAULT_REGION = Region(0.5, 1.5, 0.3, 2.8)
 #: flatness bound of the ladder certificate
 LADDER_TOL = 1e-8
 
+#: bound on the Riccati residual of a seed that sip 3d takes to solve its equation
+HELMHOLTZ_TOL = 1e-10
+
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _LOG_FLOAT_RANGE = _LOG_FLOAT_MAX - math.log(np.finfo(float).tiny)
 
@@ -91,8 +96,8 @@ class ScalarField2D:
     the grid's (a field constant in theta may return (n_r, 1) arrays).  K
     is the Helmholtz constant of the seed equation nabla^2 chi + K chi = 0
     (zero for harmonic seeds).
-    The Laplacian must be the spherical Laplacian of chi; consistency is
-    spot-checked by finite differences at construction sites, not here.
+    The Laplacian must be the spherical Laplacian of chi; sip 3d bounds
+    the residual partner_fields returns for it by HELMHOLTZ_TOL.
     """
 
     evaluate: Callable
@@ -145,11 +150,11 @@ def laplace_seed(terms, region: Region = DEFAULT_REGION) -> ScalarField2D:
     Refuses a term that a float cannot carry across the region, before any
     Legendre recurrence runs: a used power of r that overflows, or a degree
     n whose r^(n+1) spans more than the float range between r_lo and r_hi.
-    Terms with both coefficients zero are dropped.  Checks on a 128x128
-    region scan: chi > 0 everywhere (the log would be undefined otherwise)
-    and the pointwise harmonicity residual |nabla^2 chi| < 1e-10 |chi|.  The
+    Terms with both coefficients zero are dropped.  Nothing is evaluated
+    here: partner_fields refuses chi <= 0 on its grid and sip 3d bounds
+    the harmonicity residual max |nabla^2 chi / chi| by HELMHOLTZ_TOL.  The
     Laplacian is assembled from the radial and angular second derivatives
-    rather than set to zero, so the residual check stays meaningful.
+    rather than set to zero, so that residual stays meaningful.
     """
     terms = tuple((int(n), float(a), float(b)) for n, a, b in terms)
     if not terms:
@@ -199,13 +204,12 @@ def laplace_seed(terms, region: Region = DEFAULT_REGION) -> ScalarField2D:
         lap = v_rr + 2.0 * v_r / r + (v_tt + v_t / np.tan(theta)) / r**2
         return val, v_r, v_t, lap
 
-    field = ScalarField2D(evaluate=evaluate, region=region, K=0.0, terms=terms)
-    _check_seed(field)
-    return field
+    return ScalarField2D(evaluate=evaluate, region=region, K=0.0, terms=terms)
 
 
 def plane_wave_seed(k: float, region: Region = DEFAULT_REGION) -> ScalarField2D:
-    """chi = exp(k z) = exp(k r cos theta); nabla^2 chi = k^2 chi, so K = -k^2."""
+    """chi = exp(k z) = exp(k r cos theta); nabla^2 chi = k^2 chi, so K = -k^2.
+    Judged, like laplace_seed's, only on the grid partner_fields is given."""
     k = float(k)
 
     def evaluate(r, theta):
@@ -214,23 +218,7 @@ def plane_wave_seed(k: float, region: Region = DEFAULT_REGION) -> ScalarField2D:
         d_theta = -k * np.asarray(r, float) * np.sin(theta) * value
         return value, d_r, d_theta, k * k * value
 
-    field = ScalarField2D(evaluate=evaluate, region=region, K=-k * k)
-    _check_seed(field)
-    return field
-
-
-def _check_seed(field: ScalarField2D) -> None:
-    R, TH = grid = make_grid2d(field.region, 128, 128)
-    chi, _, _, lap = _sample(field, grid)
-    if np.min(chi) <= 0:
-        bad = np.unravel_index(int(np.argmin(chi)), chi.shape)
-        raise ValueError(
-            f"seed is not positive on its region (chi <= 0 near r={R[bad]:.3f}, "
-            f"theta={TH[bad]:.3f})"
-        )
-    res = np.abs(lap + field.K * chi)
-    if np.max(res / np.abs(chi)) > 1e-10:
-        raise ValueError("seed violates its Helmholtz equation on the region")
+    return ScalarField2D(evaluate=evaluate, region=region, K=-k * k)
 
 
 def make_grid2d(region: Region, n_r: int, n_theta: int):
@@ -258,10 +246,13 @@ def _sample(chi: ScalarField2D, grid2d):
 
 def _log_derivatives(chi: ScalarField2D, grid2d):
     """(|grad F|^2, nabla^2 F, max |(nabla^2 chi)/chi + K|) for F = log chi,
-    from one seed evaluation on the grid."""
+    from one seed evaluation on the grid, which must keep chi positive."""
     val, chi_r, chi_theta, lap = _sample(chi, grid2d)
-    if np.min(val) <= 0:
-        raise ValueError("chi must be positive on the grid (log undefined)")
+    if np.min(val) <= 0:  # the log is undefined there
+        R, TH = grid2d
+        bad = np.unravel_index(int(np.argmin(val)), val.shape)
+        raise ValueError(f"seed is not positive on its region (chi <= 0 near r={R[bad]:.3f}, "
+                         f"theta={TH[bad]:.3f})")
     gr = chi_r / val
     gt = chi_theta / (grid2d[0] * val)
     g2 = gr * gr + gt * gt

@@ -316,6 +316,30 @@ def test_a_negative_level_count_is_still_refused():
     assert run(["spectrum", "morse", "-n", "-1"]) == (EXIT_USAGE, "error: n_levels must be >= 1\n")
 
 
+@pytest.mark.parametrize("argv,option,message", [
+    (["spectrum", "morse"], ["--offset", "-inf"], "must be finite, got '-inf'"),
+    (["spectrum", "morse"], ["--offset", "-Infinity"], "must be finite, got '-Infinity'"),
+    (["verify", "morse"], ["--A", "-nan"], "error: morse: non-finite parameter value"),
+], ids=["offset-inf", "offset-infinity", "parameter-nan"])
+def test_a_non_finite_value_after_a_space_is_refused_as_with_equals(argv, option, message,
+                                                                     capsys):
+    spaced = run(argv + option), capsys.readouterr()
+    joined = run(argv + ["=".join(option)]), capsys.readouterr()
+    assert spaced == joined
+    (code, text), (_, err) = spaced
+    assert code == EXIT_USAGE
+    assert message in text + err
+
+
+def test_words_that_start_like_inf_or_nan_stay_options(capsys):
+    assert run(["verify", "morse", "-information"])[0] == EXIT_USAGE
+    assert "sip: error: unrecognized arguments: -information" in capsys.readouterr().err
+    # argparse splits off spectrum's short option -n before it asks whether
+    # a token is a value, so -nan is -n with the value an
+    assert run(["spectrum", "morse", "--offset", "-nan"])[0] == EXIT_USAGE
+    assert "argument --offset: expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("grid", [["--grid=-1:2:64"], ["--grid", "-1:2:64"], ["--grid=0:2:64"]])
 def test_radial_refuses_r_at_or_below_zero_before_printing(outdir, grid):
     code, text = run(["radial", "--ell", "2", "--check-bessel", *grid])
@@ -409,6 +433,30 @@ def test_3d_refuses_a_seed_term_that_overflows_before_the_recurrence(tmp_path, m
     assert code == EXIT_USAGE
     assert text == ("error: bad seed term of degree 3000: r^3000 or r^-3001 overflows "
                     "on the region r in [0.5, 1.5]\n")
+    assert not out.exists()
+
+
+def test_3d_refuses_a_seed_that_is_not_positive_on_its_grid(tmp_path, capsys):
+    out = tmp_path / "D"
+    code, text = run(["3d", "--seed", "a1=1", "--lambda", "2", "--mu", "1", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert text == "error: seed is not positive on its region (chi <= 0 near r=1.500, theta=2.800)\n"
+    assert capsys.readouterr().err == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("patch", ["zero-bound", "nan-residual"])
+def test_3d_refuses_a_seed_that_misses_its_helmholtz_equation(patch, tmp_path, monkeypatch):
+    if patch == "zero-bound":  # a0=2,a1=1 leaves a rounding residual of about 7e-16
+        monkeypatch.setattr(multidim, "HELMHOLTZ_TOL", 0.0)
+    else:
+        fields = multidim.partner_fields
+        monkeypatch.setattr(multidim, "partner_fields",
+                            lambda *a, **k: (*fields(*a, **k)[:3], math.nan))
+    out = tmp_path / "D"
+    code, text = run(["3d", "--seed", "a0=2,a1=1", "--lambda", "2", "--mu", "1",
+                      "--out", str(out)])
+    assert (code, text) == (EXIT_USAGE, "error: seed violates its Helmholtz equation on the region\n")
     assert not out.exists()
 
 
@@ -794,6 +842,17 @@ def test_nested_batch_is_refused(outdir, tmp_path, form):
     assert text.count("$ sip ") == 2
     assert text.endswith(f"$ sip {nested}\nerror: nested --batch is not allowed\n[exit 2]\n")
     assert "[exit 0]" in text  # the job before it still ran
+
+
+def test_a_nested_batch_without_its_file_is_a_usage_error_of_its_job(outdir, tmp_path, capsys):
+    jobfile = tmp_path / "jobs.txt"
+    jobfile.write_text("verify shifted-oscillator --omega 2 --b 0\n--batch\n")
+    code, text = run(["--batch", str(jobfile)])
+    assert code == EXIT_USAGE
+    section = text[text.index("$ sip --batch\n"):]
+    assert section.startswith("$ sip --batch\nusage: sip ")
+    assert section.endswith("sip: error: argument --batch: expected one argument\n[exit 2]\n")
+    assert capsys.readouterr().err == ""
 
 
 def test_batch_parse_error_goes_to_the_job_section(outdir, tmp_path, capsys):

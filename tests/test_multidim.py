@@ -121,8 +121,9 @@ def test_non_finite_difference_field_raises(grid):
     assert set(thetas) == set(grid[1][0].tolist())
 
 
-def test_sip_3d_evaluates_the_seed_on_its_axes_at_most_twice(tmp_path, monkeypatch):
-    # once for the seed check, once on the grid; each time on the axes alone
+def test_sip_3d_evaluates_the_seed_once_on_its_axes(tmp_path, monkeypatch):
+    # building the seed evaluates nothing; partner_fields evaluates it on the
+    # axes of the command's grid, and that one evaluation is also its check
     calls = []
     field = md.ScalarField2D
 
@@ -136,7 +137,7 @@ def test_sip_3d_evaluates_the_seed_on_its_axes_at_most_twice(tmp_path, monkeypat
     argv = ["3d", "--seed", "a0=2,a1=1", "--lambda", "2", "--mu", "1",
             "--grid", "16x24", "--out", str(tmp_path)]
     assert run_command(argv, StringIO()) == EXIT_PASS
-    assert calls == [((128, 1), (1, 128)), ((16, 1), (1, 24))]
+    assert calls == [((16, 1), (1, 24))]
 
 
 def _bits(arrays):
@@ -187,9 +188,12 @@ def test_a_grid_that_is_not_a_tensor_product_in_ij_order_is_refused():
         md.partner_fields(chi, 2.0, np.meshgrid(r, th), mu=1.0)  # 'xy' order: theta varies down axis 0
 
 
-def test_seed_rejects_sign_changing_combination():
-    with pytest.raises(ValueError):
-        md.laplace_seed([(1, 1.0, 0.0)])  # r cos(theta) changes sign on the region
+def test_seed_rejects_sign_changing_combination(grid):
+    chi = md.laplace_seed([(1, 1.0, 0.0)])  # r cos(theta) changes sign on the region
+    with pytest.raises(ValueError) as exc:
+        md.partner_fields(chi, 2.0, grid, mu=1.0)
+    assert str(exc.value) == \
+        "seed is not positive on its region (chi <= 0 near r=1.500, theta=2.800)"
 
 
 def test_seed_rejects_empty_terms():
