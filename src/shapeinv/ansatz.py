@@ -11,8 +11,8 @@ mu = lam - alpha.  Two extensions cover the two-parameter catalog
 families:
 
 - second solution: W = lam*F + phi with phi' + F*phi = C, solved by the
-  integrating factor u (exp of the antiderivative of F), closed form for
-  the named branches and quadrature for custom seeds;
+  integrating factor u (exp of the antiderivative of F), in closed form
+  for the named branches;
 - constant shift: W = lam*F + c/lam, which preserves shape invariance and
   contributes c^2 (1/lam^2 - 1/mu^2) to R.
 
@@ -29,13 +29,15 @@ stay finite where sinh and cosh overflow.
     exp      -c^2   exp(c xi)      c                exp(-c xi)
 
 The second solution is phi = C*(int u)/u + D/u, where (int u)/u = -F/K
-for K != 0 and xi*(s*xi/2 + t)/(s*xi + t) for the linear seed.  A custom
-seed supplies u and u' (and optionally the integral of u) as callables.
+for K != 0 and xi*(s*xi/2 + t)/(s*xi + t) for the linear seed.
 
 A generalized variant accepts a seed solving u'' + (K - V0(xi)) u = 0,
 i.e. a Schrodinger solution at energy K in a potential V0.  The partner
 difference then carries the x-dependent term (lam^2 - mu^2) V0(alpha x)
-on top of the constant -(lam^2 - mu^2) K.
+on top of the constant -(lam^2 - mu^2) K.  Such a custom seed (u and u'
+as callables on a working interval, from integrate_seed) is only ever the
+input of construct_generalized: it takes no second solution, and
+pole_free_grid does not locate its zeros.
 """
 
 from __future__ import annotations
@@ -46,13 +48,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sampling import (
-    NonFiniteValues,
-    SampledFunction,
-    cumulative_integral,
-    derivative,
-    make_grid,
-)
+from .sampling import NonFiniteValues, SampledFunction, derivative, make_grid
 
 __all__ = [
     "SeedSolution",
@@ -74,6 +70,9 @@ BRANCHES = ("linear", "sin", "cos", "sinh", "cosh", "exp", "custom")
 
 #: |F| beyond this on a grid is treated as a pole, not a value
 POLE_THRESHOLD = 1e12
+
+#: relative residual bound on a custom seed's equation, u'' differenced from u'
+CUSTOM_SEED_TOL = 1e-6
 
 
 class BranchError(ValueError):
@@ -107,10 +106,9 @@ class SeedSolution:
     """A solution u of u'' + K u = 0 (or the generalized seed equation).
 
     A named branch is its constants and the closed forms of F = u'/u and
-    1/u in the module table.  A custom branch supplies u and uprime as
-    callables plus a working interval in the scaled variable xi;
-    ``u_integral`` is the antiderivative of u that the second-solution
-    extension fills by quadrature.
+    1/u in the module table.  A custom branch, the input of the generalized
+    construction, supplies u and uprime as callables plus a working
+    interval in the scaled variable xi, and has only F.
     """
 
     K: float
@@ -119,7 +117,6 @@ class SeedSolution:
     u: Optional[Callable] = None
     uprime: Optional[Callable] = None
     interval: Optional[tuple] = None
-    u_integral: Optional[Callable] = None
 
     def __post_init__(self):
         if self.branch not in BRANCHES:
@@ -135,29 +132,23 @@ class SeedSolution:
     def inverse(self, xi):
         """1/u at xi."""
         xi = np.asarray(xi, dtype=float)
-        if self.branch == "custom":
-            return 1.0 / self.u(xi)
         return _CLOSED_FORMS[self.branch][1](self.constants, xi)
 
     def integral_ratio(self, xi):
         """(int u)/u at xi, the coefficient of C in the second solution."""
         xi = np.asarray(xi, dtype=float)
-        if self.branch == "custom":
-            return self.u_integral(xi) / self.u(xi)
         if self.branch == "linear":
             s, t = self.constants["slope"], self.constants["intercept"]
             return xi * (0.5 * s * xi + t) / (s * xi + t)
         return -self.F(xi) / self.K
 
 
-def free_particle_seed(K: float, branch: str, slope: float = 1.0, intercept: float = 0.0,
-                       u=None, uprime=None, interval=None) -> SeedSolution:
-    """Build the branch solution of u'' + K u = 0.
+def free_particle_seed(K: float, branch: str, slope: float = 1.0,
+                       intercept: float = 0.0) -> SeedSolution:
+    """Build the named branch solution of u'' + K u = 0.
 
     linear requires K = 0; sin/cos require K > 0; sinh/cosh/exp require
-    K < 0.  A custom branch takes u/uprime callables and is
-    residual-checked by central differences on its working interval
-    (tolerance 1e-8).
+    K < 0.  A custom seed comes from integrate_seed instead.
     """
     K = float(K)
     if branch == "linear":
@@ -174,16 +165,10 @@ def free_particle_seed(K: float, branch: str, slope: float = 1.0, intercept: flo
         if K >= 0.0:
             raise BranchError(f"{branch} branch requires K < 0")
         return SeedSolution(K, branch, {"c": math.sqrt(-K)})
-    if branch == "custom":
-        if u is None or uprime is None or interval is None:
-            raise BranchError("custom branch needs u, uprime and a working interval")
-        seed = SeedSolution(K, "custom", {}, u, uprime, interval=tuple(interval))
-        _check_custom_seed(seed, lambda xi: np.full_like(xi, K), tol=1e-8)
-        return seed
-    raise BranchError(f"unknown branch {branch!r}")
+    raise BranchError(f"not a named branch: {branch!r}")
 
 
-def _check_custom_seed(seed: SeedSolution, Keff, tol: float) -> None:
+def _check_custom_seed(seed: SeedSolution, Keff) -> None:
     """Residual check u'' + Keff(xi) u = 0 with u'' from differencing uprime."""
     lo, hi = seed.interval
     xi = make_grid(lo, hi, 1024)
@@ -192,7 +177,7 @@ def _check_custom_seed(seed: SeedSolution, Keff, tol: float) -> None:
     upp = derivative(up, xi[1] - xi[0])
     scale = max(np.max(np.abs(upp)), np.max(np.abs(Keff(xi) * u)), 1e-300)
     res = np.max(np.abs(upp + Keff(xi) * u)[2:-2]) / scale
-    if res > tol:
+    if res > CUSTOM_SEED_TOL:
         raise ValueError(f"custom seed does not solve its equation (residual {res:.2e})")
     if np.min(np.abs(u)) == 0.0 or np.min(u) * np.max(u) < 0:
         raise PoleOnGrid("custom seed has a node on its working interval",
@@ -223,6 +208,8 @@ class ConstructedSuperpotential:
             raise ValueError("alpha (the ladder step) must be nonzero")
         if self.shift_const is not None and self.lam == 0.0:
             raise ValueError("constant shift needs lam != 0")
+        if self.C is not None and self.seed.branch == "custom":
+            raise ValueError("a second solution needs a named seed")
 
     # --- seed log-derivative ------------------------------------------------
     def F_xi(self, xi):
@@ -360,32 +347,12 @@ def verify_case_riccati(F: SampledFunction, K: float) -> float:
 def extend_second_solution(base: ConstructedSuperpotential, C: float, D: float) -> ConstructedSuperpotential:
     """Attach phi solving phi' + F phi = C, phi = C * (int u)/u + D/u.
 
-    Exact for the named branches (the module table); a custom seed gets
-    the antiderivative of u by cumulative Simpson quadrature on its working
-    interval, Richardson-checked at half step against a 1e-9 tolerance.
+    Exact for the named branches (the module table); a custom seed is
+    refused (a second solution needs a named seed).
     """
     if base.C is not None:
         raise ValueError("base already carries a second-solution term")
-    seed = base.seed
-    if seed.branch == "custom":
-        seed = replace(seed, u_integral=_integral_by_quadrature(seed))
-    return replace(base, seed=seed, C=float(C), D=float(D))
-
-
-def _integral_by_quadrature(seed: SeedSolution):
-    """A spline of the integral of u from the left end of the working interval."""
-    from scipy.interpolate import CubicSpline
-
-    if seed.interval is None:
-        raise ValueError("custom seed needs a working interval for its quadrature")
-    lo, hi = seed.interval
-    xi = make_grid(lo, hi, 4097)
-    u = np.asarray(seed.u(xi), float)
-    full = cumulative_integral(u, xi)
-    halfres = cumulative_integral(u[::2], xi[::2])
-    if np.max(np.abs(full[::2] - halfres)) > 1e-9 * max(1.0, np.max(np.abs(full))):
-        raise ValueError("quadrature for the second solution missed 1e-9 (refine grid)")
-    return CubicSpline(xi, full)
+    return replace(base, C=float(C), D=float(D))
 
 
 def extend_constant_shift(base: ConstructedSuperpotential, c: float) -> ConstructedSuperpotential:
@@ -396,6 +363,8 @@ def extend_constant_shift(base: ConstructedSuperpotential, c: float) -> Construc
     ladder-dependent cross term 2*phi*c/lam and generally breaks the
     certificate; the verifier will report it honestly.
     """
+    if base.lam - base.alpha == 0.0:
+        raise ValueError("constant shift needs lam - alpha != 0 (the partner's c/mu is undefined)")
     return replace(base, shift_const=float(c))
 
 
@@ -458,7 +427,7 @@ def construct_generalized(V0, K: float, u_seed: SeedSolution, alpha: float,
         raise ValueError("alpha must be nonzero")
     if u_seed.branch != "custom" or u_seed.interval is None:
         raise ValueError("generalized construction expects a custom seed with interval")
-    _check_custom_seed(u_seed, lambda xi: K - np.asarray(V0(xi), float), tol=1e-6)
+    _check_custom_seed(u_seed, lambda xi: K - np.asarray(V0(xi), float))
     return ConstructedSuperpotential(
         seed=replace(u_seed, K=float(K)),
         alpha=float(alpha),
@@ -470,14 +439,12 @@ def construct_generalized(V0, K: float, u_seed: SeedSolution, alpha: float,
 def pole_free_grid(cons: ConstructedSuperpotential, lo: float, hi: float, n: int):
     """Uniform grid on the largest pole-free subinterval of [lo, hi].
 
-    Zeros of the seed u (poles of W) are located per branch and excluded
-    with a margin of 1e-3 times the interval length; the poles found are
-    returned alongside the grid rather than evaluated across.
+    Zeros of a named seed u (poles of W) are located per branch and
+    excluded with a margin of 1e-3 times the interval length; the poles
+    found are returned alongside the grid rather than evaluated across.
+    A window with more poles than n, or a custom seed, is refused.
     """
-    seed, alpha = cons.seed, cons.alpha
-    xi_lo, xi_hi = sorted((alpha * lo, alpha * hi))
-    poles_xi = _seed_zeros(seed, xi_lo, xi_hi)
-    poles_x = sorted(p / alpha for p in poles_xi)
+    poles_x = sorted(p / cons.alpha for p in _seed_zeros(cons, lo, hi, n))
     margin = 1e-3 * (hi - lo)
     edges = [lo] + [p for p in poles_x if lo < p < hi] + [hi]
     best = None
@@ -491,7 +458,10 @@ def pole_free_grid(cons: ConstructedSuperpotential, lo: float, hi: float, n: int
     return make_grid(best[0], best[1], n), poles_x
 
 
-def _seed_zeros(seed: SeedSolution, xi_lo: float, xi_hi: float):
+def _seed_zeros(cons: ConstructedSuperpotential, lo: float, hi: float, n: int):
+    """Zeros of the seed, in xi, for x in (lo, hi); more than n are refused."""
+    seed = cons.seed
+    xi_lo, xi_hi = sorted((cons.alpha * lo, cons.alpha * hi))
     if seed.branch in ("cosh", "exp"):
         return []
     if seed.branch == "sinh":
@@ -507,9 +477,8 @@ def _seed_zeros(seed: SeedSolution, xi_lo: float, xi_hi: float):
         half = 0.0 if seed.branch == "sin" else 0.5
         m_lo = math.ceil(k * xi_lo / math.pi - half)
         m_hi = math.floor(k * xi_hi / math.pi - half)
+        if m_hi - m_lo + 1 > n:
+            raise ValueError(f"W has {m_hi - m_lo + 1:.12g} poles on the window [{lo:.12g}, {hi:.12g}],"
+                             f" more than the grid's {n} points")
         return [(m + half) * math.pi / k for m in range(m_lo, m_hi + 1)]
-    # custom: sign-change scan
-    xi = make_grid(xi_lo, xi_hi, 4096)
-    u = np.asarray(seed.u(xi), float)
-    flips = np.nonzero(np.sign(u[1:]) != np.sign(u[:-1]))[0]
-    return [0.5 * (xi[i] + xi[i + 1]) for i in flips]
+    raise ValueError("the poles of a custom seed are not located; pole_free_grid needs a named seed")

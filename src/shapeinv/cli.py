@@ -41,7 +41,6 @@ import numpy as np
 
 from . import __version__
 from .catalog import (
-    DomainViolation,
     InvalidParameters,
     FAMILY_NAMES,
     family_descriptor,
@@ -575,9 +574,11 @@ def run_command(argv, out, err=None, job=None) -> int:
                 raise ValueError("nested --batch is not allowed")
             return _run_batch(args.batch, out)
         return _HANDLERS[args.command](args, out)
-    except (InvalidParameters, DomainViolation, KeyError, ValueError, MemoryError,
-            ChildProcessError) as exc:
+    except (KeyError, ValueError, MemoryError, ChildProcessError) as exc:
         print(f"error: {exc}", file=out)
+        return EXIT_USAGE
+    except ArithmeticError as exc:  # an input whose arithmetic overflows or divides by zero
+        print(f"error: {type(exc).__name__}: {exc}", file=out)
         return EXIT_USAGE
 
 

@@ -186,8 +186,8 @@ def cumulative_integral(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     initial=0.0), in its operation order, so every value is bit-identical
     to it; keeping it here spares every sip command the scipy.integrate
     import.  scipy is loaded only for the oracle eigensolve (its LAPACK
-    wrapper module alone, not the linalg package) and for custom-seed
-    quadrature and integration (scipy.interpolate, scipy.integrate).
+    wrapper module alone, not the linalg package) and for integrating a
+    generalized seed (scipy.integrate).
     Needs at least 3 samples on a strictly increasing grid.
 
     scipy integrates each interval over a three-point window: intervals 0,

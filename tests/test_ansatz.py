@@ -170,20 +170,19 @@ def test_second_solution_defining_ode_holds():
     assert np.max(np.abs(res[2:-2])) < 1e-6
 
 
-def test_second_solution_quadrature_matches_closed_form():
-    # a custom exponential seed is extended by quadrature
-    seed = free_particle_seed(
-        -1.0, "custom",
-        u=lambda xi: np.exp(xi),
-        uprime=lambda xi: np.exp(xi),
-        interval=(-2.0, 4.0),
-    )
+def _free_custom_seed(K, interval, u0, uprime0):
+    """A custom seed of u'' + K u = 0, integrated as the generalized construction's are."""
+    return integrate_seed(lambda xi: np.zeros_like(np.asarray(xi, float)), K, interval, u0, uprime0)
+
+
+def test_second_solution_refuses_a_custom_seed():
+    # a custom seed serves the generalized construction only; u = e^xi
+    seed = _free_custom_seed(-1.0, (-2.0, 4.0), np.exp(-2.0), np.exp(-2.0))
     cons = ansatz.ConstructedSuperpotential(seed=seed, alpha=1.0, lam=4.0)
-    ext = extend_second_solution(cons, 0.5, -2.0)
-    x = make_grid(-1.5, 3.5, 256)
-    # phi = (C int(u) + D)/u with int(u) = e^xi - e^{-2} (quadrature starts at -2)
-    expected = (0.5 * (np.exp(x) - np.exp(-2.0)) - 2.0) / np.exp(x)
-    assert np.max(np.abs(ext.phi(x) - expected)) < 1e-8
+    with pytest.raises(ValueError, match="^a second solution needs a named seed$"):
+        extend_second_solution(cons, 0.5, -2.0)
+    with pytest.raises(BranchError):
+        free_particle_seed(1.0, "custom")
 
 
 def test_constant_shift_examples():
@@ -379,17 +378,12 @@ def test_pole_free_grid_avoids_sin_zeros():
     assert np.all(np.isfinite(cons.W(grid)))
 
 
-def test_pole_free_grid_scans_a_custom_seed_for_zeros():
-    # a custom seed has no closed-form zeros: they come from a sign-change scan
-    seed = free_particle_seed(1.0, "custom", u=np.cos, uprime=lambda xi: -np.sin(xi),
-                              interval=(-1.0, 1.0))
+def test_pole_free_grid_refuses_a_custom_seed():
+    # a custom seed has no closed-form zeros, and none are searched for; u = cos xi
+    seed = _free_custom_seed(1.0, (-1.0, 1.0), np.cos(-1.0), -np.sin(-1.0))
     cons = ansatz.ConstructedSuperpotential(seed=seed, alpha=1.0, lam=1.0)
-    grid, poles = pole_free_grid(cons, 0.0, 3.0, 256)
-    spacing = 3.0 / (4096 - 1)  # the scan's own grid
-    assert len(poles) == 1
-    assert abs(poles[0] - np.pi / 2) < spacing
-    assert grid[0] == 0.0 and grid[-1] < np.pi / 2
-    assert np.all(np.isfinite(cons.W(grid)))
+    with pytest.raises(ValueError, match="pole_free_grid needs a named seed"):
+        pole_free_grid(cons, 0.0, 3.0, 256)
 
 
 def test_pole_free_grid_no_poles_for_cosh():

@@ -1068,3 +1068,55 @@ def test_more_oracle_levels_than_points_is_a_usage_error(tmp_path):
     assert proc.stdout == ("error: n_levels (600) must be <= n_points (500): "
                            "the grid has only n_points levels\n")
     assert proc.stderr == ""
+
+
+#: inputs whose float arithmetic overflows, or divides by zero at the partner rung
+_ARITHMETIC_FAILURES = [
+    "construct --K 0 --branch linear --alpha 1 --lambda 1 --shift 1 --out out",
+    "spectrum morse --A 1e200 -n 3",
+    "spectrum coulomb --e2 1e200 -n 3",
+    "spectrum rosen-morse-II-hyperbolic --A 1e200 --B 1 -n 2",
+    "radial --ell 3 --grid 0.5:1e300:64 --out out",
+]
+
+
+@pytest.mark.parametrize("line", _ARITHMETIC_FAILURES)
+def test_an_arithmetic_failure_is_one_error_line(tmp_path, line):
+    proc = subprocess.run([sys.executable, "-m", "shapeinv.cli", *line.split()],
+                          capture_output=True, text=True, env=_fresh_env(), cwd=tmp_path,
+                          timeout=120)
+    assert proc.returncode == EXIT_USAGE
+    assert len(proc.stdout.splitlines()) == 1 and proc.stdout.startswith("error: ")
+    assert proc.stderr == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@_linux_only
+def test_an_overflow_ends_only_its_own_batch_job(tmp_path, monkeypatch):
+    from shapeinv import cli
+
+    jobfile = tmp_path / "jobs.txt"
+    jobfile.write_text("spectrum morse --A 1e200 -n 3\nverify morse\n")
+    transcripts = []
+    for workers in (2, 1):
+        monkeypatch.setattr(cli, "_worker_count", lambda n_jobs: min(n_jobs, workers))
+        transcripts.append(run(["--batch", str(jobfile)]))
+    assert transcripts[0] == transcripts[1]
+    code, text = transcripts[0]
+    assert code == EXIT_USAGE
+    first, second = text.split("$ sip ")[1:]
+    assert first == ("spectrum morse --A 1e200 -n 3\n"
+                     "error: OverflowError: (34, 'Numerical result out of range')\n[exit 2]\n")
+    assert second.startswith("verify morse\n") and second.endswith("[exit 0]\n")
+
+
+def test_construct_refuses_more_poles_than_grid_points(tmp_path):
+    # sin(1e150 x) has about 1e150 zeros on the default window; listing them never ends
+    proc = subprocess.run([sys.executable, "-m", "shapeinv.cli", "construct", "--K", "1e300",
+                           "--branch", "sin", "--alpha", "1", "--lambda", "1"],
+                          capture_output=True, text=True, env=_fresh_env(), cwd=tmp_path,
+                          timeout=20)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ("error: W has 9.23098669933e+149 poles on the window [0.1, 3],"
+                           " more than the grid's 512 points\n")
+    assert proc.stderr == ""
