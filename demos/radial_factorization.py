@@ -18,7 +18,6 @@ import numpy as np
 
 from shapeinv import (
     GeneralizedFactorization,
-    Wavefunction,
     generalized_partners,
     generalized_qhj_residual,
     make_grid,
@@ -58,8 +57,8 @@ print(f"  weighted:   V- -> {vm_w[0] * r[0] ** 2:.1f}, V+ -> {vp_w[0] * r[0] ** 
 # The product scheme's B = d/dr + (ell+1)/r lowers j_ell to j_{ell-1}.
 j2 = spherical_bessel_oracle(2, r)[0]
 j1 = spherical_bessel_oracle(1, r)[0]
-lowered = radial_intertwine(2, Wavefunction(x=r, values=j2, level=2))
-dev = np.max(np.abs(lowered.values - j1)) / np.max(np.abs(j1))
+lowered = radial_intertwine(2, r, j2)
+dev = np.max(np.abs(lowered - j1)) / np.max(np.abs(j1))
 print(f"B j_2 vs j_1 on r in [0.5, 20]: max deviation {dev:.2e} of peak")
 
 # The identity holds order by order; spot check the whole tower.
@@ -75,5 +74,5 @@ for l in range(1, 6):
     print(f"  l={l}: worst residual {worst:.2e}")
 
 path = out_dir / "bessel_intertwine.csv"
-intertwine_to_csv(path, r, j2, lowered.values, j1)
+intertwine_to_csv(path, r, j2, lowered, j1)
 print(f"\nwrote {path}")

@@ -48,7 +48,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sampling import NonFiniteValues, SampledFunction, derivative, make_grid
+from .sampling import NonFiniteValues, SampledFunction, derivative, make_grid, require_finite
 
 __all__ = [
     "SeedSolution",
@@ -205,7 +205,7 @@ class ConstructedSuperpotential:
 
     def __post_init__(self):
         if self.alpha == 0.0:
-            raise ValueError("alpha (the ladder step) must be nonzero")
+            raise ValueError("alpha must be nonzero")
         if self.shift_const is not None and self.lam == 0.0:
             raise ValueError("constant shift needs lam != 0")
         if self.C is not None and self.seed.branch == "custom":
@@ -233,9 +233,6 @@ class ConstructedSuperpotential:
         phi *= self.C
         phi += self.D * self.seed.inverse(xi) if self.D else 0.0  # a zero D still turns -0.0 to 0.0
         return phi
-
-    def phi(self, x):
-        return self.phi_xi(self.alpha * np.asarray(x, dtype=float))
 
     # --- assembled superpotential --------------------------------------------
     # W and W' are built in place in one array, in the operation order of the plain
@@ -321,8 +318,6 @@ class ConstructedSuperpotential:
 def construct_case(K: float, branch: str, alpha: float, lam: float,
                    slope: float = 1.0, intercept: float = 0.0) -> ConstructedSuperpotential:
     """W = lam * u'(alpha x)/u(alpha x) for the branch solution of u'' + K u = 0."""
-    if alpha == 0.0:
-        raise ValueError("alpha must be nonzero")
     seed = free_particle_seed(K, branch, slope=slope, intercept=intercept)
     return ConstructedSuperpotential(seed=seed, alpha=float(alpha), lam=float(lam))
 
@@ -330,11 +325,11 @@ def construct_case(K: float, branch: str, alpha: float, lam: float,
 def verify_case_riccati(F: SampledFunction, K: float) -> float:
     """max |F^2 + F' + K| with F' by 4th-order central differences.
 
-    Grids containing a pole of F (divergent or non-finite samples) raise
-    PoleOnGrid with the offending locations; nothing is clipped silently.
+    Grids crossing a pole of F (|F| > POLE_THRESHOLD; SampledFunction has
+    refused NaN/inf) raise PoleOnGrid with its locations, nothing clipped.
     """
     vals = F.values
-    bad = ~np.isfinite(vals) | (np.abs(vals) > POLE_THRESHOLD)
+    bad = np.abs(vals) > POLE_THRESHOLD
     if np.any(bad):
         raise PoleOnGrid("grid crosses a pole of F", F.x[bad])
     fp = F.derivative()
@@ -379,9 +374,7 @@ def isospectral_shift_residual(W, chi: SampledFunction, K_lambda: float) -> floa
     if np.any(np.abs(c) > POLE_THRESHOLD):
         raise PoleOnGrid("chi diverges on the grid", x[np.abs(c) > POLE_THRESHOLD])
     cp = chi.derivative()
-    w = np.asarray(W(x), dtype=float)
-    if np.any(~np.isfinite(w)):
-        raise PoleOnGrid("W diverges on the grid", x[~np.isfinite(w)])
+    w = require_finite(x, W(x), "values of W")
     res = c * c + 2.0 * w * c + cp - K_lambda
     return float(np.max(np.abs(res[2:-2])))
 
@@ -423,8 +416,6 @@ def construct_generalized(V0, K: float, u_seed: SeedSolution, alpha: float,
     the result is (lam^2 - mu^2) V0(alpha x) - (lam^2 - mu^2) K, exposed
     via si_offset_field() for the generalized certificate.
     """
-    if alpha == 0.0:
-        raise ValueError("alpha must be nonzero")
     if u_seed.branch != "custom" or u_seed.interval is None:
         raise ValueError("generalized construction expects a custom seed with interval")
     _check_custom_seed(u_seed, lambda xi: K - np.asarray(V0(xi), float))

@@ -380,7 +380,7 @@ def cmd_3d(args, out) -> int:
 
 
 def cmd_radial(args, out) -> int:
-    from . import radial, spectral
+    from . import radial
 
     ell = args.ell
     if ell < 1 or ell > 25:
@@ -406,15 +406,15 @@ def cmd_radial(args, out) -> int:
         print(f"{'ell':>4}  {'max recurrence residual':>24}  pass", file=out)
         for l, worst, ok in rows:
             print(f"{l:>4}  {_fmt(worst):>24}  {ok}", file=out)
-    lowered = radial.radial_intertwine(ell, spectral.Wavefunction(x=r, values=psi, level=ell))
-    dev = float(np.max(np.abs(lowered.values - reference)) / np.max(np.abs(reference)))
+    lowered = radial.radial_intertwine(ell, r, psi)
+    dev = float(np.max(np.abs(lowered - reference)) / np.max(np.abs(reference)))
     ok = dev < 1e-5
     all_ok &= ok
     print(f"intertwine j{ell} -> j{ell - 1}: max deviation {_fmt(dev)} pass {ok}", file=out)
     _write_run(
         args, ("ell", "check_bessel"), all_ok,
         [("intertwine.csv",
-          lambda path: radial.intertwine_to_csv(path, r, psi, lowered.values, reference))],
+          lambda path: radial.intertwine_to_csv(path, r, psi, lowered, reference))],
     )
     return EXIT_PASS if all_ok else EXIT_FAIL
 

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sampling import fix_sign, normalize
+from .sampling import fix_sign, normalize, require_finite
 from .spectral import Spectrum, Wavefunction
 
 __all__ = [
@@ -102,9 +102,7 @@ def _matrix(V: Callable, lo: float, hi: float, n: int):
     # interior points only; psi = 0 at the walls lo, hi
     x = np.linspace(lo, hi, n + 2)[1:-1]
     h = x[1] - x[0]
-    diag = 2.0 / h**2 + np.asarray(V(x), dtype=float)
-    if not np.all(np.isfinite(diag)):
-        raise ValueError("V is singular or non-finite inside the box")
+    diag = require_finite(x, 2.0 / h**2 + np.asarray(V(x), dtype=float), "values of V")
     off = np.full(n - 1, -1.0 / h**2)
     return x, diag, off
 

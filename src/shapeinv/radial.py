@@ -39,7 +39,6 @@ from typing import Callable
 import numpy as np
 
 from .sampling import derivative, require_finite, uniform_step, write_csv
-from .spectral import Wavefunction
 
 __all__ = [
     "MeasureWeight",
@@ -89,30 +88,28 @@ class GeneralizedFactorization:
             raise ValueError(f"scheme must be one of {SCHEMES}")
 
 
+def _sample(fac: GeneralizedFactorization, grid):
+    """(x, Q, Q', f'/f) on the grid, where the weight f must be positive."""
+    x = np.asarray(grid, dtype=float)
+    if np.min(np.asarray(fac.weight.f(x), dtype=float)) <= 0:
+        raise ValueError("weight must be positive on the grid")
+    return x, *(np.asarray(g(x), dtype=float) for g in (fac.Q, fac.Qprime, fac.weight.logf_prime))
+
+
 def generalized_qhj_residual(fac: GeneralizedFactorization, V, E: float, grid) -> float:
     """max |Q^2 - Q' - (f'/f) Q - V + E| over the grid (analytic derivatives).
 
     Raises sampling.NonFiniteValues naming the grid points where the
     residual is NaN or inf, such as a pole of Q or V on the grid.
     """
-    x = np.asarray(grid, dtype=float)
-    fx = np.asarray(fac.weight.f(x), dtype=float)
-    if np.min(fx) <= 0:
-        raise ValueError("weight must be positive on the grid")
-    q = np.asarray(fac.Q(x), dtype=float)
-    res = q * q - fac.Qprime(x) - fac.weight.logf_prime(x) * q - V(x) + E
+    x, q, qp, lfp = _sample(fac, grid)
+    res = q * q - qp - lfp * q - V(x) + E
     return float(np.max(np.abs(require_finite(x, res, "residual field"))))
 
 
 def generalized_partners(fac: GeneralizedFactorization, grid):
     """Sampled (V_minus, V_plus) under the factorization's scheme."""
-    x = np.asarray(grid, dtype=float)
-    fx = np.asarray(fac.weight.f(x), dtype=float)
-    if np.min(fx) <= 0:
-        raise ValueError("weight must be positive on the grid")
-    q = np.asarray(fac.Q(x), dtype=float)
-    qp = np.asarray(fac.Qprime(x), dtype=float)
-    lfp = np.asarray(fac.weight.logf_prime(x), dtype=float)
+    x, q, qp, lfp = _sample(fac, grid)
     if fac.scheme == "weighted":
         measure_term = qp + lfp * q
         return q * q - measure_term, q * q + measure_term
@@ -122,21 +119,21 @@ def generalized_partners(fac: GeneralizedFactorization, grid):
     return vminus, vplus
 
 
-def radial_intertwine(ell: int, psi_minus: Wavefunction) -> Wavefunction:
+def radial_intertwine(ell: int, r, psi) -> np.ndarray:
     """B psi = psi' + ((ell+1)/r) psi = r^(-(ell+1)) d/dr (r^(ell+1) psi).
 
-    4th-order central differences in the interior, one-sided at the edges;
-    the output is not normalized.  The grid must stay strictly positive and
-    pass sampling.uniform_step.
+    psi holds the values on the grid r, and the result is B psi there, an
+    array of the same shape, not normalized.  4th-order central differences
+    in the interior, one-sided at the edges.  The grid must stay strictly
+    positive and pass sampling.uniform_step.
     """
     if ell < 1:
         raise ValueError("intertwining down needs ell >= 1")
-    r = psi_minus.x
+    r = np.asarray(r, dtype=float)
     if r[0] <= 0:
         raise ValueError("grid must not touch r = 0")
     h = uniform_step(r)
-    vals = derivative(psi_minus.values, h) + (ell + 1.0) / r * psi_minus.values
-    return Wavefunction(x=r, values=vals, level=psi_minus.level)
+    return derivative(psi, h) + (ell + 1.0) / r * psi
 
 
 # ---------------------------------------------------------------------------

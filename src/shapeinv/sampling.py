@@ -51,9 +51,7 @@ class SampledFunction:
         if v.shape != x.shape:
             raise ValueError("values must match grid shape")
         uniform_step(x)
-        if not np.all(np.isfinite(v)):
-            bad = x[~np.isfinite(v)]
-            raise NonFiniteValues("sampled values contain NaN/inf", bad)
+        require_finite(x, v, "sampled values")
 
     @property
     def h(self) -> float:

@@ -27,6 +27,7 @@ from .sampling import (
     fix_sign,
     l2_norm,
     normalize,
+    require_finite,
     uniform_step,
     write_csv,
 )
@@ -161,9 +162,7 @@ def _ground_state(W, x: np.ndarray) -> np.ndarray:
     mid = fine[1::2]
     np.add(x[:-1], x[1:], out=mid)
     mid *= 0.5
-    w = np.asarray(W(fine), dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("W is not finite on the grid")
+    w = require_finite(fine, W(fine), "values of W")
     expo = cumulative_integral(w, fine)[::2]
     expo -= expo[x.size // 2]  # reference point: grid midpoint
     np.negative(expo, out=expo)

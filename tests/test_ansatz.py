@@ -56,7 +56,7 @@ def test_case_exp_gives_a_constant_and_phi_its_decay():
     x = make_grid(-3, 3, 64)
     assert np.all(cons.W(x) == 3.0)
     ext = extend_second_solution(cons, 0.0, 1.0)
-    assert np.allclose(ext.phi(x), np.exp(-2.0 * x), rtol=1e-15, atol=0)
+    assert np.allclose(ext.phi_xi(x), np.exp(-2.0 * x), rtol=1e-15, atol=0)
 
 
 def test_named_branches_stay_finite_where_u_overflows():
@@ -141,7 +141,7 @@ def test_second_solution_sech():
     base = construct_case(-1.0, "cosh", 1.0, 1.0)
     ext = extend_second_solution(base, 0.0, 1.0)
     x = make_grid(-4, 4, 128)
-    assert np.allclose(ext.phi(x), 1.0 / np.cosh(x), atol=1e-14)
+    assert np.allclose(ext.phi_xi(x), 1.0 / np.cosh(x), atol=1e-14)
     assert np.allclose(ext.W(x), np.tanh(x) + 1.0 / np.cosh(x), atol=1e-14)
 
 
@@ -149,7 +149,7 @@ def test_second_solution_inverse_xi():
     base = construct_case(0.0, "linear", 1.0, 1.0)
     ext = extend_second_solution(base, 0.0, 1.0)
     x = make_grid(0.5, 4, 128)
-    assert np.allclose(ext.phi(x), 1.0 / x, atol=1e-14)
+    assert np.allclose(ext.phi_xi(x), 1.0 / x, atol=1e-14)
 
 
 def test_second_solution_zero_data_is_identity():

@@ -1019,7 +1019,7 @@ _CLI_MODULES = {"cli", "catalog", "ansatz", "sampling"}
       "--out", "sip-out"], {"verify"}),
     (["3d", "--seed", "a0=2,a1=1", "--lambda", "2", "--mu", "1", "--grid", "16x16",
       "--out", "sip-out"], {"multidim", "verify"}),
-    (["radial", "--ell", "3", "--grid", "0.5:20:256", "--out", "sip-out"], {"radial", "spectral"}),
+    (["radial", "--ell", "3", "--grid", "0.5:20:256", "--out", "sip-out"], {"radial"}),
 ], ids=lambda v: "-".join(v[:2]) if isinstance(v, list) else None)
 def test_each_subcommand_loads_only_its_own_modules(argv, own, tmp_path):
     codes, modules = _modules_after([argv], tmp_path, "shapeinv")

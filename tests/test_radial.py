@@ -20,7 +20,6 @@ from shapeinv.radial import (
     spherical_bessel_oracle,
 )
 from shapeinv.sampling import NonFiniteValues, derivative, make_grid, second_derivative
-from shapeinv.spectral import Wavefunction
 
 # closed forms evaluated in 40-digit arithmetic, frozen
 J1_AT_1 = 0.30116867893975678925
@@ -130,35 +129,35 @@ def test_product_scheme_reproduces_radial_operator():
 def test_intertwine_lowers_regular_solution():
     r = make_grid(0.5, 20, 4096)
     j1 = spherical_bessel_oracle(1, r)[0]
-    lowered = radial_intertwine(1, Wavefunction(x=r, values=j1, level=1))
+    lowered = radial_intertwine(1, r, j1)
     j0 = np.sin(r) / r
-    assert np.max(np.abs(lowered.values - j0)) / np.max(np.abs(j0)) < 1e-6
+    assert np.max(np.abs(lowered - j0)) / np.max(np.abs(j0)) < 1e-6
 
 
 def test_intertwine_lowers_irregular_solution():
     r = make_grid(0.5, 20, 4096)
     n1 = spherical_bessel_oracle(1, r)[1]
-    lowered = radial_intertwine(1, Wavefunction(x=r, values=n1, level=1))
+    lowered = radial_intertwine(1, r, n1)
     n0 = -np.cos(r) / r
-    dev = np.abs(lowered.values - n0) / np.max(np.abs(n0))
+    dev = np.abs(lowered - n0) / np.max(np.abs(n0))
     assert np.max(dev[2:-2]) < 1e-5
 
 
 def test_intertwine_kernel():
     ell = 3
     r = make_grid(0.5, 20, 4096)
-    psi = Wavefunction(x=r, values=r ** -(ell + 1.0), level=0)
-    out = radial_intertwine(ell, psi).values
-    assert np.max(np.abs(out[2:-2])) / np.max(np.abs(psi.values)) < 1e-5
+    psi = r ** -(ell + 1.0)
+    out = radial_intertwine(ell, r, psi)
+    assert np.max(np.abs(out[2:-2])) / np.max(np.abs(psi)) < 1e-5
 
 
 def test_intertwine_guards():
     r = make_grid(0.5, 5, 128)
     with pytest.raises(ValueError):
-        radial_intertwine(0, Wavefunction(x=r, values=np.ones_like(r)))
+        radial_intertwine(0, r, np.ones_like(r))
     bad = np.linspace(0.0, 5, 128)
     with pytest.raises(ValueError):
-        radial_intertwine(1, Wavefunction(x=bad, values=np.ones_like(bad)))
+        radial_intertwine(1, bad, np.ones_like(bad))
 
 
 def test_bessel_oracle_frozen_values():

@@ -124,7 +124,7 @@ def test_every_stencil_user_refuses_a_stretched_grid():
             call()
     r = 0.5 + np.sinh(np.linspace(0.0, 3.0, 2001))
     with pytest.raises(ValueError, match="uniform"):
-        radial.radial_intertwine(1, spectral.Wavefunction(x=r, values=np.sin(r) / r))
+        radial.radial_intertwine(1, r, np.sin(r) / r)
 
 
 def _fix_sign_loop(values):
