@@ -83,6 +83,11 @@ class PoleOnGrid(NonFiniteValues):
     """A grid crosses a zero of the seed u; locations are reported."""
 
 
+def _reciprocal(f, xi):
+    with np.errstate(over="ignore"):  # sinh, cosh overflow to inf past 710: 1/inf = 0 is meant
+        return 1.0 / f(xi)
+
+
 #: named branch -> (F = u'/u, 1/u) as functions of the seed constants and xi
 _CLOSED_FORMS = {
     "linear": (lambda c, xi: c["slope"] / (c["slope"] * xi + c["intercept"]),
@@ -92,9 +97,9 @@ _CLOSED_FORMS = {
     "cos": (lambda c, xi: -c["k"] * np.tan(c["k"] * xi),
             lambda c, xi: 1.0 / np.cos(c["k"] * xi)),
     "sinh": (lambda c, xi: c["c"] / np.tanh(c["c"] * xi),
-             lambda c, xi: 1.0 / np.sinh(c["c"] * xi)),
+             lambda c, xi: _reciprocal(np.sinh, c["c"] * xi)),
     "cosh": (lambda c, xi: c["c"] * np.tanh(c["c"] * xi),
-             lambda c, xi: 1.0 / np.cosh(c["c"] * xi)),
+             lambda c, xi: _reciprocal(np.cosh, c["c"] * xi)),
     # [()] makes a scalar xi give a scalar, as the other forms do
     "exp": (lambda c, xi: np.full_like(xi, c["c"])[()],
             lambda c, xi: np.exp(-c["c"] * xi)),
@@ -317,7 +322,8 @@ class ConstructedSuperpotential:
 
 def construct_case(K: float, branch: str, alpha: float, lam: float,
                    slope: float = 1.0, intercept: float = 0.0) -> ConstructedSuperpotential:
-    """W = lam * u'(alpha x)/u(alpha x) for the branch solution of u'' + K u = 0."""
+    """W = lam * u'(alpha x)/u(alpha x) for the branch solution of u'' + K u = 0;
+    the branch is checked first, and ConstructedSuperpotential refuses alpha = 0."""
     seed = free_particle_seed(K, branch, slope=slope, intercept=intercept)
     return ConstructedSuperpotential(seed=seed, alpha=float(alpha), lam=float(lam))
 
@@ -374,8 +380,9 @@ def isospectral_shift_residual(W, chi: SampledFunction, K_lambda: float) -> floa
     if np.any(np.abs(c) > POLE_THRESHOLD):
         raise PoleOnGrid("chi diverges on the grid", x[np.abs(c) > POLE_THRESHOLD])
     cp = chi.derivative()
-    w = require_finite(x, W(x), "values of W")
-    res = c * c + 2.0 * w * c + cp - K_lambda
+    with np.errstate(all="ignore"):  # require_finite reports a NaN/inf
+        w = W(x)
+    res = c * c + 2.0 * require_finite(x, w, "values of W") * c + cp - K_lambda
     return float(np.max(np.abs(res[2:-2])))
 
 
@@ -411,10 +418,10 @@ def construct_generalized(V0, K: float, u_seed: SeedSolution, alpha: float,
                           lam: float) -> ConstructedSuperpotential:
     """W = lam * u'/u for u solving u'' + (K - V0(xi)) u = 0.
 
-    The seed is a Schrodinger solution at energy K in the potential V0 and
-    must be nodeless on its working interval.  The partner difference of
-    the result is (lam^2 - mu^2) V0(alpha x) - (lam^2 - mu^2) K, exposed
-    via si_offset_field() for the generalized certificate.
+    The seed, a Schrodinger solution at energy K in the potential V0, must
+    be nodeless on its working interval; it is checked before alpha, which
+    ConstructedSuperpotential refuses at 0.  The partner difference is
+    (lam^2 - mu^2) (V0(alpha x) - K); si_offset_field() is its x part.
     """
     if u_seed.branch != "custom" or u_seed.interval is None:
         raise ValueError("generalized construction expects a custom seed with interval")

@@ -399,7 +399,7 @@ def cmd_radial(args, out) -> int:
             ok = worst < 1e-8
             all_ok &= ok
             rows.append((l, worst, ok))
-    # spherical_bessel_j refuses an r <= 0, before anything is printed
+    # spherical_bessel_j refuses an r <= 0 and values that are not finite, before any output
     r = make_grid(*args.grid)
     psi, reference = radial.spherical_bessel_j((ell, ell - 1), r)
     if args.check_bessel:

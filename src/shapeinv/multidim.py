@@ -273,10 +273,11 @@ def partner_fields(chi: ScalarField2D, lam: float, grid2d, mu: float):
     not (for example chi = r) reports an order-one residual, not masked.
     """
     g2, lap_f, residual = _log_derivatives(chi, grid2d)
-    vminus = lam * lam * g2 - lam * lap_f
-    vplus = lam * lam * g2 + lam * lap_f
-    report = _constancy_report(tuple(grid2d), (lam * lam - mu * mu) * g2 + (lam + mu) * lap_f,
-                               LADDER_TOL)
+    with np.errstate(all="ignore"):  # the report's require_finite names a NaN/inf
+        vminus = lam * lam * g2 - lam * lap_f
+        vplus = lam * lam * g2 + lam * lap_f
+        d = (lam * lam - mu * mu) * g2 + (lam + mu) * lap_f
+    report = _constancy_report(tuple(grid2d), d, LADDER_TOL)
     return vminus, vplus, report, residual
 
 

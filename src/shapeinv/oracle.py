@@ -102,9 +102,9 @@ def _matrix(V: Callable, lo: float, hi: float, n: int):
     # interior points only; psi = 0 at the walls lo, hi
     x = np.linspace(lo, hi, n + 2)[1:-1]
     h = x[1] - x[0]
-    diag = require_finite(x, 2.0 / h**2 + np.asarray(V(x), dtype=float), "values of V")
-    off = np.full(n - 1, -1.0 / h**2)
-    return x, diag, off
+    with np.errstate(all="ignore"):  # require_finite reports a NaN/inf
+        diag = 2.0 / h**2 + np.asarray(V(x), dtype=float)
+    return x, require_finite(x, diag, "values of V"), np.full(n - 1, -1.0 / h**2)
 
 
 _FLAPACK = "scipy.linalg._flapack"

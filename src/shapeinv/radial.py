@@ -102,8 +102,9 @@ def generalized_qhj_residual(fac: GeneralizedFactorization, V, E: float, grid) -
     Raises sampling.NonFiniteValues naming the grid points where the
     residual is NaN or inf, such as a pole of Q or V on the grid.
     """
-    x, q, qp, lfp = _sample(fac, grid)
-    res = q * q - qp - lfp * q - V(x) + E
+    with np.errstate(all="ignore"):  # require_finite reports a NaN/inf
+        x, q, qp, lfp = _sample(fac, grid)
+        res = q * q - qp - lfp * q - V(x) + E
     return float(np.max(np.abs(require_finite(x, res, "residual field"))))
 
 
@@ -270,11 +271,13 @@ def spherical_bessel_j(ells, r) -> np.ndarray:
     """
     r, shape = _positive_points(r)
     ells = [_check_degree(ell) for ell in ells]
-    pins = _closed_forms(r)[3]
     degrees = list(dict.fromkeys(ells))
     k = len(degrees)
     cols = np.repeat(np.array(degrees, dtype=int), r.size)
-    rows = _miller_j(cols, np.tile(r, k), tuple(np.tile(p, k) for p in pins)).reshape(k, r.size)
+    with np.errstate(all="ignore"):  # require_finite reports a NaN/inf
+        pins = _closed_forms(r)[3]
+        rows = _miller_j(cols, np.tile(r, k), tuple(np.tile(p, k) for p in pins))
+    rows = require_finite(r, rows.reshape(k, r.size), "spherical Bessel values")
     return rows[[degrees.index(ell) for ell in ells]].reshape((len(ells),) + shape)
 
 
@@ -292,12 +295,13 @@ def spherical_bessel_oracle(ell: int, r):
     """
     r, shape = _positive_points(r)
     ell = _check_degree(ell)
-    sin, cos, r2, pins = _closed_forms(r)
-    j = _miller_j(ell, r, pins)
-    n = (-cos / r, -cos / r2 - sin / r)
-    for l in range(1, ell):
-        n = (n[1], (2 * l + 1) / r * n[1] - n[0])
-    j, n = j.reshape(shape), n[min(ell, 1)].reshape(shape)
+    with np.errstate(all="ignore"):  # require_finite reports a NaN/inf
+        sin, cos, r2, pins = _closed_forms(r)
+        j = _miller_j(ell, r, pins)
+        n = (-cos / r, -cos / r2 - sin / r)
+        for l in range(1, ell):
+            n = (n[1], (2 * l + 1) / r * n[1] - n[0])
+    j, n = require_finite(r, (j, n[min(ell, 1)]), "spherical Bessel values").reshape((2,) + shape)
     if not shape:
         return float(j), float(n)
     return j, n

@@ -98,19 +98,19 @@ def make_grid(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def require_finite(x, values, what="values"):
-    """Raise NonFiniteValues listing grid locations of any NaN/inf.
-
-    x is the grid, or the pair (R, TH) of a 2D grid, whose locations are
-    then reported as (r, theta) pairs.
-    """
+    """values as a float array, or NonFiniteValues listing the grid
+    locations of any NaN/inf: the package's one NaN/inf gate, whose callers
+    compute values under np.errstate(all="ignore") so that it alone reports.
+    x is the grid, or the pair (R, TH) of a 2D grid, whose locations are then
+    (r, theta) pairs; values has the grid's shape or stacks such fields."""
     values = np.asarray(values, dtype=float)
     bad = ~np.isfinite(values)
     if np.any(bad):
-        if isinstance(x, tuple):
-            locations = list(zip(*(np.asarray(g)[bad].tolist() for g in x)))
-        else:
-            locations = np.asarray(x)[bad]
-        raise NonFiniteValues(f"{what} contain NaN/inf on grid", locations)
+        grid = x if isinstance(x, tuple) else (x,)
+        bad = bad.reshape(-1, *np.shape(grid[0])).any(axis=0)
+        points = [np.asarray(g)[bad] for g in grid]
+        raise NonFiniteValues(f"{what} contain NaN/inf on grid",
+                              list(zip(*points)) if isinstance(x, tuple) else points[0])
     return values
 
 

@@ -162,8 +162,9 @@ def _ground_state(W, x: np.ndarray) -> np.ndarray:
     mid = fine[1::2]
     np.add(x[:-1], x[1:], out=mid)
     mid *= 0.5
-    w = require_finite(fine, W(fine), "values of W")
-    expo = cumulative_integral(w, fine)[::2]
+    with np.errstate(all="ignore"):  # require_finite reports a NaN/inf
+        w = W(fine)
+    expo = cumulative_integral(require_finite(fine, w, "values of W"), fine)[::2]
     expo -= expo[x.size // 2]  # reference point: grid midpoint
     np.negative(expo, out=expo)
     expo -= expo.max()

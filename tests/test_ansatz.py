@@ -64,9 +64,9 @@ def test_named_branches_stay_finite_where_u_overflows():
     x = np.array([800.0, 1e4])
     assert np.all(construct_case(-1.0, "cosh", 1.0, 2.0).W(x) == 2.0)
     assert np.all(construct_case(-1.0, "sinh", 1.0, 2.0).W(x) == 2.0)
-    with np.errstate(over="ignore"):  # 1/cosh overflowing to 0 is IEEE behaviour
-        assert np.all(extend_second_solution(
-            construct_case(-1.0, "cosh", 1.0, 2.0), 0.0, 1.0).W(x) == 2.0)
+    # 1/cosh overflowing to 0 is IEEE behaviour, and warns of nothing
+    assert np.all(extend_second_solution(
+        construct_case(-1.0, "cosh", 1.0, 2.0), 0.0, 1.0).W(x) == 2.0)
 
 
 def test_branch_sign_mismatch_rejected():

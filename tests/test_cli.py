@@ -197,9 +197,9 @@ def test_verify_notes_a_partner_outside_the_valid_region():
     ["eckart", "--a", "100"],
 ], ids=lambda argv: argv[0])
 def test_verify_passes_where_sinh_and_cosh_overflow(argv):
-    # sech = 1/cosh overflowing to 0 is IEEE behaviour, not a defect
-    with np.errstate(over="ignore"):
-        code, text = run(["verify", *argv])
+    # sech = 1/cosh overflowing to 0 is IEEE behaviour, not a defect, and
+    # warns of nothing (a RuntimeWarning fails the test)
+    code, text = run(["verify", *argv])
     assert code == EXIT_PASS, text
 
 
@@ -770,10 +770,11 @@ def test_a_worker_that_dies_ends_the_batch_naming_its_job(tmp_path, monkeypatch)
         "out/job-003/manifest.json"]
 
 
-_FOUR_WORKERS = """
+#: a batch of the job file argv[1] with at most argv[2] workers; one runs it in process
+_N_WORKERS = """
 import sys
 from shapeinv import cli
-cli._worker_count = lambda n_jobs: min(n_jobs, 4)
+cli._worker_count = lambda n_jobs: min(n_jobs, int(sys.argv[2]))
 sys.exit(cli.main(["--batch", sys.argv[1]]))
 """
 
@@ -787,13 +788,26 @@ def test_more_workers_than_cpus_keep_every_section_whole(tmp_path, monkeypatch):
 
     jobfile = tmp_path / "jobs.txt"
     jobfile.write_text("spectrum shifted-oscillator -n 4000\nverify morse --json\nlist --json\n" * 8)
-    proc = subprocess.run([sys.executable, "-c", _FOUR_WORKERS, str(jobfile)],
-                          capture_output=True, text=True, env=_fresh_env(), cwd=tmp_path,
-                          timeout=120)
+    proc = subprocess.run([sys.executable, "-c", _N_WORKERS, str(jobfile), "4"], timeout=120,
+                          capture_output=True, text=True, env=_fresh_env(), cwd=tmp_path)
     monkeypatch.setattr(cli, "_worker_count", lambda n_jobs: 1)
     code, text = run(["--batch", str(jobfile)])
     assert text.count("[exit 0]") == 24
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, text, "")
+
+
+@_linux_only
+def test_no_numpy_warning_reaches_stderr_forked_or_in_process(tmp_path):
+    # 1/cosh overflowing to 0 once warned on the process's stderr, once per
+    # worker forked and once in process, outside every job's section
+    jobfile = tmp_path / "jobs.txt"
+    jobfile.write_text("verify scarf-II-hyperbolic --a 100\n" * 4)
+    runs = [subprocess.run([sys.executable, "-c", _N_WORKERS, str(jobfile), workers],
+                           capture_output=True, text=True, env=_fresh_env(), cwd=tmp_path,
+                           timeout=120) for workers in ("2", "1")]
+    assert runs[0].stdout.count("[exit 0]") == 4
+    assert [(p.returncode, p.stdout, p.stderr) for p in runs] == \
+        [(EXIT_PASS, runs[0].stdout, "")] * 2
 
 
 class _InterruptedOut(StringIO):
@@ -1027,6 +1041,14 @@ def test_each_subcommand_loads_only_its_own_modules(argv, own, tmp_path):
     assert modules == {"shapeinv", *(f"shapeinv.{m}" for m in _CLI_MODULES | own)}
 
 
+def test_radial_loads_only_sampling(tmp_path):
+    script = "import sys, shapeinv.radial; print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_fresh_env(), cwd=tmp_path, timeout=120, check=True)
+    assert {m for m in proc.stdout.split() if m.split(".")[0] == "shapeinv"} == \
+        {"shapeinv", "shapeinv.radial", "shapeinv.sampling"}
+
+
 def test_commands_leave_the_collector_alone(tmp_path, outdir):
     # only main(), which ends its process, freezes the collector's objects
     jobs = [
@@ -1070,14 +1092,37 @@ def test_more_oracle_levels_than_points_is_a_usage_error(tmp_path):
     assert proc.stderr == ""
 
 
-#: inputs whose float arithmetic overflows, or divides by zero at the partner rung
+#: inputs whose float arithmetic overflows, or divides by zero at the partner rung;
+#: then those whose numpy arithmetic leaves a field NaN/inf on its grid, which
+#: sampling.require_finite refuses without a RuntimeWarning on stderr
 _ARITHMETIC_FAILURES = [
     "construct --K 0 --branch linear --alpha 1 --lambda 1 --shift 1 --out out",
     "spectrum morse --A 1e200 -n 3",
     "spectrum coulomb --e2 1e200 -n 3",
     "spectrum rosen-morse-II-hyperbolic --A 1e200 --B 1 -n 2",
     "radial --ell 3 --grid 0.5:1e300:64 --out out",
+    "verify morse --A 1e200",
+    "verify coulomb --e2 1e200",
+    "3d --seed a0=1e300 --lambda 1e300 --mu 1 --out out",
+    "spectrum scarf-II-hyperbolic --B 1e200 --oracle",
+    "radial --ell 3 --grid 1e-300:1:64 --out out",  # r*r underflows to 0 in j_1
+    "radial --ell 25 --grid 1.5e-154:1:64 --out out",  # the Miller sweep meets inf - inf
 ]
+
+
+@pytest.mark.parametrize("line", ["verify scarf-II-hyperbolic --a 100",
+                                  "verify gen-poschl-teller --a 100 --B 5",
+                                  "verify eckart --a 100"])
+def test_sinh_and_cosh_overflowing_warn_of_nothing(tmp_path, line):
+    proc = subprocess.run([sys.executable, "-m", "shapeinv.cli", *line.split()],
+                          capture_output=True, text=True, env=_fresh_env(), cwd=tmp_path,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (EXIT_PASS, "")
+
+
+def test_construct_refuses_alpha_zero():
+    argv = ["construct", "--K", "0", "--branch", "linear", "--alpha", "0", "--lambda", "1"]
+    assert run(argv) == (EXIT_USAGE, "error: alpha must be nonzero\n")
 
 
 @pytest.mark.parametrize("line", _ARITHMETIC_FAILURES)

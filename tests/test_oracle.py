@@ -17,7 +17,7 @@ from shapeinv.oracle import (
     convergence_factors,
     eigensolve,
 )
-from shapeinv.sampling import fix_sign, normalize
+from shapeinv.sampling import NonFiniteValues, fix_sign, normalize
 from shapeinv.spectral import Spectrum, algebraic_spectrum
 
 
@@ -89,9 +89,10 @@ def test_convergence_flag():
 
 def test_singular_potential_rejected():
     cfg = OracleConfig(box=(-1.0, 1.0), n_points=501, n_levels=2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(ValueError):
-            eigensolve(lambda x: 1.0 / (x - x[x.size // 2]), cfg)
+    pole = np.linspace(-1.0, 1.0, 503)[1:-1][250]  # the middle interior point
+    with pytest.raises(NonFiniteValues, match="values of V") as err:
+        eigensolve(lambda x: 1.0 / (x - x[x.size // 2]), cfg)
+    assert err.value.locations == (pole,)
 
 
 def test_compare_spectra_modes():

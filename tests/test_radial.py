@@ -75,9 +75,8 @@ def test_qhj_residual_names_a_pole_on_the_grid():
         Q=lambda x: 1.0 / x, Qprime=lambda x: -1.0 / x**2,
         weight=MeasureWeight(np.ones_like, np.zeros_like, np.zeros_like))
     g = make_grid(-1, 1, 129)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteValues) as err:
-            generalized_qhj_residual(fac, lambda x: 2.0 / x**2, 0.0, g)
+    with pytest.raises(NonFiniteValues) as err:
+        generalized_qhj_residual(fac, lambda x: 2.0 / x**2, 0.0, g)
     assert err.value.locations == (0.0,)
 
 
@@ -396,6 +395,14 @@ def test_spherical_bessel_j_guards(ells, r, bad):
         spherical_bessel_oracle(bad, r)
     with pytest.raises(ValueError):
         spherical_bessel_j(ells, r)
+
+
+def test_bessel_values_that_are_not_finite_are_refused():
+    # r*r underflows to 0 at 1e-300, so j_1 = sin(r)/r^2 - cos(r)/r is inf there
+    for call in (lambda r: spherical_bessel_j([3], r), lambda r: spherical_bessel_oracle(3, r)):
+        with pytest.raises(NonFiniteValues, match="spherical Bessel values") as err:
+            call([1e-300, 1.0])
+        assert err.value.locations == (1e-300,)
 
 
 @pytest.mark.parametrize("entry", [
