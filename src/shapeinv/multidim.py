@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sampling import write_csv
+from .sampling import require_finite, write_csv
 from .verify import _constancy_report
 
 __all__ = [
@@ -261,8 +261,8 @@ def _log_derivatives(chi: ScalarField2D, grid2d):
 
 
 def partner_fields(chi: ScalarField2D, lam: float, grid2d, mu: float):
-    """(V_minus, V_plus, ladder report, Riccati residual) for the
-    prepotential lam * log chi, from one seed evaluation.
+    """(V_minus, V_plus, ladder report, Riccati residual) of the prepotential
+    lam * log chi from one seed evaluation; NaN/inf fields raise NonFiniteValues.
 
     V_pm = lam^2 |grad F|^2 +- lam nabla^2 F with F = log chi.  The ladder
     report checks V_plus(lam) - V_minus(mu) for constancy to LADDER_TOL;
@@ -273,11 +273,12 @@ def partner_fields(chi: ScalarField2D, lam: float, grid2d, mu: float):
     not (for example chi = r) reports an order-one residual, not masked.
     """
     g2, lap_f, residual = _log_derivatives(chi, grid2d)
-    with np.errstate(all="ignore"):  # the report's require_finite names a NaN/inf
+    with np.errstate(all="ignore"):  # require_finite reports a NaN/inf
         vminus = lam * lam * g2 - lam * lap_f
         vplus = lam * lam * g2 + lam * lap_f
         d = (lam * lam - mu * mu) * g2 + (lam + mu) * lap_f
     report = _constancy_report(tuple(grid2d), d, LADDER_TOL)
+    require_finite(tuple(grid2d), (vminus, vplus), "values of V_minus and V_plus")
     return vminus, vplus, report, residual
 
 
