@@ -283,12 +283,12 @@ class ConstructedSuperpotential:
 
     def energy_shift(self) -> float:
         """R(lam) = V_plus(x; lam) - V_minus(x; lam - alpha), closed form."""
-        lam, mu = self.lam, self.tau(self.lam)
-        r = -(lam**2 - mu**2) * self.seed.K
+        lam, mu, alpha = self.lam, self.tau(self.lam), self.alpha
+        r = -alpha * (lam + mu) * self.seed.K  # lam^2 - mu^2 rounds to 0 at large lam
         if self.C is not None:
-            r += 2.0 * self.alpha * self.C
+            r += 2.0 * alpha * self.C
         if self.shift_const is not None:
-            r += self.shift_const**2 * (1.0 / lam**2 - 1.0 / mu**2)
+            r -= self.shift_const**2 * alpha * (lam + mu) / (lam**2 * mu**2)
         return float(r)
 
     def si_offset_field(self) -> Optional[Callable]:

@@ -9,7 +9,7 @@ Subcommands wrap the library modules with machine-readable output:
     sip 3d          axially symmetric partner fields and ladder certificate
     sip radial      measure-weighted factorization demos and Bessel checks
 
-Exit codes: 0 pass, 1 verification failure, 2 usage or validation error,
+Exit codes: 0 pass, 1 failed or unresolved, 2 usage or validation error,
 3 truncated-but-valid ladder.  All numbers print with 12 significant
 digits; JSON is key-sorted and byte-deterministic for fixed inputs.
 File-producing commands write into --out (or $SIP_OUT_DIR, default
@@ -221,7 +221,7 @@ def cmd_list(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    from .verify import ANALYTIC_TOL, verify_shape_invariance
+    from .verify import verify_shape_invariance
 
     fam = get_family(args.family)
     p = _collect_params(args, fam)
@@ -246,10 +246,8 @@ def cmd_verify(args, out) -> int:
             raise
         # W of the partner rung is undefined
         raise InvalidParameters(f"partner rung tau(p) is undefined: {broken}") from None
-    report = verify_shape_invariance(
-        fam.W, fam.Wprime, p, fam.tau, make_grid(lo, hi, n),
-        tolerance=ANALYTIC_TOL if args.tolerance is None else args.tolerance,
-    )
+    report = verify_shape_invariance(fam.W, fam.Wprime, p, fam.tau, make_grid(lo, hi, n),
+                                     tolerance=args.tolerance)
     if args.json:
         print(_dump_json(report.to_json()), file=out)
     else:
@@ -258,6 +256,8 @@ def cmd_verify(args, out) -> int:
         print(f"estimated constant: {_fmt(report.estimated_constant)}", file=out)
         print(f"stored shift:       {_fmt(fam.R(p))}", file=out)
         print(f"max residual:       {_fmt(report.max_residual)}", file=out)
+        print(f"worst x:            {_fmt(report.worst_x)}", file=out)
+        print(f"verdict:            {report.verdict}", file=out)
         print(f"passed:             {report.passed} (tolerance {_fmt(report.tolerance)})", file=out)
         if broken is not None:
             print(f"note:               partner rung tau(p) leaves the valid region: {broken}",
@@ -307,7 +307,7 @@ def cmd_spectrum(args, out) -> int:
 
 def cmd_construct(args, out) -> int:
     from . import ansatz
-    from .verify import ANALYTIC_TOL, verify_shape_invariance
+    from .verify import verify_shape_invariance
 
     cons = ansatz.construct_case(args.K, args.branch, args.alpha, getattr(args, "lambda"),
                                  slope=args.slope, intercept=args.intercept)
@@ -316,8 +316,7 @@ def cmd_construct(args, out) -> int:
     if args.shift is not None:
         cons = ansatz.extend_constant_shift(cons, args.shift)
     grid, poles = ansatz.pole_free_grid(cons, *args.grid)
-    report = verify_shape_invariance(cons.W_at, cons.Wprime_at, cons.lam, cons.tau,
-                                     grid, tolerance=ANALYTIC_TOL)
+    report = verify_shape_invariance(cons.W_at, cons.Wprime_at, cons.lam, cons.tau, grid)
     descriptor = {**cons.to_json(), "energy_shift": cons.energy_shift(),
                   "shape_invariance": report.to_json(), "poles_excluded": poles}
     _write_run(
@@ -358,10 +357,11 @@ def cmd_3d(args, out) -> int:
     chi = multidim.laplace_seed(terms, region)
     grid2d = multidim.make_grid2d(region, *args.grid)
     lam, mu = getattr(args, "lambda"), args.mu
-    vm, vp, report, ric = multidim.partner_fields(chi, lam, grid2d, mu=mu)
-    if not ric <= multidim.HELMHOLTZ_TOL:  # a NaN is refused too
+    vm, vp, report, helmholtz = multidim.partner_fields(chi, lam, grid2d, mu=mu)
+    if not helmholtz.passed:
         raise ValueError("seed violates its Helmholtz equation on the region")
-    payload = {**multidim.seed_manifest(chi, lam), "mu": mu, "riccati_residual": ric,
+    payload = {**multidim.seed_manifest(chi, lam), "mu": mu,
+               "riccati_residual": helmholtz.max_residual,
                "shape_invariance": report.to_json()}
     _write_run(
         args, ("seed", "lambda", "mu"), report.passed,
@@ -372,9 +372,10 @@ def cmd_3d(args, out) -> int:
         print(_dump_json(payload), file=out)
     else:
         print(f"seed terms:        {terms}", file=out)
-        print(f"riccati residual:  {_fmt(ric)}", file=out)
+        print(f"riccati residual:  {_fmt(helmholtz.max_residual)}", file=out)
         print(f"ladder constant:   {_fmt(report.estimated_constant)}", file=out)
         print(f"max deviation:     {_fmt(report.max_residual)}", file=out)
+        print(f"verdict:           {report.verdict}", file=out)
         print(f"passed:            {report.passed}", file=out)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
@@ -476,7 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=FAMILY_NAMES)
     _add_param_flags(p)
     p.add_argument("--grid", type=_grid_spec, default=None, metavar="LO:HI:N")
-    p.add_argument("--tolerance", type=_tolerance, default=None)
+    p.add_argument("--tolerance", type=_tolerance, default=None,
+                   help="an absolute bound on the residual, in place of 64 eps times "
+                        "the largest sum of the magnitudes of the parts it is summed from")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("spectrum", help="algebraic spectrum, optional oracle check")

@@ -12,10 +12,10 @@ The scalar certificate behind this is |grad F|^2 + nabla^2 F + K = 0,
 whose log-form residual (nabla^2 chi)/chi + K is what the field check
 evaluates; it linearizes exactly to the seed equation.
 partner_fields(chi, lam, grid2d, mu) is the one entry point: it returns
-both fields, the ladder report for V_plus(lam) - V_minus(mu) and that
-residual.  A seed is judged there, on that grid, not when it is built: a
-chi that is not positive is refused, and sip 3d refuses a residual above
-HELMHOLTZ_TOL.
+both fields and verify.judge's reports on V_plus(lam) - V_minus(mu) and
+that residual.  A seed is judged there, on that grid, not when it is
+built: a chi that is not positive is refused, and sip 3d refuses a seed
+whose residual does not pass.
 
 Shipped seeds: axially symmetric harmonic sums
 chi = sum_n (a_n r^n + b_n r^(-(n+1))) P_n(cos theta), built on our own
@@ -42,8 +42,8 @@ from typing import Callable
 
 import numpy as np
 
-from .sampling import require_finite, write_csv
-from .verify import _constancy_report
+from .sampling import write_csv
+from .verify import judge
 
 __all__ = [
     "Region",
@@ -75,12 +75,6 @@ class Region:
 #: default working region: off-origin, off-axis, matching the shipped demos
 DEFAULT_REGION = Region(0.5, 1.5, 0.3, 2.8)
 
-#: flatness bound of the ladder certificate
-LADDER_TOL = 1e-8
-
-#: bound on the Riccati residual of a seed that sip 3d takes to solve its equation
-HELMHOLTZ_TOL = 1e-10
-
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _LOG_FLOAT_RANGE = _LOG_FLOAT_MAX - math.log(np.finfo(float).tiny)
 
@@ -89,15 +83,14 @@ _LOG_FLOAT_RANGE = _LOG_FLOAT_MAX - math.log(np.finfo(float).tiny)
 class ScalarField2D:
     """Closed-form axially symmetric field with analytic derivatives.
 
-    evaluate(r, theta) returns the arrays (chi, d chi/dr, d chi/dtheta,
-    nabla^2 chi) from one pass over the grid.  It receives the grid's axes,
-    r of shape (n_r, 1) and theta of shape (1, n_theta), so it must
-    broadcast the two; each output may have any shape that broadcasts to
-    the grid's (a field constant in theta may return (n_r, 1) arrays).  K
-    is the Helmholtz constant of the seed equation nabla^2 chi + K chi = 0
-    (zero for harmonic seeds).
-    The Laplacian must be the spherical Laplacian of chi; sip 3d bounds
-    the residual partner_fields returns for it by HELMHOLTZ_TOL.
+    evaluate(r, theta) returns the arrays (chi, d chi/dr, d^2 chi/dr^2,
+    d chi/dtheta, d^2 chi/dtheta^2) from one pass over the grid.  It
+    receives the grid's axes, r of shape (n_r, 1) and theta of shape
+    (1, n_theta), so it must broadcast the two; each output may have any
+    shape that broadcasts to the grid's (a field constant in theta may
+    return (n_r, 1) arrays).  partner_fields assembles the spherical
+    Laplacian from them.  K is the Helmholtz constant of the seed equation
+    nabla^2 chi + K chi = 0 (zero for harmonic seeds).
     """
 
     evaluate: Callable
@@ -151,10 +144,8 @@ def laplace_seed(terms, region: Region = DEFAULT_REGION) -> ScalarField2D:
     Legendre recurrence runs: a used power of r that overflows, or a degree
     n whose r^(n+1) spans more than the float range between r_lo and r_hi.
     Terms with both coefficients zero are dropped.  Nothing is evaluated
-    here: partner_fields refuses chi <= 0 on its grid and sip 3d bounds
-    the harmonicity residual max |nabla^2 chi / chi| by HELMHOLTZ_TOL.  The
-    Laplacian is assembled from the radial and angular second derivatives
-    rather than set to zero, so that residual stays meaningful.
+    here: partner_fields refuses chi <= 0 on its grid and judges the
+    harmonicity residual nabla^2 chi / chi there.
     """
     terms = tuple((int(n), float(a), float(b)) for n, a, b in terms)
     if not terms:
@@ -201,8 +192,7 @@ def laplace_seed(terms, region: Region = DEFAULT_REGION) -> ScalarField2D:
             v_rr += rad_rr * P[n]
             v_t += rad * dT[n]
             v_tt += rad * d2T[n]
-        lap = v_rr + 2.0 * v_r / r + (v_tt + v_t / np.tan(theta)) / r**2
-        return val, v_r, v_t, lap
+        return val, v_r, v_rr, v_t, v_tt
 
     return ScalarField2D(evaluate=evaluate, region=region, K=0.0, terms=terms)
 
@@ -213,10 +203,10 @@ def plane_wave_seed(k: float, region: Region = DEFAULT_REGION) -> ScalarField2D:
     k = float(k)
 
     def evaluate(r, theta):
-        value = np.exp(k * np.asarray(r, float) * np.cos(theta))
-        d_r = k * np.cos(theta) * value
-        d_theta = -k * np.asarray(r, float) * np.sin(theta) * value
-        return value, d_r, d_theta, k * k * value
+        r, kc, ks = np.asarray(r, float), k * np.cos(theta), k * np.sin(theta)
+        value = np.exp(kc * r)
+        d_theta = -ks * r * value
+        return value, kc * value, kc * kc * value, d_theta, -r * (ks * d_theta + kc * value)
 
     return ScalarField2D(evaluate=evaluate, region=region, K=-k * k)
 
@@ -228,7 +218,7 @@ def make_grid2d(region: Region, n_r: int, n_theta: int):
 
 
 def _sample(chi: ScalarField2D, grid2d):
-    """chi's (value, d/dr, d/dtheta, Laplacian) on a tensor-product grid.
+    """chi's five outputs, as evaluate returns them, on a tensor-product grid.
 
     One evaluation on the grid's axes R[:, :1] and TH[:1, :], its outputs
     broadcast to the grid.  Each value is computed from its own r and theta
@@ -244,42 +234,46 @@ def _sample(chi: ScalarField2D, grid2d):
     return tuple(np.broadcast_to(v, shape) for v in chi.evaluate(r, theta))
 
 
-def _log_derivatives(chi: ScalarField2D, grid2d):
-    """(|grad F|^2, nabla^2 F, max |(nabla^2 chi)/chi + K|) for F = log chi,
-    from one seed evaluation on the grid, which must keep chi positive."""
-    val, chi_r, chi_theta, lap = _sample(chi, grid2d)
+def partner_fields(chi: ScalarField2D, lam: float, grid2d, mu: float):
+    """(V_minus, V_plus, ladder report, Helmholtz report) of the prepotential
+    lam * log chi from one seed evaluation; NaN/inf fields raise NonFiniteValues.
+
+    V_pm = lam^2 |grad F|^2 +- lam nabla^2 F with F = log chi, and chi must
+    be positive on the grid.  The ladder report checks V_plus(lam) -
+    V_minus(mu) for constancy; for a Helmholtz seed it is (lam + mu)
+    [(lam - mu - 1) |grad F|^2 - K], constant at the step mu = lam - 1, and
+    the refit constant lets other steps be probed.  The Helmholtz report
+    checks that (nabla^2 chi)/chi + K vanishes; its max_residual is exact
+    for a seed that satisfies its equation, and one that does not (for
+    example chi = r) reports an order-one residual.
+    """
+    val, chi_r, chi_rr, chi_theta, chi_tt = _sample(chi, grid2d)
+    R, TH = grid = tuple(grid2d)
     if np.min(val) <= 0:  # the log is undefined there
-        R, TH = grid2d
         bad = np.unravel_index(int(np.argmin(val)), val.shape)
         raise ValueError(f"seed is not positive on its region (chi <= 0 near r={R[bad]:.3f}, "
                          f"theta={TH[bad]:.3f})")
-    gr = chi_r / val
-    gt = chi_theta / (grid2d[0] * val)
-    g2 = gr * gr + gt * gt
-    ratio = lap / val
-    return g2, ratio - g2, float(np.max(np.abs(ratio + chi.K)))
-
-
-def partner_fields(chi: ScalarField2D, lam: float, grid2d, mu: float):
-    """(V_minus, V_plus, ladder report, Riccati residual) of the prepotential
-    lam * log chi from one seed evaluation; NaN/inf fields raise NonFiniteValues.
-
-    V_pm = lam^2 |grad F|^2 +- lam nabla^2 F with F = log chi.  The ladder
-    report checks V_plus(lam) - V_minus(mu) for constancy to LADDER_TOL;
-    for a Helmholtz seed it is (lam + mu) [(lam - mu - 1) |grad F|^2 - K],
-    constant at the step mu = lam - 1, and the refit constant lets other
-    steps be probed.  The Riccati residual max |(nabla^2 chi)/chi + K| is
-    exact for a seed that satisfies its Helmholtz equation; one that does
-    not (for example chi = r) reports an order-one residual, not masked.
-    """
-    g2, lap_f, residual = _log_derivatives(chi, grid2d)
-    with np.errstate(all="ignore"):  # require_finite reports a NaN/inf
+    r, tan = R[:, :1], np.tan(TH[:1, :])
+    # fields are dropped, or overwritten, once used: on a 256x256 grid each one
+    # alive at once costs 512 kB of fresh pages
+    with np.errstate(all="ignore"):  # judge reports a NaN/inf
+        radial, angular = 2.0 * chi_r / r, chi_theta / tan  # terms of the Laplacian
+        ratio = (chi_rr + radial + (chi_tt + angular) / r**2) / val  # (nabla^2 chi)/chi
+        # the magnitudes of the Laplacian's terms over chi, and |K|
+        h = (np.abs(chi_rr) + np.abs(radial, out=radial)
+             + (np.abs(chi_tt) + np.abs(angular, out=angular)) / r**2) / val + abs(chi.K)
+        del radial, angular, chi_rr, chi_tt
+        helmholtz = judge(grid, ratio + chi.K, (h,), offset=chi.K)
+        g2 = (chi_r / val) ** 2 + (chi_theta / (R * val)) ** 2  # |grad F|^2
+        lap_f = ratio - g2  # nabla^2 F
         vminus = lam * lam * g2 - lam * lap_f
         vplus = lam * lam * g2 + lam * lap_f
         d = (lam * lam - mu * mu) * g2 + (lam + mu) * lap_f
-    report = _constancy_report(tuple(grid2d), d, LADDER_TOL)
-    require_finite(tuple(grid2d), (vminus, vplus), "values of V_minus and V_plus")
-    return vminus, vplus, report, residual
+        h += g2  # the ladder's parts: (lam^2 + mu^2) |grad F|^2 and this times |lam| + |mu|
+        h *= abs(lam) + abs(mu)
+        # judge refuses a NaN/inf in the sum of parts, which bounds |V_pm|
+        report = judge(grid, d, ((lam * lam + mu * mu) * g2, h))
+    return vminus, vplus, report, helmholtz
 
 
 def fields_to_csv(path, grid2d, vminus, vplus) -> None:

@@ -1,14 +1,10 @@
 """Grid certification of the defining identities.
 
-Every verifier evaluates a residual field on a uniform grid and reduces it
-to a report.  The constancy test is max deviation from the mean (a hard
-bound), never a variance.  Estimated constants are always refit from the
-grid rather than trusted from closed forms, which keeps certification
-decoupled from catalog bookkeeping.
-
-Every verifier takes a tolerance, by default ANALYTIC_TOL = 1e-10, the
-bound for residuals built from analytic derivatives.  A caller whose
-residual involves finite differences passes its own.
+Every verifier evaluates a residual field on a uniform grid, with the
+magnitudes of the parts it is summed from, and hands both to judge, the
+one place a residual meets a bound.  Estimated constants are always refit
+from the grid rather than trusted from closed forms, which keeps
+certification decoupled from catalog bookkeeping.
 """
 
 from __future__ import annotations
@@ -21,60 +17,74 @@ from .sampling import ParamSet, require_finite
 
 __all__ = [
     "VerificationReport",
-    "ANALYTIC_TOL",
+    "judge",
     "verify_shape_invariance",
     "verify_qhj",
     "verify_negation_condition",
     "verify_generalized_si",
 ]
 
-ANALYTIC_TOL = 1e-10
+#: an exact identity's residual in units of eps max S is a few at most
+#: (Oettli & Prager); 6000 exact certificates surveyed stayed below 6.6
+ROUNDING_FACTOR = 64
 
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """verdict is pass, fail or unresolved; tolerance is the bound applied,
+    scale the largest sum of part sizes max S, and worst_x the grid point
+    of the largest residual (an (r, theta) pair on a 2D grid)."""
+
     max_residual: float
     mean: float
     estimated_constant: float
     passed: bool
     tolerance: float
+    verdict: str
+    scale: float
+    worst_x: object
 
     def __post_init__(self):
-        if self.passed != (self.max_residual < self.tolerance):
-            raise ValueError("passed flag inconsistent with residual/tolerance")
+        wrong = "fail" if self.max_residual <= self.tolerance else "pass"
+        if self.verdict == wrong or self.passed != (self.verdict == "pass"):
+            raise ValueError("passed flag inconsistent with verdict and residual/tolerance")
 
     def to_json(self) -> dict:
         return asdict(self)
 
 
-def _constancy_report(x, d, tolerance) -> VerificationReport:
-    """Report on whether the field d(x) is x-independent.
-
-    x is the grid, or the pair (R, TH) for a field on a 2D grid.
-    """
-    d = require_finite(x, d, "difference field")
-    mean = float(np.mean(d))
-    max_res = float(np.max(np.abs(d - mean)))
-    return VerificationReport(
-        max_residual=max_res,
-        mean=mean,
-        estimated_constant=mean,
-        passed=max_res < tolerance,
-        tolerance=tolerance,
-    )
-
-
-def _zero_report(x, r, offset, tolerance) -> VerificationReport:
-    """Report on whether the residual field r(x) vanishes."""
-    r = require_finite(x, r, "residual field")
+def judge(x, residual, parts, offset=None, tolerance=None) -> VerificationReport:
+    """Judge a residual summed from parts of the given magnitudes (fields or
+    numbers) on the grid x, or (R, TH), against the rounding floor
+    ROUNDING_FACTOR eps max S of their sum S, or an absolute tolerance.
+    With offset None the residual must be constant about its mean, the
+    estimated constant, and is unresolved when parts vary but none by as
+    much as the floor; otherwise it must vanish, and the estimated constant
+    is offset - mean."""
+    with np.errstate(over="ignore"):  # require_finite reports an S that overflows
+        fields = np.broadcast_arrays(residual, sum(parts[1:], parts[0]))  # one part: no copy
+    # the parts are magnitudes, so a finite S holds only finite ones
+    r, total = (require_finite(x, f, "residual field or its part sizes") for f in fields)
     mean = float(np.mean(r))
-    max_res = float(np.max(np.abs(r)))
+    dev = abs(r - mean) if offset is None else np.abs(r)  # abs() reuses r - mean's array
+    worst = int(np.argmax(dev))
+    scale = float(np.max(total))
+    floor = ROUNDING_FACTOR * np.finfo(float).eps * scale
+    bound = floor if tolerance is None else tolerance
+    if offset is None and 0 < max(np.ptp(part) for part in parts) < floor:
+        verdict = "unresolved"
+    else:
+        verdict = "pass" if dev.flat[worst] <= bound else "fail"
     return VerificationReport(
-        max_residual=max_res,
+        max_residual=float(dev.flat[worst]),
         mean=mean,
-        estimated_constant=float(offset - mean),
-        passed=max_res < tolerance,
-        tolerance=tolerance,
+        estimated_constant=mean if offset is None else float(offset - mean),
+        passed=verdict == "pass",
+        tolerance=float(bound),
+        verdict=verdict,
+        scale=scale,
+        worst_x=(tuple(float(g.flat[worst]) for g in x) if isinstance(x, tuple)
+                 else float(x.flat[worst])),
     )
 
 
@@ -84,7 +94,7 @@ def verify_shape_invariance(
     p: ParamSet,
     tau,
     grid,
-    tolerance: float = ANALYTIC_TOL,
+    tolerance=None,
 ) -> VerificationReport:
     """Certify V_plus(x; p) - V_minus(x; tau(p)) is x-independent.
 
@@ -96,20 +106,21 @@ def verify_shape_invariance(
     return verify_generalized_si(W, Wprime, p, tau, lambda x: 0.0, grid, tolerance)
 
 
-def verify_qhj(W, Wprime, V, E: float, grid, tolerance: float = ANALYTIC_TOL) -> VerificationReport:
+def verify_qhj(W, Wprime, V, E: float, grid, tolerance=None) -> VerificationReport:
     """Residual of the Riccati relation W^2 - W' - V + E over the grid.
 
     W, Wprime are x -> value callables here (single parameter point); the
     estimated constant is the energy that would zero the mean residual.
     """
     x = np.asarray(grid, dtype=float)
-    with np.errstate(all="ignore"):  # require_finite reports a NaN/inf
+    with np.errstate(all="ignore"):  # judge reports a NaN/inf
         w = W(x)
-        r = w * w - Wprime(x) - V(x) + E
-    return _zero_report(x, r, E, tolerance)
+        w2, dw, v = w * w, Wprime(x), V(x)
+        r = w2 - dw - v + E
+    return judge(x, r, (w2, np.abs(dw), np.abs(v), abs(E)), offset=E, tolerance=tolerance)
 
 
-def verify_negation_condition(W, p: ParamSet, tau, grid, tolerance: float = ANALYTIC_TOL) -> VerificationReport:
+def verify_negation_condition(W, p: ParamSet, tau, grid, tolerance=None) -> VerificationReport:
     """Residual of W(x; tau(p)) + W(x; p).
 
     Passing certifies the sufficient condition for shape invariance in
@@ -118,9 +129,10 @@ def verify_negation_condition(W, p: ParamSet, tau, grid, tolerance: float = ANAL
     rather than fatal.
     """
     x = np.asarray(grid, dtype=float)
-    with np.errstate(all="ignore"):  # require_finite reports a NaN/inf
-        r = W(tau(p), x) + W(p, x)
-    return _zero_report(x, r, 0.0, tolerance)
+    with np.errstate(all="ignore"):  # judge reports a NaN/inf
+        wq, wp = W(tau(p), x), W(p, x)
+        r = wq + wp
+    return judge(x, r, (np.abs(wq), np.abs(wp)), offset=0.0, tolerance=tolerance)
 
 
 def verify_generalized_si(
@@ -130,7 +142,7 @@ def verify_generalized_si(
     tau,
     V0,
     grid,
-    tolerance: float = ANALYTIC_TOL,
+    tolerance=None,
 ) -> VerificationReport:
     """Certify V_plus(x; p) - V_minus(x; tau(p)) - V0(x) is x-independent.
 
@@ -139,8 +151,9 @@ def verify_generalized_si(
     """
     x = np.asarray(grid, dtype=float)
     q = tau(p)
-    with np.errstate(all="ignore"):  # require_finite reports a NaN/inf
+    with np.errstate(all="ignore"):  # judge reports a NaN/inf
         wp, wq = W(p, x), W(q, x)
         dp, dq = Wprime(p, x), Wprime(q, x)
-        d = (wp * wp + dp) - (wq * wq - dq) - V0(x)
-    return _constancy_report(x, d, tolerance)
+        wp2, wq2, v0 = wp * wp, wq * wq, V0(x)
+        d = (wp2 + dp) - (wq2 - dq) - v0
+    return judge(x, d, (wp2, np.abs(dp), wq2, np.abs(dq), np.abs(v0)), tolerance=tolerance)

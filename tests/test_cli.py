@@ -72,6 +72,27 @@ def test_verify_morse_reports_seven():
     assert rep["estimated_constant"] == pytest.approx(7.0)
 
 
+def test_verify_passes_morse_where_its_fields_are_large():
+    # V_pm reach about 1e6 on the default grid, and rounding leaves a residual
+    # of 1.2e-10 there
+    code, text = run(["verify", "morse", "--A", "40", "--B", "40", "--json"])
+    assert code == EXIT_PASS, text
+    assert json.loads(text)["verdict"] == "pass"
+
+
+def test_verify_morse_at_a_huge_A_is_unresolved_beside_its_stored_shift():
+    # R = a (2A - a) = 2e150 lies far below the rounding floor of W^2 = 1e300,
+    # so every part of V_plus - V_minus that varies rounds away
+    code, text = run(["verify", "morse", "--A", "1e150"])
+    assert code == EXIT_FAIL
+    lines = text.splitlines()
+    assert "stored shift:       2e+150" in lines
+    assert lines[-2] == "verdict:            unresolved"
+    assert lines[-1].startswith("passed:             False (")
+    code, text = run(["verify", "morse", "--A", "1e150", "--json"])
+    assert (code, json.loads(text)["verdict"]) == (EXIT_FAIL, "unresolved")
+
+
 def test_verify_bad_parameters_exit_two():
     code, text = run(["verify", "morse", "--A", "-1"])
     assert code == EXIT_USAGE
@@ -95,13 +116,13 @@ def test_trigonometric_families_verify_at_every_scale(a):
         assert json.loads(text)["estimated_constant"] == pytest.approx(shift, rel=1e-9)
 
 
-@pytest.mark.parametrize("a", ["1e5", "1e6", "1e8"])
+@pytest.mark.parametrize("a", ["1e5", "2e5", "1e6", "1e8"])
 def test_trigonometric_families_verify_inside_their_domain_at_large_scale(a):
-    # the verdict may still fail on the absolute tolerance; the grid must not
-    # be refused as leaving the domain (exit 2)
+    # the grid is not refused as leaving the domain (exit 2), and the
+    # residual, of the order of eps * a^2, is judged against that scale
     for name in ("scarf-I-trigonometric", "rosen-morse-I-trigonometric"):
         code, text = run(["verify", name, "--a", a, "--json"])
-        assert code in (EXIT_PASS, EXIT_FAIL), (name, text)
+        assert code == EXIT_PASS, (name, text)
         assert json.loads(text)["estimated_constant"] > 0
 
 
@@ -155,6 +176,14 @@ def test_spectrum_with_oracle_passes():
     payload = json.loads(text)
     assert payload["comparison"]["passed"] is True
     assert max(payload["comparison"]["deviations"]) < 1e-3
+
+
+@pytest.mark.parametrize("A", ["1e150", "1e200"])
+def test_spectrum_at_a_huge_morse_A_lists_its_levels(A):
+    # E_n = A^2 - (A - n)^2 = 2nA - n^2, where A^2 - (A - 1)^2 rounds to 0
+    code, text = run(["spectrum", "morse", "--A", A, "-n", "3", "--json"])
+    assert code == EXIT_PASS, text
+    assert json.loads(text)["energies"] == pytest.approx([0.0, 2 * float(A), 4 * float(A)])
 
 
 def test_spectrum_truncation_exit_three():
@@ -229,6 +258,20 @@ def test_construct_writes_descriptor_and_manifest(outdir):
     # the linear K=0 seed gives W = 1/x
     printed = json.loads(text)
     assert printed["K"] == 0.0 and printed["lambda"] == 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    # the parts W^2 and W' sum to 6.5e6 near the poles of tan, where
+    # rounding leaves a residual of 5.5e-10 around R = -16
+    ["--K", "2.9854", "--branch", "cos", "--alpha", "0.7539", "--lambda", "3.9306"],
+    # W = c/lam is constant: with no part that varies, none hides below the floor
+    ["--K", "0", "--branch", "linear", "--alpha", "1", "--lambda", "3", "--slope", "0",
+     "--intercept", "1", "--shift", "2"],
+], ids=["cos-near-poles", "constant-W"])
+def test_construct_passes_an_exact_input(argv, outdir):
+    code, text = run(["construct", *argv])
+    assert code == EXIT_PASS, text
+    assert json.loads(text)["shape_invariance"]["verdict"] == "pass"
 
 
 def test_construct_cosh_stays_finite_where_cosh_overflows(outdir):
@@ -444,19 +487,46 @@ def test_3d_refuses_a_seed_that_is_not_positive_on_its_grid(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("patch", ["zero-bound", "nan-residual"])
-def test_3d_refuses_a_seed_that_misses_its_helmholtz_equation(patch, tmp_path, monkeypatch):
-    if patch == "zero-bound":  # a0=2,a1=1 leaves a rounding residual of about 7e-16
-        monkeypatch.setattr(multidim, "HELMHOLTZ_TOL", 0.0)
-    else:
-        fields = multidim.partner_fields
-        monkeypatch.setattr(multidim, "partner_fields",
-                            lambda *a, **k: (*fields(*a, **k)[:3], math.nan))
+HELMHOLTZ_MISSES = {
+    # chi_rr off by a relative 1e-12: a residual of a few 1e-12, which a
+    # fixed bound of 1e-10 let pass, 24 times the rounding floor 1.3e-13
+    # of the Laplacian's parts
+    "perturbed-seed": (lambda v_rr: v_rr * (1 + 1e-12),
+                       "error: seed violates its Helmholtz equation on the region\n"),
+    "nan-residual": (lambda v_rr: v_rr + math.nan,
+                     "error: residual field or its part sizes contain NaN/inf on grid\n"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(HELMHOLTZ_MISSES))
+def test_3d_refuses_a_seed_that_misses_its_helmholtz_equation(fault, tmp_path, monkeypatch):
+    perturb, error = HELMHOLTZ_MISSES[fault]
+    field = multidim.ScalarField2D
+
+    def missing_field(evaluate, **kwargs):
+        def missed(r, theta):
+            val, v_r, v_rr, v_t, v_tt = evaluate(r, theta)
+            return val, v_r, perturb(v_rr), v_t, v_tt
+        return field(evaluate=missed, **kwargs)
+
+    monkeypatch.setattr(multidim, "ScalarField2D", missing_field)
     out = tmp_path / "D"
-    code, text = run(["3d", "--seed", "a0=2,a1=1", "--lambda", "2", "--mu", "1",
+    code, text = run(["3d", "--seed", "a0=2,a1=1,b0=0.5", "--lambda", "2", "--mu", "1",
                       "--out", str(out)])
-    assert (code, text) == (EXIT_USAGE, "error: seed violates its Helmholtz equation on the region\n")
+    assert (code, text) == (EXIT_USAGE, error)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["b0=2,b100000=1e-3", "a0=2,a30000=1e-3"])
+def test_3d_passes_a_high_degree_seed_on_a_narrow_region(seed, outdir):
+    # the Laplacian's parts reach 1e5 (a30000) and 1e9 (b100000) times chi
+    # here: its residual and the ladder's are judged against their rounding
+    # floor, not a fixed bound
+    code, text = run(["3d", "--region", "0.9999:1.0001:0.3:2.8", "--seed", seed,
+                      "--lambda", "2", "--mu", "1", "--json"])
+    assert code == EXIT_PASS, text
+    assert json.loads(text)["shape_invariance"]["verdict"] == "pass"
+    assert (outdir / "fields.csv").exists()
 
 
 def test_3d_never_forms_the_power_of_a_zero_coefficient(outdir):
@@ -1096,11 +1166,11 @@ def test_more_oracle_levels_than_points_is_a_usage_error(tmp_path):
 #: sampling.require_finite refuses without a RuntimeWarning on stderr
 _ARITHMETIC_FAILURES = [
     "construct --K 0 --branch linear --alpha 1 --lambda 1 --shift 1 --out out",
-    "spectrum morse --A 1e200 -n 3",
     "spectrum coulomb --e2 1e200 -n 3",
     "spectrum rosen-morse-II-hyperbolic --A 1e200 --B 1 -n 2",
     "radial --ell 3 --grid 0.5:1e300:64 --out out",
     "verify morse --A 1e200",
+    "verify morse --A 1e154",  # W^2 is finite, but the sum of the parts' sizes overflows
     "verify coulomb --e2 1e200",
     "3d --seed a0=1e300 --lambda 1e300 --mu 1 --out out",
     "spectrum scarf-II-hyperbolic --B 1e200 --oracle",
@@ -1143,7 +1213,7 @@ def test_an_overflow_ends_only_its_own_batch_job(tmp_path, monkeypatch):
     from shapeinv import cli
 
     jobfile = tmp_path / "jobs.txt"
-    jobfile.write_text("spectrum morse --A 1e200 -n 3\nverify morse\n")
+    jobfile.write_text("spectrum coulomb --e2 1e200 -n 3\nverify morse\n")
     transcripts = []
     for workers in (2, 1):
         monkeypatch.setattr(cli, "_worker_count", lambda n_jobs: min(n_jobs, workers))
@@ -1152,7 +1222,7 @@ def test_an_overflow_ends_only_its_own_batch_job(tmp_path, monkeypatch):
     code, text = transcripts[0]
     assert code == EXIT_USAGE
     first, second = text.split("$ sip ")[1:]
-    assert first == ("spectrum morse --A 1e200 -n 3\n"
+    assert first == ("spectrum coulomb --e2 1e200 -n 3\n"
                      "error: OverflowError: (34, 'Numerical result out of range')\n[exit 2]\n")
     assert second.startswith("verify morse\n") and second.endswith("[exit 0]\n")
 

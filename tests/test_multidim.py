@@ -22,9 +22,9 @@ def test_region_validation():
 
 
 def riccati_residual(chi, grid2d):
-    """The log-form Riccati residual that partner_fields returns beside the
-    fields; it does not depend on lam or mu."""
-    return md.partner_fields(chi, 1.0, grid2d, mu=0.0)[3]
+    """The log-form Riccati residual max |(nabla^2 chi)/chi + K| that
+    partner_fields judges beside the fields; it does not depend on lam or mu."""
+    return md.partner_fields(chi, 1.0, grid2d, mu=0.0)[3].max_residual
 
 
 def test_legendre_table_against_known_polynomials():
@@ -45,7 +45,7 @@ def test_constant_seed(grid):
     chi = md.laplace_seed([(0, 1.0, 0.0)])
     R, TH = grid
     assert np.allclose(chi.evaluate(R, TH)[0], 1.0)
-    assert np.max(np.abs(chi.evaluate(R, TH)[3])) < 1e-14
+    assert riccati_residual(chi, grid) < 1e-14
     vm, vp = md.partner_fields(chi, 2.0, grid, mu=1.0)[:2]
     assert np.max(np.abs(vm)) == 0.0 and np.max(np.abs(vp)) == 0.0
 
@@ -64,11 +64,12 @@ def test_worked_two_term_seed(grid):
     # chi = 2 + r cos(theta): harmonic with analytic derivatives
     chi = md.laplace_seed([(0, 2.0, 0.0), (1, 1.0, 0.0)])
     R, TH = grid
-    val, d_r, d_theta, lap = chi.evaluate(R, TH)
+    val, d_r, d_rr, d_theta, d_tt = chi.evaluate(R, TH)
     assert np.max(np.abs(val - (2 + R * np.cos(TH)))) < 1e-14
     assert np.max(np.abs(d_r - np.cos(TH))) < 1e-14
+    assert np.max(np.abs(d_rr)) == 0.0
     assert np.max(np.abs(d_theta + R * np.sin(TH))) < 1e-14
-    assert np.max(np.abs(lap)) < 1e-13
+    assert np.max(np.abs(d_tt + R * np.cos(TH))) < 1e-14
     assert riccati_residual(chi, grid) < 1e-10
 
 
@@ -80,18 +81,18 @@ def test_derivatives_match_finite_differences(grid):
     def value(r, t):
         return chi.evaluate(r, t)[0]
 
-    _, d_r, d_theta, lap = chi.evaluate(r0, t0)
+    _, d_r, d_rr, d_theta, d_tt = chi.evaluate(r0, t0)
     dr_fd = (value(r0 + h, t0) - value(r0 - h, t0)) / (2 * h)
     dt_fd = (value(r0, t0 + h) - value(r0, t0 - h)) / (2 * h)
     assert dr_fd == pytest.approx(d_r, abs=1e-6)
     assert dt_fd == pytest.approx(d_theta, abs=1e-6)
-    # spherical laplacian by finite differences of the value map; second
-    # differences need a larger step or roundoff (eps/h^2) dominates
+    # second differences of the value map need a larger step or roundoff
+    # (eps/h^2) dominates
     h2 = 1e-4
     vrr = (value(r0 + h2, t0) - 2 * value(r0, t0) + value(r0 - h2, t0)) / h2**2
     vtt = (value(r0, t0 + h2) - 2 * value(r0, t0) + value(r0, t0 - h2)) / h2**2
-    lap_fd = (vrr + 2 / r0 * dr_fd + (vtt + dt_fd / np.tan(t0)) / r0**2)
-    assert lap_fd == pytest.approx(lap, abs=1e-6)
+    assert vrr == pytest.approx(d_rr, abs=1e-6)
+    assert vtt == pytest.approx(d_tt, abs=1e-6)
 
 
 def test_non_harmonic_field_reports_order_one_residual(grid):
@@ -100,7 +101,8 @@ def test_non_harmonic_field_reports_order_one_residual(grid):
             np.asarray(r, float) + 0 * t,
             np.ones_like(np.asarray(r, float) + 0 * t),
             np.zeros_like(np.asarray(r, float) + 0 * t),
-            2.0 / np.asarray(r, float) + 0 * t,
+            np.zeros_like(np.asarray(r, float) + 0 * t),
+            np.zeros_like(np.asarray(r, float) + 0 * t),
         ),
         region=md.DEFAULT_REGION,
         K=0.0,
@@ -111,7 +113,8 @@ def test_non_harmonic_field_reports_order_one_residual(grid):
 def test_non_finite_difference_field_raises(grid):
     def evaluate(r, t):
         r = np.asarray(r, float) + 0 * t
-        return np.ones_like(r), np.where(r > 1.4, np.nan, 0.0), np.zeros_like(r), np.zeros_like(r)
+        zero = np.zeros_like(r)
+        return np.ones_like(r), np.where(r > 1.4, np.nan, 0.0), zero, zero, zero
 
     chi = md.ScalarField2D(evaluate=evaluate, region=md.DEFAULT_REGION)
     with pytest.raises(NonFiniteValues) as exc:
@@ -159,7 +162,7 @@ def test_axis_evaluation_is_bit_identical_to_meshgrid_evaluation(seed, region, n
     grid = md.make_grid2d(region, n_r, n_theta)
     on_cells = chi.evaluate(*grid)
     on_axes = md._sample(chi, grid)
-    assert [a.shape for a in on_axes] == [(n_r, n_theta)] * 4
+    assert [a.shape for a in on_axes] == [(n_r, n_theta)] * 5
     # bytes, not values: a -0.0 where the cells give 0.0 would differ
     assert _bits(on_axes) == _bits(on_cells)
 
@@ -167,16 +170,15 @@ def test_axis_evaluation_is_bit_identical_to_meshgrid_evaluation(seed, region, n
 def test_a_field_may_return_arrays_smaller_than_the_grid(grid):
     # chi = 1/r, constant in theta, evaluated at the shape of the r axis
     def evaluate(r, theta):
-        return 1.0 / r, -1.0 / r**2, np.zeros_like(r), np.zeros_like(r)
+        return 1.0 / r, -1.0 / r**2, 2.0 / r**3, np.zeros_like(r), np.zeros_like(r)
 
     chi = md.ScalarField2D(evaluate=evaluate, region=md.DEFAULT_REGION)
     R, TH = grid
-    assert riccati_residual(chi, grid) == 0.0
-    vm, vp, report, residual = md.partner_fields(chi, 1.0, grid, mu=0.0)
+    vm, vp, report, helmholtz = md.partner_fields(chi, 1.0, grid, mu=0.0)
     assert vm.shape == vp.shape == R.shape
     assert np.max(np.abs(vm - 2.0 / R**2)) < 1e-12
     assert np.max(np.abs(vp)) < 1e-12
-    assert residual == 0.0 and report.passed
+    assert helmholtz.passed and report.passed
     assert md.partner_fields(chi, 2.0, grid, mu=1.0)[2].passed
 
 
@@ -212,8 +214,8 @@ def test_3d_shape_invariance_unit_step(grid):
 
 def test_3d_shape_invariance_rejects_other_steps(grid):
     chi = md.laplace_seed([(0, 2.0, 0.0), (1, 1.0, 0.0)])
-    assert not md.partner_fields(chi, 2.0, grid, mu=2.0)[2].passed
-    assert not md.partner_fields(chi, 2.0, grid, mu=0.5)[2].passed
+    for mu in (2.0, 1.5, 0.5):  # 1.5 is half the unit step
+        assert md.partner_fields(chi, 2.0, grid, mu=mu)[2].verdict == "fail", mu
 
 
 def test_degenerate_step_reports_laplacian_field(grid):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shapeinv.catalog import FAMILY_NAMES, get_family
 from shapeinv.sampling import NonFiniteValues, make_grid
@@ -15,7 +17,11 @@ from shapeinv.verify import (
 def test_report_consistency_enforced():
     with pytest.raises(ValueError):
         VerificationReport(max_residual=1.0, mean=0.0, estimated_constant=0.0,
-                           passed=True, tolerance=1e-10)
+                           passed=True, tolerance=1e-10, verdict="pass", scale=1.0, worst_x=0.0)
+    with pytest.raises(ValueError):  # an unresolved verdict never passes
+        VerificationReport(max_residual=0.0, mean=0.0, estimated_constant=0.0,
+                           passed=True, tolerance=1e-10, verdict="unresolved", scale=1.0,
+                           worst_x=0.0)
 
 
 def test_shape_invariance_shifted_oscillator_exact():
@@ -43,13 +49,69 @@ def test_shape_invariance_morse():
     assert rep.estimated_constant == pytest.approx(7.0, abs=1e-10)
 
 
+def _half_step(fam, p):
+    """A wrong tau: half of the family's step; the shifted oscillator, whose
+    tau moves nothing, gets b moved by 1/2."""
+    q = fam.tau(p)
+    if q == p:
+        return {**p, "b": p["b"] + 0.5}
+    return {k: p[k] + (q[k] - p[k]) / 2 for k in p}
+
+
+def _certify_exact_and_half_step(fam, p):
+    grid = make_grid(*fam.domain(p).si_interval, 512)
+    rep = verify_shape_invariance(fam.W, fam.Wprime, p, fam.tau, grid)
+    assert rep.passed, (fam.name, p, rep)
+    assert rep.max_residual <= rep.tolerance == 64 * np.finfo(float).eps * rep.scale
+    wrong = verify_shape_invariance(fam.W, fam.Wprime, p, lambda q: _half_step(fam, q), grid)
+    assert wrong.verdict == "fail", (fam.name, p, wrong)
+
+
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_all_catalog_families_certify(name):
     fam = get_family(name)
-    p = fam.reference_params
-    rep = verify_shape_invariance(fam.W, fam.Wprime, p,
-                                  fam.tau, make_grid(*fam.domain(p).si_interval, 512))
-    assert rep.passed, (name, rep.max_residual)
+    _certify_exact_and_half_step(fam, fam.reference_params)
+
+
+#: each family's valid region, inside the sampling ranges of perfbench's
+#: workloads; a coupled B is drawn as a fraction f of its bound
+_REGIONS = {
+    "shifted-oscillator": {"omega": (0.5, 8), "b": (-4, 4)},
+    "radial-oscillator": {"omega": (0.5, 8), "ell": (0, 6)},
+    "coulomb": {"e2": (0.5, 8), "ell": (0, 6)},
+    "morse": {"A": (0.5, 40), "B": (0.5, 40), "a": (0.25, 2)},
+    "scarf-II-hyperbolic": {"A": (0.5, 10), "B": (-10, 10), "a": (0.25, 2)},
+    "rosen-morse-II-hyperbolic": {"A": (0.5, 10), "f": (-1, 1), "a": (0.25, 2)},  # B = f A^2
+    "eckart": {"A": (0.25, 4), "f": (0, 30), "a": (0.25, 2)},  # B = A^2 + f
+    "scarf-I-trigonometric": {"A": (0.5, 10), "f": (-1, 1), "a": (0.25, 4)},  # B = f A
+    "gen-poschl-teller": {"A": (0.5, 10), "f": (0, 10), "a": (0.25, 2)},  # B = A + f
+    "rosen-morse-I-trigonometric": {"A": (0.5, 10), "B": (-10, 10), "a": (0.25, 4)},
+}
+_COUPLED_B = {
+    "rosen-morse-II-hyperbolic": lambda A, f: f * A * A,
+    "eckart": lambda A, f: A * A + f,
+    "scarf-I-trigonometric": lambda A, f: f * A,
+    "gen-poschl-teller": lambda A, f: A + f,
+}
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_valid_point_certifies_its_tau_and_refuses_a_half_step(name, data):
+    fam = get_family(name)
+    p = {k: data.draw(st.floats(lo, hi), label=k) for k, (lo, hi) in _REGIONS[name].items()}
+    if name in _COUPLED_B:
+        p["B"] = _COUPLED_B[name](p["A"], p.pop("f"))
+    try:
+        fam.validate(p)  # InvalidParameters is a ValueError
+        fam.recipe(fam.tau(p))  # the partner rung has a W: RM II has none at A = a
+    except ValueError:
+        assume(False)
+    # a half step onto lam -> -lam is the negation condition, which holds
+    # for a W without phi: no wrong step, so nothing to refuse
+    assume(abs(fam.recipe(_half_step(fam, p)).lam + fam.recipe(p).lam) > 1e-6)
+    _certify_exact_and_half_step(fam, p)
 
 
 def test_qhj_oscillator():
