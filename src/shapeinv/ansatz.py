@@ -16,20 +16,25 @@ families:
 - constant shift: W = lam*F + c/lam, which preserves shape invariance and
   contributes c^2 (1/lam^2 - 1/mu^2) to R.
 
-Branch bookkeeping: a named branch carries F = u'/u and 1/u in closed
-form and never forms u, u' or the integral of u on its own, so F and phi
-stay finite where sinh and cosh overflow.
+Branch bookkeeping: a named branch carries F = u'/u, 1/u, log|u| and
+the integral of 1/u in closed form and never forms u, u' or the integral
+of u on its own, so F, phi and the prepotential stay finite where sinh
+and cosh overflow (log cosh z is |z| + log1p(e^(-2|z|)) - log 2, and
+log|sinh z| likewise with -expm1).
 
-    branch   K      u              F = u'/u         1/u
-    linear   0      s*xi + t       s/(s*xi + t)     1/(s*xi + t)
-    sin      k^2    sin(k xi)      k*cot(k xi)      1/sin(k xi)
-    cos      k^2    cos(k xi)      -k*tan(k xi)     1/cos(k xi)
-    sinh     -c^2   sinh(c xi)     c*coth(c xi)     1/sinh(c xi)
-    cosh     -c^2   cosh(c xi)     c*tanh(c xi)     1/cosh(c xi)
-    exp      -c^2   exp(c xi)      c                exp(-c xi)
+    branch   K      u              F = u'/u         1/u            int 1/u dxi
+    linear   0      s*xi + t       s/(s*xi + t)     1/(s*xi + t)   log|s*xi + t|/s, or xi/t if s = 0
+    sin      k^2    sin(k xi)      k*cot(k xi)      1/sin(k xi)    log|tan(k xi/2)|/k
+    cos      k^2    cos(k xi)      -k*tan(k xi)     1/cos(k xi)    log|tan(k xi/2 + pi/4)|/k
+    sinh     -c^2   sinh(c xi)     c*coth(c xi)     1/sinh(c xi)   log|tanh(c xi/2)|/c
+    cosh     -c^2   cosh(c xi)     c*tanh(c xi)     1/cosh(c xi)   2 atan(tanh(c xi/2))/c
+    exp      -c^2   exp(c xi)      c                exp(-c xi)     -exp(-c xi)/c
 
 The second solution is phi = C*(int u)/u + D/u, where (int u)/u = -F/K
-for K != 0 and xi*(s*xi/2 + t)/(s*xi + t) for the linear seed.
+for K != 0 and xi*(s*xi/2 + t)/(s*xi + t) for the linear seed.  Its
+integral Phi = C*int((int u)/u) + D*int(1/u) is -C log|u|/K + D*int(1/u)
+for K != 0, so that the prepotential int W dx of every named recipe is in
+closed form: (lam/alpha) log|u(alpha x)| + Phi(alpha x)/alpha + g*x.
 
 A generalized variant accepts a seed solving u'' + (K - V0(xi)) u = 0,
 i.e. a Schrodinger solution at energy K in a potential V0.  The partner
@@ -88,21 +93,57 @@ def _reciprocal(f, xi):
         return 1.0 / f(xi)
 
 
-#: named branch -> (F = u'/u, 1/u) as functions of the seed constants and xi
+_LOG2 = math.log(2.0)
+
+
+def _log_abs_sinh(z):
+    z = np.abs(z)
+    return z - _LOG2 + np.log(-np.expm1(-2.0 * z))
+
+
+def _log_cosh(z):
+    z = np.abs(z)
+    return z - _LOG2 + np.log1p(np.exp(-2.0 * z))
+
+
+def _linear(c, xi):
+    return c["slope"] * xi + c["intercept"]
+
+
+def _linear_inverse_integral(c, xi):
+    if c["slope"] == 0.0:
+        return xi / c["intercept"]
+    return np.log(np.abs(_linear(c, xi))) / c["slope"]
+
+
+#: named branch -> (F = u'/u, 1/u, log|u|, int 1/u dxi) as functions of the
+#: seed constants and xi
 _CLOSED_FORMS = {
-    "linear": (lambda c, xi: c["slope"] / (c["slope"] * xi + c["intercept"]),
-               lambda c, xi: 1.0 / (c["slope"] * xi + c["intercept"])),
+    "linear": (lambda c, xi: c["slope"] / _linear(c, xi),
+               lambda c, xi: 1.0 / _linear(c, xi),
+               lambda c, xi: np.log(np.abs(_linear(c, xi))),
+               _linear_inverse_integral),
     "sin": (lambda c, xi: c["k"] / np.tan(c["k"] * xi),
-            lambda c, xi: 1.0 / np.sin(c["k"] * xi)),
+            lambda c, xi: 1.0 / np.sin(c["k"] * xi),
+            lambda c, xi: np.log(np.abs(np.sin(c["k"] * xi))),
+            lambda c, xi: np.log(np.abs(np.tan(0.5 * c["k"] * xi))) / c["k"]),
     "cos": (lambda c, xi: -c["k"] * np.tan(c["k"] * xi),
-            lambda c, xi: 1.0 / np.cos(c["k"] * xi)),
+            lambda c, xi: 1.0 / np.cos(c["k"] * xi),
+            lambda c, xi: np.log(np.abs(np.cos(c["k"] * xi))),
+            lambda c, xi: np.log(np.abs(np.tan(0.5 * c["k"] * xi + 0.25 * np.pi))) / c["k"]),
     "sinh": (lambda c, xi: c["c"] / np.tanh(c["c"] * xi),
-             lambda c, xi: _reciprocal(np.sinh, c["c"] * xi)),
+             lambda c, xi: _reciprocal(np.sinh, c["c"] * xi),
+             lambda c, xi: _log_abs_sinh(c["c"] * xi),
+             lambda c, xi: np.log(np.abs(np.tanh(0.5 * c["c"] * xi))) / c["c"]),
     "cosh": (lambda c, xi: c["c"] * np.tanh(c["c"] * xi),
-             lambda c, xi: _reciprocal(np.cosh, c["c"] * xi)),
+             lambda c, xi: _reciprocal(np.cosh, c["c"] * xi),
+             lambda c, xi: _log_cosh(c["c"] * xi),
+             lambda c, xi: 2.0 * np.arctan(np.tanh(0.5 * c["c"] * xi)) / c["c"]),
     # [()] makes a scalar xi give a scalar, as the other forms do
     "exp": (lambda c, xi: np.full_like(xi, c["c"])[()],
-            lambda c, xi: np.exp(-c["c"] * xi)),
+            lambda c, xi: np.exp(-c["c"] * xi),
+            lambda c, xi: c["c"] * xi,
+            lambda c, xi: np.exp(-c["c"] * xi) / -c["c"]),
 }
 
 
@@ -110,10 +151,11 @@ _CLOSED_FORMS = {
 class SeedSolution:
     """A solution u of u'' + K u = 0 (or the generalized seed equation).
 
-    A named branch is its constants and the closed forms of F = u'/u and
-    1/u in the module table.  A custom branch, the input of the generalized
-    construction, supplies u and uprime as callables plus a working
-    interval in the scaled variable xi, and has only F.
+    A named branch is its constants and the closed forms of F = u'/u,
+    1/u, log|u| and the integral of 1/u in the module table.  A custom
+    branch, the input of the generalized construction, supplies u and
+    uprime as callables plus a working interval in the scaled variable xi,
+    and has only F.
     """
 
     K: float
@@ -146,6 +188,27 @@ class SeedSolution:
             s, t = self.constants["slope"], self.constants["intercept"]
             return xi * (0.5 * s * xi + t) / (s * xi + t)
         return -self.F(xi) / self.K
+
+    def log_abs(self, xi):
+        """log|u| at xi."""
+        return _CLOSED_FORMS[self.branch][2](self.constants, np.asarray(xi, dtype=float))
+
+    def inverse_integral(self, xi):
+        """int (1/u) dxi at xi, the coefficient of D in the integral of phi."""
+        return _CLOSED_FORMS[self.branch][3](self.constants, np.asarray(xi, dtype=float))
+
+    def ratio_integral(self, xi):
+        """int ((int u)/u) dxi at xi, the coefficient of C in the integral of phi."""
+        xi = np.asarray(xi, dtype=float)
+        if self.branch != "linear":
+            return self.log_abs(xi) / -self.K
+        s, t = self.constants["slope"], self.constants["intercept"]
+        if s == 0.0:  # (int u)/u = xi
+            return 0.5 * xi * xi
+        out = xi * (s * xi + 2.0 * t) / (4.0 * s)
+        if t:
+            out -= 0.5 * (t / s) ** 2 * np.log(np.abs(_linear(self.constants, xi)))
+        return out
 
 
 def free_particle_seed(K: float, branch: str, slope: float = 1.0,
@@ -239,6 +302,16 @@ class ConstructedSuperpotential:
         phi += self.D * self.seed.inverse(xi) if self.D else 0.0  # a zero D still turns -0.0 to 0.0
         return phi
 
+    def Phi_xi(self, xi):
+        """int phi dxi = C int((int u)/u) dxi + D int(1/u) dxi, zero without phi."""
+        xi = np.asarray(xi, dtype=float)
+        out = np.zeros_like(xi)
+        if self.C:
+            out += self.C * self.seed.ratio_integral(xi)
+        if self.D:
+            out += self.D * self.seed.inverse_integral(xi)
+        return out
+
     # --- assembled superpotential --------------------------------------------
     # W and W' are built in place in one array, in the operation order of the plain
     # expressions: every bit (-0.0 too) is theirs, as IEEE rounds a - b as (-b) + a
@@ -270,6 +343,18 @@ class ConstructedSuperpotential:
             d += p
         d *= self.alpha
         return d
+
+    def prepotential(self, x):
+        """int W dx = (lam/alpha) log|u(alpha x)| + Phi(alpha x)/alpha + g x, in
+        closed form for a named seed, so that exp(-prepotential) is the ground state."""
+        if self.seed.branch == "custom":
+            raise ValueError("the prepotential needs a named seed")
+        x = np.asarray(x, dtype=float)
+        xi = self.alpha * x
+        out = self.seed.log_abs(xi) * (self.lam / self.alpha)
+        out += self.Phi_xi(xi) / self.alpha
+        out += self.g * x
+        return out
 
     def W(self, x):
         return self.W_at(self.lam, x)

@@ -17,7 +17,7 @@ from shapeinv.ansatz import (
     verify_case_riccati,
 )
 from shapeinv.catalog import get_family
-from shapeinv.sampling import NonFiniteValues, SampledFunction, make_grid
+from shapeinv.sampling import NonFiniteValues, SampledFunction, cumulative_integral, make_grid
 from shapeinv.verify import verify_negation_condition, verify_shape_invariance
 
 from test_catalog_proofs import table_values
@@ -67,6 +67,69 @@ def test_named_branches_stay_finite_where_u_overflows():
     # 1/cosh overflowing to 0 is IEEE behaviour, and warns of nothing
     assert np.all(extend_second_solution(
         construct_case(-1.0, "cosh", 1.0, 2.0), 0.0, 1.0).W(x) == 2.0)
+
+
+#: each named branch on a window free of the zeros of u, with u formed directly
+_SEEDS = [
+    ((0.0, "linear", 2.0, 1.0), (0.0, 3.0), lambda xi: 2.0 * xi + 1.0),
+    ((0.0, "linear", 0.0, 2.0), (-3.0, 3.0), lambda xi: np.full_like(xi, 2.0)),
+    ((0.0, "linear", -1.0, 0.0), (-3.0, -0.5), lambda xi: -xi),
+    ((4.0, "sin", 1.0, 0.0), (0.1, 1.4), lambda xi: np.sin(2.0 * xi)),
+    ((4.0, "sin", 1.0, 0.0), (1.7, 3.0), lambda xi: np.sin(2.0 * xi)),
+    ((4.0, "cos", 1.0, 0.0), (-0.7, 0.7), lambda xi: np.cos(2.0 * xi)),
+    ((4.0, "cos", 1.0, 0.0), (0.9, 2.2), lambda xi: np.cos(2.0 * xi)),
+    ((-1.0, "sinh", 1.0, 0.0), (0.5, 3.0), np.sinh),
+    ((-1.0, "sinh", 1.0, 0.0), (-3.0, -0.5), np.sinh),
+    ((-1.0, "cosh", 1.0, 0.0), (-3.0, 3.0), np.cosh),
+    ((-4.0, "exp", 1.0, 0.0), (-3.0, 3.0), lambda xi: np.exp(2.0 * xi)),
+]
+
+
+@pytest.mark.parametrize("args,window,u", _SEEDS)
+def test_closed_form_integrals_of_every_branch(args, window, u):
+    # log|u| against u formed directly; the integrals of 1/u and (int u)/u
+    # against cumulative Simpson of the closed forms they integrate, on a
+    # window of each sign of u where u has both
+    K, branch, slope, intercept = args
+    seed = free_particle_seed(K, branch, slope=slope, intercept=intercept)
+    xi = make_grid(*window, 4001)
+    assert np.max(np.abs(seed.log_abs(xi) - np.log(np.abs(u(xi))))) < 1e-14
+    for integral, integrand in ((seed.inverse_integral, seed.inverse),
+                                (seed.ratio_integral, seed.integral_ratio)):
+        got = integral(xi)
+        want = cumulative_integral(integrand(xi), xi)
+        assert np.max(np.abs(got - got[0] - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
+
+
+def test_log_u_and_its_integrals_stay_finite_where_u_overflows():
+    xi = np.array([-1e4, -800.0, 800.0, 1e4])
+    for branch in ("sinh", "cosh"):
+        seed = free_particle_seed(-4.0, branch)  # c = 2
+        assert np.allclose(seed.log_abs(xi), 2.0 * np.abs(xi) - np.log(2.0), rtol=1e-15, atol=0)
+        assert np.all(np.isfinite(seed.inverse_integral(xi)))
+        assert np.all(np.isfinite(seed.ratio_integral(xi)))
+
+
+@pytest.mark.parametrize("name", ["shifted-oscillator", "radial-oscillator", "coulomb", "morse",
+                                  "scarf-II-hyperbolic", "rosen-morse-II-hyperbolic", "eckart",
+                                  "scarf-I-trigonometric", "gen-poschl-teller",
+                                  "rosen-morse-I-trigonometric"])
+def test_prepotential_is_the_integral_of_W(name):
+    fam = get_family(name)
+    p = fam.reference_params
+    cons = fam.recipe(p)
+    x = make_grid(*fam.domain(p).si_interval, 20001)
+    omega = cons.prepotential(x)
+    want = cumulative_integral(cons.W(x), x)
+    assert np.max(np.abs(omega - omega[0] - want)) < 1e-9 * max(1.0, np.max(np.abs(want)))
+
+
+def test_prepotential_needs_a_named_seed():
+    V0 = lambda xi: xi * xi  # noqa: E731
+    seed = integrate_seed(V0, 1.0, (0.0, 1.0), 1.0, 0.0)
+    cons = construct_generalized(V0, 1.0, seed, 1.0, 1.0)
+    with pytest.raises(ValueError, match="named seed"):
+        cons.prepotential(np.linspace(0.1, 0.9, 8))
 
 
 def test_branch_sign_mismatch_rejected():

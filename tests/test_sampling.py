@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from shapeinv import multidim, oracle, radial, sampling, spectral
 from shapeinv.catalog import get_family
 from shapeinv.sampling import (SampledFunction, cumulative_integral, derivative, fix_sign,
-                               uniform_step, write_csv)
+                               normalize, uniform_step, write_csv)
 
 LENGTHS = [3, 4, 5, 6, 7, 8, 64, 65, 1000, 1001, 4096, 4097, 40000, 40001]
 
@@ -106,7 +106,7 @@ def test_uniform_step_refuses_other_grids(x):
 def test_every_stencil_user_refuses_a_stretched_grid():
     # on this grid the ladder's psi1 of the oscillator was off by 1.8e-2
     # (7e-10 on the uniform grid of the same ends and size), with no error,
-    # because the stencils took h = x[1] - x[0]
+    # when the ladder raised states by stencils that took h = x[1] - x[0]
     fam = get_family("shifted-oscillator")
     p = {"omega": 2.0, "b": 0.0}
     x = _STRETCHED
@@ -117,7 +117,6 @@ def test_every_stencil_user_refuses_a_stretched_grid():
         lambda: spectral.ground_state(W, x),
         lambda: spectral.apply_A(W, psi),
         lambda: spectral.apply_Adagger(W, psi),
-        lambda: spectral.ladder_wavefunctions(fam, p, 2, x),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="uniform"):
@@ -125,6 +124,21 @@ def test_every_stencil_user_refuses_a_stretched_grid():
     r = 0.5 + np.sinh(np.linspace(0.0, 3.0, 2001))
     with pytest.raises(ValueError, match="uniform"):
         radial.radial_intertwine(1, r, np.sin(r) / r)
+
+
+def test_ladder_holds_on_a_stretched_grid():
+    # the ladder evaluates closed forms and differentiates nothing, so a
+    # stretched grid serves: the oscillator's states are the Hermite
+    # functions, with unit trapezoid norm on the grid and n nodes
+    fam = get_family("shifted-oscillator")
+    x = _STRETCHED
+    wfs = spectral.ladder_wavefunctions(fam, {"omega": 2.0, "b": 0.0}, 5, x)
+    assert [w.nodes() for w in wfs] == [0, 1, 2, 3, 4]
+    for n, w in enumerate(wfs):
+        assert abs(np.trapezoid(w.values**2, x) - 1.0) < 1e-12
+        hermite = np.polynomial.hermite.hermval(x, [0] * n + [1]) * np.exp(-x * x / 2)
+        want = fix_sign(normalize(hermite, x))
+        assert np.max(np.abs(w.values - want)) < 1e-12, n
 
 
 def _fix_sign_loop(values):

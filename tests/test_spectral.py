@@ -3,8 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from shapeinv import spectral
 from shapeinv.catalog import FAMILY_NAMES, get_family
-from shapeinv.sampling import derivative, fix_sign, make_grid, normalize, second_derivative
+from shapeinv.sampling import (
+    NonFiniteValues,
+    count_nodes,
+    fix_sign,
+    make_grid,
+    normalize,
+    second_derivative,
+)
 from shapeinv.spectral import (
     NonNormalizable,
     Spectrum,
@@ -188,41 +196,6 @@ def test_csv_export(tmp_path):
     assert len(lines) == 513
 
 
-def _ground_state_values(W, x):
-    """ground_state's values as first written, scipy doing the quadrature."""
-    from scipy.integrate import cumulative_simpson
-
-    fine = np.empty(2 * x.size - 1)
-    fine[::2] = x
-    fine[1::2] = 0.5 * (x[:-1] + x[1:])
-    w = np.asarray(W(fine), dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("W is not finite on the grid")
-    omega = cumulative_simpson(w, x=fine, initial=0.0)[::2]
-    omega -= omega[x.size // 2]
-    expo = -omega
-    expo -= expo.max()
-    vals = np.exp(expo)
-    peak = int(np.argmax(vals))
-    if peak in (0, x.size - 1):
-        raise NonNormalizable("exp(-int W) peaks on the grid boundary")
-    return normalize(vals, x)
-
-
-def _ladder_levels(fam, p, n_levels, x):
-    """The ladder as first written: a ground state per level, raised through
-    every rung below it, W evaluated afresh at each raise.  Yields each
-    level's values in turn, so that a level that raises stops the ladder."""
-    spec = algebraic_spectrum(fam, p, n_levels)
-    rungs = [fam.recipe(q) for q in spec.level_params]
-    h = float(x[1] - x[0])
-    for n in range(len(rungs)):
-        psi = _ground_state_values(rungs[n].W, x)
-        for k in range(n - 1, -1, -1):
-            psi = -derivative(psi, h) + np.asarray(rungs[k].W(x), float) * psi
-        yield fix_sign(normalize(psi, x))
-
-
 #: two valid points per family besides its reference_params; morse at
 #: A = 2 holds two levels, so its ladders of 3 to 6 levels truncate
 _LADDER_POINTS = {
@@ -239,32 +212,239 @@ _LADDER_POINTS = {
 }
 
 
+#: the ladders of _LADDER_POINTS that end in NonNormalizable: coulomb's
+#: rungs step ell up, and from the level given on, the ground state of the
+#: rung peaks past the window's outer end at r = 30
+_LADDER_RAISES = {("coulomb", 0): 5, ("coulomb", 1): 2, ("coulomb", 2): 5}
+
+
+def _holds(values, x, domain) -> bool:
+    """Whether the grid holds a state: at each end the state has decayed
+    to the 1e-4 of its peak below which count_nodes ignores a sample, or
+    the end lies next to a wall of the domain, within a tenth of the
+    grid's width."""
+    floor = 1e-4 * np.abs(values).max()
+    reach = 0.1 * (x[-1] - x[0])
+    return ((abs(values[0]) < floor or x[0] - domain.lo < reach)
+            and (abs(values[-1]) < floor or domain.hi - x[-1] < reach))
+
+
 @pytest.mark.parametrize("n_points", [64, 1001, 20001])
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_ladder_is_bit_identical_to_the_first_ladder(name, n_points):
+    # the reference is the longest ladder, of 6 levels or of as many as
+    # come before a NonNormalizable: level n depends on rungs 0..n only, so
+    # each shorter ladder must give its levels bit for bit.  Every state has
+    # unit trapezoid norm, never more than n nodes, and exactly n wherever
+    # the grid holds it
     fam = get_family(name)
-    for p in [fam.reference_params, *_LADDER_POINTS[name]]:
+    held = 0
+    for point, p in enumerate([fam.reference_params, *_LADDER_POINTS[name]]):
         fam.validate(p)
-        x = make_grid(*fam.domain(p).si_interval, n_points)
-        # level n depends on rungs 0..n only, so the levels of the longest
-        # ladder are the reference for every shorter one
-        want, error = [], None
-        try:
-            for values in _ladder_levels(fam, p, 6, x):
-                want.append(values)
-        except Exception as exc:  # the new ladder must raise it too
-            error = exc
-        for n_levels in range(1, 7):
-            if error is not None and n_levels > len(want):
-                with pytest.raises(type(error)) as raised:
-                    ladder_wavefunctions(fam, p, n_levels, x)
-                assert str(raised.value) == str(error)
-                continue
+        domain = fam.domain(p)
+        x = make_grid(*domain.si_interval, n_points)
+        levels = _LADDER_RAISES.get((name, point), 6)
+        for n_levels in range(levels + 1, 7):
+            with pytest.raises(NonNormalizable, match="exp\\(-int W\\) peaks on the grid boundary"):
+                ladder_wavefunctions(fam, p, n_levels, x)
+        want = [w.values for w in ladder_wavefunctions(fam, p, levels, x)]
+        for n, values in enumerate(want):
+            assert np.all(np.isfinite(values))
+            assert abs(np.trapezoid(values**2, x) - 1.0) < 1e-12, (p, n)
+            nodes = count_nodes(values)
+            assert nodes <= n, (p, n, nodes)
+            if _holds(values, x, domain):
+                held += 1
+                assert nodes == n, (p, n, nodes)
+        for n_levels in range(1, levels + 1):
             got = ladder_wavefunctions(fam, p, n_levels, x)
             assert len(got) == min(n_levels, len(want)), (p, n_levels)
             for w, values in zip(got, want):
                 # int64 views compare every bit, the sign of zero included
                 np.testing.assert_array_equal(w.values.view(np.int64), values.view(np.int64))
+    assert held  # the node check is not vacuous
+
+
+@pytest.mark.parametrize("name,p,levels,x", [
+    ("coulomb", {"e2": 2.0, "ell": 4.0}, 6, np.linspace(0.25, 600.0, 20001)),
+    ("morse", {"A": 9.0, "B": 4.0, "a": 1.0}, 8,
+     np.linspace(-4.810930216216329, 23.189069783783673, 9827)),
+    ("eckart", {"A": 0.7369, "B": 30.2172, "a": 1.1406}, 6,
+     np.linspace(0.00015757099740165668, 102.80893246509271, 20001)),
+    ("scarf-I-trigonometric", {"A": 4.0, "B": 1.0, "a": 1.0}, 6, np.linspace(-1.45, 1.45, 20001)),
+])
+def test_ladder_states_have_their_node_counts_where_differencing_lost_them(name, p, levels, x):
+    # raising the sampled state by 4th-order differences gave psi5 39
+    # nodes here (coulomb), psi7 211 (morse), psi2 3 and psi4 7 (eckart),
+    # and psi5 5469 (scarf I)
+    fam = get_family(name)
+    wfs = ladder_wavefunctions(fam, p, levels, x)
+    assert len(wfs) == len(algebraic_spectrum(fam, p, levels).energies)
+    assert [w.nodes() for w in wfs] == list(range(len(wfs)))
+
+
+def test_oscillator_states_cut_by_the_window_keep_the_zeros_inside_it():
+    # omega = 0.5, b = 1.5 centres the states at x = 6 with scale 2, so the
+    # window (-8, 8) ends inside them: psi_n = H_n((x - 6)/2) exp(...) shows
+    # the zeros of H_n below y = 1.  Differencing gave psi5 4407 nodes here
+    fam = get_family("shifted-oscillator")
+    x = np.linspace(-8.0, 8.0, 20001)
+    wfs = ladder_wavefunctions(fam, {"omega": 0.5, "b": 1.5}, 6, x)
+    inside = [int(np.sum(np.polynomial.hermite.hermroots([0] * n + [1]) < 1.0)) for n in range(6)]
+    assert inside == [0, 1, 2, 2, 3, 4]
+    assert [w.nodes() for w in wfs] == inside
+
+
+def _points(name):
+    fam = get_family(name)
+    return [fam.reference_params, *_LADDER_POINTS[name]]
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_every_rung_shares_the_seed_and_steps_lam_by_alpha(name):
+    # the ladder's ring holds only if tau moves lam alone, by -alpha: mu =
+    # lam - alpha with the same seed and extension.  The seed u = 1 has
+    # F = 0, so its lam is not a parameter of W
+    fam = get_family(name)
+    for p in _points(name):
+        cons, partner = fam.recipe(p), fam.recipe(fam.tau(p))
+        for attr in ("seed", "alpha", "C", "D", "shift_const"):
+            assert getattr(partner, attr) == getattr(cons, attr), (p, attr)
+        if spectral._constant_F(cons.seed) != 0.0:
+            assert partner.lam == cons.lam - cons.alpha, p
+
+
+def _ring_add(p, q):
+    out = np.zeros((max(p.shape[0], q.shape[0]), max(p.shape[1], q.shape[1])))
+    out[:p.shape[0], :p.shape[1]] += p
+    out[:q.shape[0], :q.shape[1]] += q
+    return out
+
+
+def _ring_mul(p, q):
+    out = np.zeros((p.shape[0] + q.shape[0] - 1, p.shape[1] + q.shape[1] - 1))
+    for (i, j), c in np.ndenumerate(p):
+        out[i:i + q.shape[0], j:j + q.shape[1]] += c * q
+    return out
+
+
+class _Bounded:
+    """A ring element and, coefficient by coefficient, the sum of the
+    magnitudes that formed it (all of them nonnegative, so that rounding
+    in forming the element is at most a few eps of it)."""
+
+    def __init__(self, value, bound):
+        self.value, self.bound = value, bound
+
+    @classmethod
+    def exact(cls, value):
+        return cls(value, np.abs(value))
+
+    def __add__(self, other):
+        return _Bounded(_ring_add(self.value, other.value),
+                        _ring_add(self.bound, other.bound))
+
+    def __neg__(self):
+        return _Bounded(-self.value, self.bound)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, _Bounded):
+            return _Bounded(_ring_mul(self.value, other.value),
+                            _ring_mul(self.bound, other.bound))
+        return _Bounded(other * self.value, abs(other) * self.bound)
+
+    __rmul__ = __mul__
+
+    def derive(self, cons):
+        b = self.bound
+        rows, cols = b.shape
+        i = np.arange(rows)[:, None]
+        j = np.arange(cols)
+        out = spectral._ring_up(b, cons)
+        out[:rows - 1, :cols] += abs(cons.seed.K) * (i * b)[1:]
+        out[1:, :cols] += (i + j) * b
+        if cols > 1:
+            out[:rows, :cols - 1] += abs(cons.C) * (j * b)[:, 1:]
+        return _Bounded(spectral._ring_derive(self.value, cons), abs(cons.alpha) * out)
+
+    def reduce(self, f):
+        if f is None:
+            return self
+        return _Bounded(spectral._ring_reduce(self.value, f), spectral._ring_reduce(self.bound, abs(f)))
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_every_ladder_state_is_an_exact_eigenfunction_in_the_ring(name):
+    # (H - E_n) psi_n / psi_0(p_n) = -D^2 Q + 2 W_n DQ + (DW_n) Q - W_n^2 Q
+    # + (W_0^2 - DW_0) Q - E_n Q, with H = -d^2/dx^2 + W_0^2 - W_0', is a
+    # ring element: no grid and no oracle.  It vanishes to rounding only if
+    # tau and R are right; with the seed's own relation (F = 0 for u = 1,
+    # F = c for exp) applied, as the ladder applies it
+    fam = get_family(name)
+    eps = np.finfo(float).eps
+    for p in _points(name):
+        spec = algebraic_spectrum(fam, p, 6)
+        rungs = [fam.recipe(q) for q in spec.level_params]
+        cons = rungs[0]
+        f0 = spectral._constant_F(cons.seed)
+        ws = [spectral._ring_w(cons, r.lam) for r in rungs]
+        w0 = _Bounded.exact(ws[0])
+        for n, energy in enumerate(spec.energies):
+            wn = _Bounded.exact(ws[n])
+            # the bound of Q_n follows the ladder's steps on magnitudes
+            q = _Bounded(np.ones((1, 1)), np.ones((1, 1)))
+            for k in range(n - 1, -1, -1):
+                q = (_Bounded(ws[k] + ws[n], np.abs(ws[k]) + np.abs(ws[n])) * q
+                     - q.derive(cons)).reduce(f0)
+            q.value = spectral._ladder_polynomial(cons, ws, n)
+            dq = q.derive(cons)
+            residual = (-dq.derive(cons) + 2.0 * (wn * dq) + wn.derive(cons) * q
+                        - wn * (wn * q) + (w0 * w0 - w0.derive(cons)) * q
+                        - energy * q).reduce(f0)
+            assert np.all(np.abs(residual.value) <= 64 * eps * residual.bound), (p, n)
+            assert np.any(residual.bound > 0)
+
+
+def test_ladder_ground_state_is_exp_of_minus_the_prepotential():
+    for name in FAMILY_NAMES:
+        fam = get_family(name)
+        p = fam.reference_params
+        x = make_grid(*fam.domain(p).si_interval, 1001)
+        omega = fam.recipe(p).prepotential(x)
+        want = fix_sign(normalize(np.exp(omega.min() - omega), x))
+        got = ladder_wavefunctions(fam, p, 1, x)[0].values
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(want), name
+
+
+def test_ladder_refuses_a_grid_through_a_pole():
+    fam = get_family("coulomb")
+    x = np.linspace(-1.0, 1.0, 101)
+    assert x[50] == 0.0
+    with pytest.raises(NonFiniteValues) as raised:
+        ladder_wavefunctions(fam, fam.reference_params, 2, x)
+    assert raised.value.locations == (0.0,)
+
+
+def test_ladder_refuses_a_state_that_peaks_on_the_grid_end():
+    fam = get_family("morse")  # psi0 peaks at x = 0
+    with pytest.raises(NonNormalizable, match="exp\\(-int W\\) peaks on the grid boundary"):
+        ladder_wavefunctions(fam, fam.reference_params, 2, np.linspace(1.0, 10.0, 512))
+
+
+def test_ladder_refuses_a_polynomial_that_overflows():
+    # F = 1/r is 1e80 at the first point, so F^4 in Q_4 overflows there;
+    # the state is 0 there, but the level is refused, never NaN
+    fam = get_family("coulomb")
+    x = np.linspace(1e-80, 30.0, 2001)
+    wfs = ladder_wavefunctions(fam, fam.reference_params, 4, x)
+    assert all(np.all(np.isfinite(w.values)) for w in wfs)
+    assert [w.nodes() for w in wfs] == [0, 1, 2, 3]
+    with pytest.raises(NonFiniteValues, match="psi_4") as raised:
+        ladder_wavefunctions(fam, fam.reference_params, 5, x)
+    assert raised.value.locations == (1e-80,)
 
 
 def _peak_bytes(call):
