@@ -153,65 +153,18 @@ def second_derivative(values: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def _simpson_windows(f1, f2, f3, x21, x32, out) -> None:
-    """Simpson integral over the first interval of each three-point window,
-    written to out.
-
-    A window has samples f1, f2, f3 and intervals x21, x32; the integral
-    covers x21.  The arithmetic is scipy's, in its operation order, with
-    the temporaries reused in place.
-    """
-    t = x21 + x32
-    np.divide(x21, t, out=t)  # x21 / x31
-    u = x21 / x32
-    u *= t  # x21^2 / (x31 x32), minus the third coefficient
-    c = 3 + u
-    c += t
-    c *= f2
-    np.subtract(3, t, out=t)
-    t *= f1
-    t += c
-    u *= f3
-    t -= u
-    np.divide(x21, 6, out=out)
-    out *= t
-
-
-def cumulative_integral(values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cumulative composite-Simpson antiderivative, zero at x[0].
-
-    A numpy port of scipy.integrate.cumulative_simpson(values, x=x,
-    initial=0.0), in its operation order, so every value is bit-identical
-    to it; keeping it here spares every sip command the scipy.integrate
-    import.  scipy is loaded only for the oracle eigensolve (its LAPACK
-    wrapper module alone, not the linalg package) and for integrating a
-    generalized seed (scipy.integrate).
-    Needs at least 3 samples on a strictly increasing grid.
-
-    scipy integrates each interval over a three-point window: intervals 0,
-    2, 4, ... over the window that starts at them, the odd ones and the
-    last over the window that ends at them.  It forms every window both
-    ways and keeps half of each; this forms only the windows it keeps, each
-    by scipy's formula, and sums them in place in the output.
-    """
-    y = np.asarray(values, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if y.ndim != 1 or x.shape != y.shape:
-        raise ValueError("values and grid must be 1-D of equal length")
-    if y.size < 3:
-        raise ValueError("need at least 3 samples")
-    dx = np.diff(x)
-    if np.any(dx <= 0):
-        raise ValueError("grid must be strictly increasing")
-    # out[i + 1] holds the integral over interval i until the sum
-    out = np.empty(y.size)
+def cumulative_panel_simpson(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Integral from x[0] to each point of x of a function sampled as w on x
+    refined by its panel midpoints (x[0], the first midpoint, x[1], ...):
+    Simpson's rule (dx_i/6)(w_i + 4 w_{i+1/2} + w_{i+1}) per panel, exact
+    for cubics, summed by one cumulative sum."""
+    out = np.empty(x.size)
     out[0] = 0.0
-    _simpson_windows(y[:-2:2], y[1:-1:2], y[2::2], dx[:-1:2], dx[1::2], out[1:-1:2])
-    _simpson_windows(y[2::2], y[1:-1:2], y[:-2:2], dx[1::2], dx[:-1:2], out[2::2])
-    if y.size % 2 == 0:  # the last interval is even: the window ending at it
-        _simpson_windows(y[-1:], y[-2:-1], y[-3:-2], dx[-1:], dx[-2:-1], out[-1:])
-    np.cumsum(out[1:], out=out[1:])
-    out[1:] += 0.0  # as scipy adds `initial`: turns -0.0 into 0.0
+    panels = out[1:]
+    np.add(w[:-1:2], w[2::2], out=panels)
+    panels += 4 * w[1::2]
+    panels *= np.diff(x) / 6
+    np.cumsum(panels, out=panels)
     return out
 
 

@@ -14,10 +14,10 @@ intertwiners (-d/dx + W) of the rungs below it.
 
 Numerical policy, fixed and documented: ladder states are closed forms
 evaluated on the grid, so they hold on any strictly increasing grid;
-ground_state(W, grid) of an arbitrary W uses cumulative Simpson
-quadrature, and apply_A and apply_Adagger 4th-order central differences
-(one-sided at edges), on uniform grids, with errors O(h^4) in the step.
-Norms are trapezoid-rule.
+ground_state(W, grid) of an arbitrary W integrates W by Simpson's rule per
+panel on the midpoint grid, and apply_A and apply_Adagger use 4th-order
+central differences (one-sided at edges), on uniform grids, with errors
+O(h^4) in the step.  Norms are trapezoid-rule.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .catalog import InvalidParameters, PotentialFamily
 from .sampling import (
     ParamSet,
     count_nodes,
-    cumulative_integral,
+    cumulative_panel_simpson,
     derivative,
     fix_sign,
     l2_norm,
@@ -147,16 +147,14 @@ def algebraic_spectrum(family: PotentialFamily, p: ParamSet, n_levels: int) -> S
 def ground_state(W, grid) -> Wavefunction:
     """psi_0(x) = exp(-int_{x0}^{x} W dt), normalized; x0 is the midpoint.
 
-    The integral uses cumulative Simpson quadrature on a midpoint-refined
-    grid, keeping panel boundaries only: cumulative Simpson alternates its
-    error signature between panel-boundary and mid-panel points, and that
-    odd/even sawtooth survives the exponential and wrecks anything that
-    later differentiates psi_0 twice.  W is evaluated once, on the refined
-    grid.  The exponent is rescaled by its maximum before exponentiating,
-    which changes only the normalization and cannot overflow.  If the peak
-    of the would-be state sits on a grid endpoint the state is not
-    normalizable on any extension of this grid and NonNormalizable is
-    raised.  The grid must pass sampling.uniform_step.
+    W is evaluated once, on the grid refined by its panel midpoints, and
+    must return one value per point; the integral is Simpson's rule per
+    panel on that midpoint grid (sampling.cumulative_panel_simpson), exact
+    for cubics.  The exponent is rescaled by its maximum before
+    exponentiating, which changes only the normalization and cannot
+    overflow.  If the peak of the would-be state sits on a grid endpoint the
+    state is not normalizable on any extension of this grid and
+    NonNormalizable is raised.  The grid must pass sampling.uniform_step.
     """
     x = np.asarray(grid, dtype=float)
     uniform_step(x)
@@ -167,7 +165,9 @@ def ground_state(W, grid) -> Wavefunction:
     mid *= 0.5
     with np.errstate(all="ignore"):  # require_finite reports a NaN/inf
         w = W(fine)
-    expo = cumulative_integral(require_finite(fine, w, "values of W"), fine)[::2]
+    if np.shape(w) != fine.shape:
+        raise ValueError("W must return one value per grid point")
+    expo = cumulative_panel_simpson(require_finite(fine, w, "values of W"), x)
     expo -= expo[x.size // 2]  # reference point: grid midpoint
     np.negative(expo, out=expo)
     expo -= expo.max()

@@ -1118,6 +1118,27 @@ def test_radial_loads_only_sampling(tmp_path):
         {"shapeinv", "shapeinv.radial", "shapeinv.sampling"}
 
 
+_GROUND_AND_LADDER = """
+import sys
+import numpy as np
+from shapeinv.catalog import get_family
+from shapeinv.spectral import apply_A, ground_state, ladder_wavefunctions
+fam = get_family("morse")
+p = fam.reference_params
+x = np.linspace(*fam.domain(p).si_interval, 512)
+apply_A(fam.recipe(p).W, ground_state(fam.recipe(p).W, x))
+ladder_wavefunctions(fam, p, 3, x)
+print(*sys.modules)
+"""
+
+
+def test_ground_state_and_ladder_load_no_scipy(tmp_path):
+    # importing scipy.integrate would cost each caller about 0.4 s
+    proc = subprocess.run([sys.executable, "-c", _GROUND_AND_LADDER], capture_output=True,
+                          text=True, env=_fresh_env(), cwd=tmp_path, timeout=120, check=True)
+    assert [m for m in proc.stdout.split() if m.split(".")[0] == "scipy"] == []
+
+
 def test_commands_leave_the_collector_alone(tmp_path, outdir):
     # only main(), which ends its process, freezes the collector's objects
     jobs = [

@@ -101,6 +101,20 @@ def test_ground_state_rejects_inverted_well():
         ground_state(lambda x: -x, g)  # exp(+x^2/2) blows up at the walls
 
 
+def test_ground_state_is_exact_for_a_cubic_superpotential():
+    # Simpson's rule on each panel integrates W = x^3 + x with no truncation error
+    g = make_grid(-4, 4, 1025)
+    ref = normalize(np.exp(-g**4 / 4 - g**2 / 2), g)
+    assert np.max(np.abs(ground_state(lambda x: x**3 + x, g).values - ref)) < 1e-13
+
+
+@pytest.mark.parametrize("W", [lambda x: 1.0, lambda x: x[::2], lambda x: np.stack([x, x])],
+                         ids=["scalar", "coarse", "stacked"])
+def test_ground_state_refuses_a_W_of_the_wrong_shape(W):
+    with pytest.raises(ValueError, match="one value per grid point"):
+        ground_state(W, make_grid(-4, 4, 64))
+
+
 def test_annihilation_and_raising():
     g = make_grid(-8, 8, 4096)
     psi0 = ground_state(lambda x: x, g)

@@ -106,12 +106,30 @@ def test_every_valid_point_certifies_its_tau_and_refuses_a_half_step(name, data)
     try:
         fam.validate(p)  # InvalidParameters is a ValueError
         fam.recipe(fam.tau(p))  # the partner rung has a W: RM II has none at A = a
+        # nor has the half step at A = a/2 with B != 0, so nothing to refuse
+        lam, half = fam.recipe(p).lam, fam.recipe(_half_step(fam, p)).lam
     except ValueError:
         assume(False)
     # a half step onto lam -> -lam is the negation condition, which holds
     # for a W without phi: no wrong step, so nothing to refuse
-    assume(abs(fam.recipe(_half_step(fam, p)).lam + fam.recipe(p).lam) > 1e-6)
+    assume(abs(half + lam) > 1e-6)
+    # a half step onto lam ~ 0 puts c/lam far above the grid's rounding floor
+    # (test_half_step_onto_lam_near_zero_is_unresolved)
+    assume(abs(half) > 1e-6 * abs(lam))
     _certify_exact_and_half_step(fam, p)
+
+
+def test_half_step_onto_lam_near_zero_is_unresolved():
+    # lam of the half step is 1.1e-16, so c/lam is about 1e15: the field
+    # scale puts a floor of 1.8e16 under any residual, and the half step is
+    # refused as unresolved, not as a fail
+    fam = get_family("rosen-morse-II-hyperbolic")
+    p = {"A": 0.5000000000000001, "B": 0.125, "a": 1.0}
+    assert abs(fam.recipe(_half_step(fam, p)).lam) < 1e-15
+    grid = make_grid(*fam.domain(p).si_interval, 512)
+    assert verify_shape_invariance(fam.W, fam.Wprime, p, fam.tau, grid).passed
+    wrong = verify_shape_invariance(fam.W, fam.Wprime, p, lambda q: _half_step(fam, q), grid)
+    assert wrong.verdict == "unresolved" and not wrong.passed
 
 
 def test_qhj_oscillator():
