@@ -107,9 +107,10 @@ def test_every_valid_point_certifies_its_tau_and_refuses_a_half_step(name, data)
         fam.validate(p)  # InvalidParameters is a ValueError
         fam.recipe(fam.tau(p))  # the partner rung has a W: RM II has none at A = a
         # nor has the half step at A = a/2 with B != 0, so nothing to refuse
-        lam, half = fam.recipe(p).lam, fam.recipe(_half_step(fam, p)).lam
+        half = fam.recipe(_half_step(fam, p)).lam
     except ValueError:
         assume(False)
+    lam = fam.recipe(p).lam  # a valid p has a recipe: a ValueError here fails
     # a half step onto lam -> -lam is the negation condition, which holds
     # for a W without phi: no wrong step, so nothing to refuse
     assume(abs(half + lam) > 1e-6)
