@@ -10,8 +10,9 @@ and factorization of measure-weighted radial operators with a spherical
 Bessel oracle.
 
 Importing the package loads none of its submodules.  Each exported name
-imports the submodule that defines it on first use, and numpy loads with
-that first submodule, after the OpenBLAS default below is set.
+imports the submodule that defines it on first use.  The catalog's table
+and the command line need no numerics, so numpy loads with the first
+submodule that computes, after the OpenBLAS default below is set.
 
 Everything is pure and deterministic: identical inputs give bit-identical
 outputs.  The only state shared within a process is the CLI's one argument
@@ -29,9 +30,9 @@ import os as _os
 # spinning worker it starts costs a cold `sip` 60-80 ms per library on a
 # 2-CPU machine, or nothing, depending on where the scheduler puts it.  So,
 # unless the caller chose a thread count, both load with one thread.
-# numpy loads with the first submodule, after this line has run; the
-# setting holds for every library loaded after it, and child processes
-# inherit it.
+# numpy loads with the first submodule that computes (cli and catalog
+# load none), after this line has run; the setting holds for every library
+# loaded after it, and child processes inherit it.
 _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import importlib as _importlib

@@ -27,18 +27,20 @@ Conventions
 - domain(p) holds the open interval, the default verify grid and the
   default oracle box at p; for the trigonometric families all three scale
   with 1/a.  A parameter's descriptor lists every constraint naming it.
+- The table (names, constraints, tau, domains) needs only `math`.  The
+  first recipe built imports `ansatz`, and numpy with it, so listing the
+  catalog or parsing a sip command line loads no numerics.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
-from .ansatz import ConstructedSuperpotential, free_particle_seed
-from .sampling import ParamSet
+if TYPE_CHECKING:
+    from .sampling import ParamSet
 
 __all__ = [
     "DomainInterval",
@@ -93,9 +95,9 @@ class DomainInterval:
     @property
     def kind(self) -> str:
         """Read off the endpoints: finite, half-line or full-line."""
-        if np.isfinite(self.lo) and np.isfinite(self.hi):
+        if math.isfinite(self.lo) and math.isfinite(self.hi):
             return "finite"
-        if np.isfinite(self.lo) or np.isfinite(self.hi):
+        if math.isfinite(self.lo) or math.isfinite(self.hi):
             return "half-line"
         return "full-line"
 
@@ -110,15 +112,22 @@ class DomainInterval:
         return ENDPOINT_MARGIN * min(1.0, self.hi - self.lo)
 
     def contains(self, x) -> bool:
-        """Whether every x lies inside the open interval, margin from its finite ends."""
+        """Whether every x lies inside the open interval, margin from its finite ends.
+
+        A number is compared as it is; only an array or sequence loads numpy.
+        """
+        lo = self.lo + self.margin if math.isfinite(self.lo) else self.lo
+        hi = self.hi - self.margin if math.isfinite(self.hi) else self.hi
+        if isinstance(x, (int, float)):
+            return lo < float(x) < hi
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
-        lo = self.lo + self.margin if np.isfinite(self.lo) else self.lo
-        hi = self.hi - self.margin if np.isfinite(self.hi) else self.hi
         return bool(np.all(x > lo) and np.all(x < hi))
 
     def require_grid(self, lo: float, hi: float) -> None:
         """Raise DomainViolation unless a grid from lo to hi stays inside the open domain."""
-        if not self.contains((lo, hi)):
+        if not (self.contains(lo) and self.contains(hi)):
             raise DomainViolation(f"grid {lo}:{hi} leaves the domain ({self.lo}, {self.hi})")
 
     def require_box(self, lo: float, hi: float) -> None:
@@ -192,61 +201,70 @@ class PotentialFamily:
 # phi = C (int u)/u + D/u or shift c/lam; lam -> lam - alpha is the family's tau
 # ---------------------------------------------------------------------------
 
-# every family fixes K, so one seed serves all its parameter sets
-_ONE = free_particle_seed(0.0, "linear", slope=0.0, intercept=1.0)
-_XI = free_particle_seed(0.0, "linear")
-_EXP = free_particle_seed(-1.0, "exp")
-_COSH = free_particle_seed(-1.0, "cosh")
-_SINH = free_particle_seed(-1.0, "sinh")
-_COS = free_particle_seed(1.0, "cos")
-_SIN = free_particle_seed(1.0, "sin")
+#: the recipes' seeds as free_particle_seed's (K, branch, slope, intercept);
+#: every family fixes K, so one seed serves all its parameter sets
+_SEEDS = {"one": (0.0, "linear", 0.0, 1.0), "xi": (0.0, "linear"), "exp": (-1.0, "exp"),
+          "cosh": (-1.0, "cosh"), "sinh": (-1.0, "sinh"), "cos": (1.0, "cos"), "sin": (1.0, "sin")}
+
+
+@functools.cache
+def _ansatz():
+    """ansatz's constructor and the recipes' seeds, built on first use."""
+    from .ansatz import ConstructedSuperpotential, free_particle_seed
+
+    return ConstructedSuperpotential, {k: free_particle_seed(*v) for k, v in _SEEDS.items()}
+
+
+def _recipe(seed: str, alpha, lam, **extension):
+    """The ConstructedSuperpotential of the named seed with step alpha and parameter lam."""
+    build, seeds = _ansatz()
+    return build(seeds[seed], alpha, lam, **extension)
+
 
 _ALL = (
     # W = (omega/2) x - b: seed u = 1, phi = (omega/2) xi - b; trivial ladder
     PotentialFamily(
         name="shifted-oscillator",
         constraints=("omega > 0",),
-        recipe=lambda p: ConstructedSuperpotential(_ONE, 1.0, 1.0, C=p["omega"] / 2.0, D=-p["b"]),
+        recipe=lambda p: _recipe("one", 1.0, 1.0, C=p["omega"] / 2.0, D=-p["b"]),
         tau=lambda p: dict(p),
-        domain=lambda p: DomainInterval(-np.inf, np.inf, (-8.0, 8.0), (-10.0, 10.0)),
+        domain=lambda p: DomainInterval(-math.inf, math.inf, (-8.0, 8.0), (-10.0, 10.0)),
         reference_params={"omega": 2.0, "b": 0.0},
     ),
     # W = (omega/2) r - (ell+1)/r: seed u = xi, lam = -(ell+1), phi = (omega/2) xi
     PotentialFamily(
         name="radial-oscillator",
         constraints=("omega > 0", "ell >= 0"),
-        recipe=lambda p: ConstructedSuperpotential(
-            _XI, 1.0, -(p["ell"] + 1.0), C=p["omega"], D=0.0),
+        recipe=lambda p: _recipe("xi", 1.0, -(p["ell"] + 1.0), C=p["omega"], D=0.0),
         tau=lambda p: {**p, "ell": p["ell"] + 1.0},
-        domain=lambda p: DomainInterval(0.0, np.inf, (0.1, 10.0), (1e-5, 10.0)),
+        domain=lambda p: DomainInterval(0.0, math.inf, (0.1, 10.0), (1e-5, 10.0)),
         reference_params={"omega": 2.0, "ell": 0.0},
     ),
     # W = e2/(2(ell+1)) - (ell+1)/r: seed u = xi, lam = -(ell+1), shift -e2/2
     PotentialFamily(
         name="coulomb",
         constraints=("e2 > 0", "ell >= 0"),
-        recipe=lambda p: ConstructedSuperpotential(
-            _XI, 1.0, -(p["ell"] + 1.0), shift_const=-p["e2"] / 2.0),
+        recipe=lambda p: _recipe("xi", 1.0, -(p["ell"] + 1.0), shift_const=-p["e2"] / 2.0),
         tau=lambda p: {**p, "ell": p["ell"] + 1.0},
-        domain=lambda p: DomainInterval(0.0, np.inf, (0.1, 30.0), (1e-5, 50.0)),
+        domain=lambda p: DomainInterval(0.0, math.inf, (0.1, 30.0), (1e-5, 50.0)),
         reference_params={"e2": 2.0, "ell": 0.0},
     ),
     # W = A - B exp(-a x): exp seed, lam = A, phi = -B/u
     PotentialFamily(
         name="morse",
         constraints=("A > 0", "B > 0", "a > 0"),
-        recipe=lambda p: ConstructedSuperpotential(_EXP, p["a"], p["A"], C=0.0, D=-p["B"]),
+        recipe=lambda p: _recipe("exp", p["a"], p["A"], C=0.0, D=-p["B"]),
         tau=lambda p: {**p, "A": p["A"] - p["a"]},
-        domain=lambda p: DomainInterval(-np.inf, np.inf, (-3.0, 10.0), (-3.0, 10.0)),
+        domain=lambda p: DomainInterval(-math.inf, math.inf, (-3.0, 10.0), (-3.0, 10.0)),
         reference_params={"A": 4.0, "B": 4.0, "a": 1.0},
     ),
     # W = A tanh(ax) + B sech(ax): cosh seed, lam = A, phi = B/u
     PotentialFamily(
         name="scarf-II-hyperbolic",
         constraints=("A > 0", "a > 0"),
-        recipe=lambda p: ConstructedSuperpotential(_COSH, p["a"], p["A"], C=0.0, D=p["B"]),
+        recipe=lambda p: _recipe("cosh", p["a"], p["A"], C=0.0, D=p["B"]),
         tau=lambda p: {**p, "A": p["A"] - p["a"]},
-        domain=lambda p: DomainInterval(-np.inf, np.inf, (-8.0, 8.0), (-10.0, 10.0)),
+        domain=lambda p: DomainInterval(-math.inf, math.inf, (-8.0, 8.0), (-10.0, 10.0)),
         reference_params={"A": 4.0, "B": 4.0, "a": 1.0},
     ),
     # W = A tanh(ax) + B/A: cosh seed, lam = A, shift B; a normalizable
@@ -254,31 +272,31 @@ _ALL = (
     PotentialFamily(
         name="rosen-morse-II-hyperbolic",
         constraints=("A > 0", "a > 0", "A^2 > |B|"),
-        recipe=lambda p: ConstructedSuperpotential(_COSH, p["a"], p["A"], shift_const=p["B"]),
+        recipe=lambda p: _recipe("cosh", p["a"], p["A"], shift_const=p["B"]),
         tau=lambda p: {**p, "A": p["A"] - p["a"]},
-        domain=lambda p: DomainInterval(-np.inf, np.inf, (-8.0, 8.0), (-12.0, 12.0)),
+        domain=lambda p: DomainInterval(-math.inf, math.inf, (-8.0, 8.0), (-12.0, 12.0)),
         reference_params={"A": 4.0, "B": 4.0, "a": 1.0},
     ),
     # W = -A coth(ar) + B/A: sinh seed, lam = -A, shift -B; bound states need B > A^2
     PotentialFamily(
         name="eckart",
         constraints=("A > 0", "a > 0", "B > A^2"),
-        recipe=lambda p: ConstructedSuperpotential(_SINH, p["a"], -p["A"], shift_const=-p["B"]),
+        recipe=lambda p: _recipe("sinh", p["a"], -p["A"], shift_const=-p["B"]),
         tau=lambda p: {**p, "A": p["A"] + p["a"]},
-        domain=lambda p: DomainInterval(0.0, np.inf, (0.1, 12.0), (1e-3, 30.0)),
+        domain=lambda p: DomainInterval(0.0, math.inf, (0.1, 12.0), (1e-3, 30.0)),
         reference_params={"A": 1.0, "B": 3.0, "a": 0.5},
     ),
     # W = A tan(ax) - B sec(ax) on (-pi/2a, pi/2a): cos seed, lam = -A, phi = -B/u
     PotentialFamily(
         name="scarf-I-trigonometric",
         constraints=("a > 0", "A > |B|"),
-        recipe=lambda p: ConstructedSuperpotential(_COS, p["a"], -p["A"], C=0.0, D=-p["B"]),
+        recipe=lambda p: _recipe("cos", p["a"], -p["A"], C=0.0, D=-p["B"]),
         tau=lambda p: {**p, "A": p["A"] + p["a"]},
         domain=lambda p: DomainInterval(
-            -0.5 * np.pi / p["a"],
-            0.5 * np.pi / p["a"],
+            -0.5 * math.pi / p["a"],
+            0.5 * math.pi / p["a"],
             (-1.45 / p["a"], 1.45 / p["a"]),
-            ((-np.pi / 2 + 1e-4) / p["a"], (np.pi / 2 - 1e-4) / p["a"]),
+            ((-math.pi / 2 + 1e-4) / p["a"], (math.pi / 2 - 1e-4) / p["a"]),
         ),
         reference_params={"A": 4.0, "B": 1.0, "a": 1.0},
     ),
@@ -286,22 +304,22 @@ _ALL = (
     PotentialFamily(
         name="gen-poschl-teller",
         constraints=("a > 0", "B > A > 0"),
-        recipe=lambda p: ConstructedSuperpotential(_SINH, p["a"], p["A"], C=0.0, D=-p["B"]),
+        recipe=lambda p: _recipe("sinh", p["a"], p["A"], C=0.0, D=-p["B"]),
         tau=lambda p: {**p, "A": p["A"] - p["a"]},
-        domain=lambda p: DomainInterval(0.0, np.inf, (0.1, 12.0), (1e-4, 14.0)),
+        domain=lambda p: DomainInterval(0.0, math.inf, (0.1, 12.0), (1e-4, 14.0)),
         reference_params={"A": 3.0, "B": 4.0, "a": 1.0},
     ),
     # W = -A cot(ax) - B/A on (0, pi/a): sin seed, lam = -A, shift B
     PotentialFamily(
         name="rosen-morse-I-trigonometric",
         constraints=("A > 0", "a > 0"),
-        recipe=lambda p: ConstructedSuperpotential(_SIN, p["a"], -p["A"], shift_const=p["B"]),
+        recipe=lambda p: _recipe("sin", p["a"], -p["A"], shift_const=p["B"]),
         tau=lambda p: {**p, "A": p["A"] + p["a"]},
         domain=lambda p: DomainInterval(
             0.0,
-            np.pi / p["a"],
-            (0.15 / p["a"], (np.pi - 0.15) / p["a"]),
-            (1e-4 / p["a"], (np.pi - 1e-4) / p["a"]),
+            math.pi / p["a"],
+            (0.15 / p["a"], (math.pi - 0.15) / p["a"]),
+            (1e-4 / p["a"], (math.pi - 1e-4) / p["a"]),
         ),
         reference_params={"A": 1.0, "B": 1.0, "a": 1.0},
     ),

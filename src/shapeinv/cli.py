@@ -37,8 +37,6 @@ from dataclasses import asdict, dataclass
 from io import StringIO
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .catalog import (
     InvalidParameters,
@@ -47,7 +45,6 @@ from .catalog import (
     get_family,
     list_families,
 )
-from .sampling import make_grid, write_csv
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -221,6 +218,7 @@ def cmd_list(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    from .sampling import make_grid
     from .verify import verify_shape_invariance
 
     fam = get_family(args.family)
@@ -307,6 +305,7 @@ def cmd_spectrum(args, out) -> int:
 
 def cmd_construct(args, out) -> int:
     from . import ansatz
+    from .sampling import write_csv
     from .verify import verify_shape_invariance
 
     cons = ansatz.construct_case(args.K, args.branch, args.alpha, getattr(args, "lambda"),
@@ -381,7 +380,10 @@ def cmd_3d(args, out) -> int:
 
 
 def cmd_radial(args, out) -> int:
+    import numpy as np
+
     from . import radial
+    from .sampling import make_grid
 
     ell = args.ell
     if ell < 1 or ell > 25:
@@ -645,6 +647,10 @@ def _run_forked(jobs: list, workers: int, out) -> list:
     import select
     import signal
     import struct
+
+    # numpy, which every job but list computes with: loaded here, the workers
+    # share it, where each would otherwise import it again
+    from . import sampling  # noqa: F401
 
     head = struct.Struct("<iiI")
     piece = select.PIPE_BUF - head.size

@@ -10,8 +10,7 @@ read only the energies, so they are computed on the first read of
 vectors, each normalized by the trapezoid rule and sign-fixed.  Both
 routines are called through scipy's compiled LAPACK wrappers with the
 arguments scipy's ``eigh_tridiagonal`` passes them, so the results are
-bit-identical to it, without importing scipy's linalg package (see
-_lapack).
+bit-identical to it, without importing scipy's packages (see _lapack).
 
 This is the validation oracle for every algebraic result in the package;
 it shares nothing with the ladder construction except the potential.  Its
@@ -119,8 +118,10 @@ def _lapack():
     of a cold 0.45 s ``sip spectrum morse --oracle`` (python -X importtime,
     scipy 1.17, 2-CPU x86_64 machine), 160-200 ms of it in
     scipy._lib._array_api wrapping numpy submodules the oracle never uses.
-    ``import scipy`` and this one extension take about 20 ms.  ``import scipy`` still runs first:
-    on Windows wheels it puts scipy's bundled libraries on the DLL path.
+    This one extension loads in 3-6 ms, and ``import scipy`` would add
+    10-14 ms, so the extension is found in scipy's package directory
+    without running the package's __init__, except on Windows, where that
+    __init__ puts the wheel's bundled libraries on the DLL path.
     The module is registered in sys.modules under its own name, so a later
     import of the linalg package reuses it, and one that package loaded
     first is used as it is.
@@ -132,9 +133,11 @@ def _lapack():
             import importlib.util
             import os
 
-            import scipy
-
-            dirs = [os.path.join(path, "linalg") for path in scipy.__path__]
+            if os.name == "nt":
+                import scipy  # noqa: F401
+            scipy_spec = importlib.util.find_spec("scipy")
+            roots = scipy_spec.submodule_search_locations if scipy_spec else ()
+            dirs = [os.path.join(path, "linalg") for path in roots]
             spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, dirs)
             if spec is None:
                 raise ImportError(f"{_FLAPACK} not found in {dirs}")

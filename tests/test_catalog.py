@@ -243,6 +243,49 @@ def test_domain_rejects_windows_outside_it():
         DomainInterval(0.0, np.inf, si_interval=(-1.0, 3.0), oracle_box=(1e-5, 3.0))
 
 
+def _contains_by_numpy(dom, x) -> bool:
+    """DomainInterval.contains as an array test alone, the reference for its number path."""
+    x = np.asarray(x, dtype=float)
+    lo = dom.lo + dom.margin if np.isfinite(dom.lo) else dom.lo
+    hi = dom.hi - dom.margin if np.isfinite(dom.hi) else dom.hi
+    return bool(np.all(x > lo) and np.all(x < hi))
+
+
+_PARITY_DOMAINS = [
+    DomainInterval(0.0, np.pi, (0.1, 3.0), (0.0, np.pi)),
+    DomainInterval(0.0, np.pi * 1e-6, (1e-8, 3e-6), (0.0, 3e-6)),
+    DomainInterval(0.0, np.inf, (0.1, 10.0), (1e-5, 10.0)),
+    DomainInterval(-np.inf, np.inf, (-3.0, 10.0), (-3.0, 10.0)),
+]
+
+
+def _parity_points(dom):
+    """Numbers on both sides of each end, within and beyond its margin, and not numbers."""
+    ends = [e for e in (dom.lo, dom.hi) if np.isfinite(e)]
+    near = [e + s * f * dom.margin for e in ends for s in (-1, 1) for f in (0.0, 0.5, 1.0, 2.0)]
+    near += [np.nextafter(e + dom.margin, e) for e in ends]
+    return [*near, 0, 1, -1, 1.5, np.float64(1.0), np.float32(0.5), -1e300, 1e300,
+            np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("dom", _PARITY_DOMAINS, ids=lambda d: f"{d.lo}:{d.hi}")
+def test_contains_and_require_grid_keep_the_array_verdicts(dom):
+    points = _parity_points(dom)
+    for x in points:
+        assert dom.contains(x) is _contains_by_numpy(dom, x), x
+    for lo, hi in itertools.product(points, repeat=2):
+        assert dom.contains((lo, hi)) is _contains_by_numpy(dom, (lo, hi)), (lo, hi)
+        try:
+            dom.require_grid(lo, hi)
+            refused = False
+        except DomainViolation:
+            refused = True
+        assert refused is not _contains_by_numpy(dom, (lo, hi)), (lo, hi)
+    for x in ([], np.array(points), np.linspace(dom.si_interval[0], dom.si_interval[1], 9),
+              [dom.si_interval[0], np.nan], np.array([[1.0, 2.0], [0.5, 1.5]])):
+        assert dom.contains(x) is _contains_by_numpy(dom, x), x
+
+
 def test_domain_kind_is_read_off_the_endpoints():
     assert DomainInterval(-np.inf, np.inf, (-1.0, 1.0), (-1.0, 1.0)).kind == "full-line"
     assert DomainInterval(0.0, np.inf, (1.0, 2.0), (0.0, 2.0)).kind == "half-line"

@@ -1080,34 +1080,61 @@ def test_chosen_blas_thread_count_is_kept(tmp_path):
     assert result["env"] == "2"
 
 
+_ORACLE_THEN_LINALG = """
+import json, sys
+from io import StringIO
+from shapeinv.cli import run_command
+code = run_command(["spectrum", "morse", "--oracle", "--json"], StringIO())
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+module = sys.modules["scipy.linalg._flapack"]
+import scipy.linalg.lapack
+print(json.dumps({"code": code, "scipy": loaded, "reused": scipy.linalg.lapack._flapack is module}))
+"""
+
+
+@pytest.mark.skipif(os.name == "nt", reason="on Windows the oracle runs scipy's __init__ for its DLLs")
 def test_oracle_imports_no_scipy_subpackage(tmp_path):
-    codes, scipy_modules = _modules_after([["spectrum", "morse", "--oracle"]], tmp_path, "scipy")
-    assert codes == [EXIT_PASS]
-    assert "scipy" in scipy_modules
-    assert not scipy_modules & {"scipy.linalg", "scipy.integrate", "scipy.interpolate",
-                                "scipy.special"}
+    # the LAPACK wrapper module alone, not even the scipy package; the linalg
+    # package, imported later in the same process, takes that module as it is
+    proc = subprocess.run([sys.executable, "-c", _ORACLE_THEN_LINALG], capture_output=True,
+                          text=True, env=_fresh_env(), cwd=tmp_path, timeout=120, check=True)
+    assert json.loads(proc.stdout) == {
+        "code": EXIT_PASS, "scipy": ["scipy.linalg._flapack"], "reused": True}
 
 
-#: what every subcommand loads: the CLI, the catalog with the ansatz its
-#: recipes build on, and the sampling helpers
-_CLI_MODULES = {"cli", "catalog", "ansatz", "sampling"}
+#: what every subcommand loads: the CLI and the catalog's table
+_CLI_MODULES = {"cli", "catalog"}
 
 
 @pytest.mark.parametrize("argv, own", [
     (["list", "--json"], set()),
-    (["verify", "morse", "--json"], {"verify"}),
-    (["spectrum", "morse", "--json"], {"spectral"}),
-    (["spectrum", "morse", "--oracle", "--json"], {"spectral", "oracle"}),
+    (["verify", "morse", "--json"], {"ansatz", "sampling", "verify"}),
+    (["spectrum", "morse", "--json"], {"ansatz", "sampling", "spectral"}),
+    (["spectrum", "morse", "--oracle", "--json"], {"ansatz", "sampling", "spectral", "oracle"}),
     (["construct", "--K", "0", "--branch", "linear", "--alpha", "1", "--lambda", "1",
-      "--out", "sip-out"], {"verify"}),
+      "--out", "sip-out"], {"ansatz", "sampling", "verify"}),
     (["3d", "--seed", "a0=2,a1=1", "--lambda", "2", "--mu", "1", "--grid", "16x16",
-      "--out", "sip-out"], {"multidim", "verify"}),
-    (["radial", "--ell", "3", "--grid", "0.5:20:256", "--out", "sip-out"], {"radial"}),
+      "--out", "sip-out"], {"sampling", "multidim", "verify"}),
+    (["radial", "--ell", "3", "--grid", "0.5:20:256", "--out", "sip-out"], {"sampling", "radial"}),
 ], ids=lambda v: "-".join(v[:2]) if isinstance(v, list) else None)
 def test_each_subcommand_loads_only_its_own_modules(argv, own, tmp_path):
     codes, modules = _modules_after([argv], tmp_path, "shapeinv")
     assert codes == [EXIT_PASS]
     assert modules == {"shapeinv", *(f"shapeinv.{m}" for m in _CLI_MODULES | own)}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["list"], EXIT_PASS),
+    (["list", "--json"], EXIT_PASS),
+    (["--help"], EXIT_PASS),
+    (["verify", "morse", "--no-such-option"], EXIT_USAGE),
+], ids=lambda v: "-".join(v) if isinstance(v, list) else None)
+def test_listing_help_and_usage_errors_load_no_numpy(argv, code, tmp_path):
+    # the catalog's table and the parser need no numerics; numpy costs a
+    # cold interpreter more than the rest of such a command
+    codes, modules = _modules_after([argv], tmp_path, "numpy")
+    assert codes == [code]
+    assert modules == set()
 
 
 def test_radial_loads_only_sampling(tmp_path):
