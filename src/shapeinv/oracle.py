@@ -118,8 +118,8 @@ def _lapack():
     of a cold 0.45 s ``sip spectrum morse --oracle`` (python -X importtime,
     scipy 1.17, 2-CPU x86_64 machine), 160-200 ms of it in
     scipy._lib._array_api wrapping numpy submodules the oracle never uses.
-    This one extension loads in 3-6 ms, and ``import scipy`` would add
-    10-14 ms, so the extension is found in scipy's package directory
+    This one extension loads in 4-7 ms, and ``import scipy`` would add
+    13-18 ms, so the extension is found in scipy's package directory
     without running the package's __init__, except on Windows, where that
     __init__ puts the wheel's bundled libraries on the DLL path.
     The module is registered in sys.modules under its own name, so a later
