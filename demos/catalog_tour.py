@@ -11,6 +11,7 @@ Run:  python demos/catalog_tour.py
 
 import json
 import os
+from io import StringIO
 from pathlib import Path
 
 from shapeinv import (
@@ -18,11 +19,10 @@ from shapeinv import (
     family_descriptor,
     get_family,
     list_families,
-    make_grid,
     parameter_step,
     partner_potentials,
-    verify_shape_invariance,
 )
+from shapeinv.cli import run_command
 
 out_dir = Path(os.environ.get("SIP_OUT_DIR", "sip-out"))
 out_dir.mkdir(parents=True, exist_ok=True)
@@ -41,18 +41,20 @@ print(f"  V-(1), V+(1)  = {vm:+.6f}, {vp:+.6f}")
 print(f"  tau(p)        = {parameter_step(morse, p)}")
 print(f"  R(p)          = {energy_shift(morse, p):.6f}   (= A^2 - (A-a)^2)")
 
-# Certify every family on its documented interval: the difference of
-# partners across one ladder step must be flat to 1e-10.
-print("\nShape-invariance certificates (512-point grids):")
+# Certify every family as `sip verify` does: the difference of partners
+# across one ladder step must be flat to rounding on the grid verify cuts
+# from the family's oracle box, where the fields are smallest.
+print("\nShape-invariance certificates (sip verify, 512-point grids):")
 for name, _, _ in list_families():
+    buf = StringIO()
+    run_command(["verify", name, "--json"], buf)
+    rep = json.loads(buf.getvalue())
+    lo, hi, _ = rep["grid"]
     fam = get_family(name)
-    grid = make_grid(*fam.domain(fam.reference_params).si_interval, 512)
-    rep = verify_shape_invariance(fam.W, fam.Wprime, fam.reference_params,
-                                  fam.tau, grid)
     recipe = energy_shift(fam, fam.reference_params)
-    print(f"  {name:32s} refit R = {rep.estimated_constant:+.9f} "
-          f"(recipe {recipe:+.9f}), flat to {rep.max_residual:.2e} -> "
-          f"{'ok' if rep.passed else 'FAILED'}")
+    print(f"  {name:32s} on [{lo:+.4g}, {hi:+.4g}] refit R = {rep['estimated_constant']:+.9f} "
+          f"(recipe {recipe:+.9f}), flat to {rep['max_residual']:.2e} -> "
+          f"{'ok' if rep['passed'] else 'FAILED'}")
 
 # Machine-readable descriptors for downstream tools.
 path = out_dir / "catalog.json"

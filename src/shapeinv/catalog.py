@@ -24,8 +24,8 @@ Conventions
 - Reference parameters are small integers (or simple fractions) chosen
   inside each family's validity region so analytic cross-checks stay
   human-verifiable; their keys, in order, are the family's parameter names.
-- domain(p) holds the open interval, the default verify grid and the
-  default oracle box at p; for the trigonometric families all three scale
+- domain(p) holds the open interval and the oracle box at p, from which
+  verify cuts its default grid; for the trigonometric families both scale
   with 1/a.  A parameter's descriptor lists every constraint naming it.
 - The table (names, constraints, tau, domains) needs only `math`.  The
   first recipe built imports `ansatz`, and numpy with it, so listing the
@@ -71,17 +71,16 @@ class DomainViolation(ValueError):
 
 @dataclass(frozen=True)
 class DomainInterval:
-    """The open interval (lo, hi) a family lives on, with its default windows.
+    """The open interval (lo, hi) a family lives on, with its one window.
 
-    ``si_interval`` is the grid for shape-invariance checks and lies inside
-    the open interval; ``oracle_box`` is the eigensolver's Dirichlet box and
-    may reach the endpoints, because the oracle evaluates V only at points
-    strictly between its walls.
+    ``oracle_box`` is the eigensolver's default Dirichlet box and may reach
+    the endpoints, because the oracle evaluates V only at points strictly
+    between its walls.  verify cuts its default grid from the same box,
+    where the fields are smallest.
     """
 
     lo: float
     hi: float
-    si_interval: tuple
     oracle_box: tuple
 
     def __post_init__(self):
@@ -89,7 +88,6 @@ class DomainInterval:
             raise ValueError("domain requires lo < hi")
         if self.kind == "half-line" and self.lo != 0.0:
             raise ValueError("half-line domains start at 0")
-        self.require_grid(*self.si_interval)
         self.require_box(*self.oracle_box)
 
     @property
@@ -106,8 +104,8 @@ class DomainInterval:
         """ENDPOINT_MARGIN, scaled down for a domain narrower than 1.
 
         The trigonometric domains shrink as 1/a, and with them their
-        default grids; an absolute margin would reject those grids at
-        large a.
+        boxes and verify grids; an absolute margin would reject those
+        grids at large a.
         """
         return ENDPOINT_MARGIN * min(1.0, self.hi - self.lo)
 
@@ -155,7 +153,7 @@ class PotentialFamily:
     the energy shift R follow from it.  W and Wprime accept (params, x)
     with x scalar or ndarray.  ``domain`` is a function of the parameters
     because the trigonometric families live on intervals whose endpoints,
-    and so default windows, scale with 1/a.
+    and so their boxes, scale with 1/a.
     """
 
     name: str
@@ -228,7 +226,7 @@ _ALL = (
         constraints=("omega > 0",),
         recipe=lambda p: _recipe("one", 1.0, 1.0, C=p["omega"] / 2.0, D=-p["b"]),
         tau=lambda p: dict(p),
-        domain=lambda p: DomainInterval(-math.inf, math.inf, (-8.0, 8.0), (-10.0, 10.0)),
+        domain=lambda p: DomainInterval(-math.inf, math.inf, (-10.0, 10.0)),
         reference_params={"omega": 2.0, "b": 0.0},
     ),
     # W = (omega/2) r - (ell+1)/r: seed u = xi, lam = -(ell+1), phi = (omega/2) xi
@@ -237,7 +235,7 @@ _ALL = (
         constraints=("omega > 0", "ell >= 0"),
         recipe=lambda p: _recipe("xi", 1.0, -(p["ell"] + 1.0), C=p["omega"], D=0.0),
         tau=lambda p: {**p, "ell": p["ell"] + 1.0},
-        domain=lambda p: DomainInterval(0.0, math.inf, (0.1, 10.0), (1e-5, 10.0)),
+        domain=lambda p: DomainInterval(0.0, math.inf, (1e-5, 10.0)),
         reference_params={"omega": 2.0, "ell": 0.0},
     ),
     # W = e2/(2(ell+1)) - (ell+1)/r: seed u = xi, lam = -(ell+1), shift -e2/2
@@ -246,7 +244,7 @@ _ALL = (
         constraints=("e2 > 0", "ell >= 0"),
         recipe=lambda p: _recipe("xi", 1.0, -(p["ell"] + 1.0), shift_const=-p["e2"] / 2.0),
         tau=lambda p: {**p, "ell": p["ell"] + 1.0},
-        domain=lambda p: DomainInterval(0.0, math.inf, (0.1, 30.0), (1e-5, 50.0)),
+        domain=lambda p: DomainInterval(0.0, math.inf, (1e-5, 50.0)),
         reference_params={"e2": 2.0, "ell": 0.0},
     ),
     # W = A - B exp(-a x): exp seed, lam = A, phi = -B/u
@@ -255,7 +253,7 @@ _ALL = (
         constraints=("A > 0", "B > 0", "a > 0"),
         recipe=lambda p: _recipe("exp", p["a"], p["A"], C=0.0, D=-p["B"]),
         tau=lambda p: {**p, "A": p["A"] - p["a"]},
-        domain=lambda p: DomainInterval(-math.inf, math.inf, (-3.0, 10.0), (-3.0, 10.0)),
+        domain=lambda p: DomainInterval(-math.inf, math.inf, (-3.0, 10.0)),
         reference_params={"A": 4.0, "B": 4.0, "a": 1.0},
     ),
     # W = A tanh(ax) + B sech(ax): cosh seed, lam = A, phi = B/u
@@ -264,7 +262,7 @@ _ALL = (
         constraints=("A > 0", "a > 0"),
         recipe=lambda p: _recipe("cosh", p["a"], p["A"], C=0.0, D=p["B"]),
         tau=lambda p: {**p, "A": p["A"] - p["a"]},
-        domain=lambda p: DomainInterval(-math.inf, math.inf, (-8.0, 8.0), (-10.0, 10.0)),
+        domain=lambda p: DomainInterval(-math.inf, math.inf, (-10.0, 10.0)),
         reference_params={"A": 4.0, "B": 4.0, "a": 1.0},
     ),
     # W = A tanh(ax) + B/A: cosh seed, lam = A, shift B; a normalizable
@@ -274,7 +272,7 @@ _ALL = (
         constraints=("A > 0", "a > 0", "A^2 > |B|"),
         recipe=lambda p: _recipe("cosh", p["a"], p["A"], shift_const=p["B"]),
         tau=lambda p: {**p, "A": p["A"] - p["a"]},
-        domain=lambda p: DomainInterval(-math.inf, math.inf, (-8.0, 8.0), (-12.0, 12.0)),
+        domain=lambda p: DomainInterval(-math.inf, math.inf, (-12.0, 12.0)),
         reference_params={"A": 4.0, "B": 4.0, "a": 1.0},
     ),
     # W = -A coth(ar) + B/A: sinh seed, lam = -A, shift -B; bound states need B > A^2
@@ -283,7 +281,7 @@ _ALL = (
         constraints=("A > 0", "a > 0", "B > A^2"),
         recipe=lambda p: _recipe("sinh", p["a"], -p["A"], shift_const=-p["B"]),
         tau=lambda p: {**p, "A": p["A"] + p["a"]},
-        domain=lambda p: DomainInterval(0.0, math.inf, (0.1, 12.0), (1e-3, 30.0)),
+        domain=lambda p: DomainInterval(0.0, math.inf, (1e-3, 30.0)),
         reference_params={"A": 1.0, "B": 3.0, "a": 0.5},
     ),
     # W = A tan(ax) - B sec(ax) on (-pi/2a, pi/2a): cos seed, lam = -A, phi = -B/u
@@ -295,7 +293,6 @@ _ALL = (
         domain=lambda p: DomainInterval(
             -0.5 * math.pi / p["a"],
             0.5 * math.pi / p["a"],
-            (-1.45 / p["a"], 1.45 / p["a"]),
             ((-math.pi / 2 + 1e-4) / p["a"], (math.pi / 2 - 1e-4) / p["a"]),
         ),
         reference_params={"A": 4.0, "B": 1.0, "a": 1.0},
@@ -306,7 +303,7 @@ _ALL = (
         constraints=("a > 0", "B > A > 0"),
         recipe=lambda p: _recipe("sinh", p["a"], p["A"], C=0.0, D=-p["B"]),
         tau=lambda p: {**p, "A": p["A"] - p["a"]},
-        domain=lambda p: DomainInterval(0.0, math.inf, (0.1, 12.0), (1e-4, 14.0)),
+        domain=lambda p: DomainInterval(0.0, math.inf, (1e-4, 14.0)),
         reference_params={"A": 3.0, "B": 4.0, "a": 1.0},
     ),
     # W = -A cot(ax) - B/A on (0, pi/a): sin seed, lam = -A, shift B
@@ -318,7 +315,6 @@ _ALL = (
         domain=lambda p: DomainInterval(
             0.0,
             math.pi / p["a"],
-            (0.15 / p["a"], (math.pi - 0.15) / p["a"]),
             (1e-4 / p["a"], (math.pi - 1e-4) / p["a"]),
         ),
         reference_params={"A": 1.0, "B": 1.0, "a": 1.0},

@@ -217,6 +217,23 @@ def cmd_list(args, out) -> int:
     return EXIT_PASS
 
 
+def _si_grid(fam, p, q) -> tuple:
+    """(lo, hi): of 513 points on the oracle box, the run around the least S = W_p^2 + |W_p'| +
+    W_q^2 + |W_q'| where S <= 1e4 min S, a lone point widened to its neighbours.  Where S spans
+    many decades the judge's floor, 64 eps max S, would pass almost any residual."""
+    import numpy as np
+
+    x = np.linspace(*fam.domain(p).oracle_box, 513)
+    with np.errstate(all="ignore"):  # a NaN or inf S is outside the run unless every S is inf
+        s = sum(r.W(x) ** 2 + abs(r.Wprime(x)) for r in (fam.recipe(p), fam.recipe(q)))
+        i = int(np.nanargmin(s))
+        out = np.flatnonzero(~(s <= 1e4 * s[i]))
+    lo, hi = out[out < i].max(initial=-1) + 1, out[out > i].min(initial=len(x)) - 1
+    if lo == hi:
+        lo, hi = max(i - 1, 0), min(i + 1, len(x) - 1)
+    return float(x[lo]), float(x[hi])
+
+
 def cmd_verify(args, out) -> int:
     from .sampling import make_grid
     from .verify import verify_shape_invariance
@@ -224,13 +241,8 @@ def cmd_verify(args, out) -> int:
     fam = get_family(args.family)
     p = _collect_params(args, fam)
     fam.validate(p)
-    dom = fam.domain(p)
     if args.grid:
-        lo, hi, n = args.grid
-        dom.require_grid(lo, hi)
-    else:
-        lo, hi = dom.si_interval
-        n = 512
+        fam.domain(p).require_grid(*args.grid[:2])
     partner = fam.tau(p)
     try:
         fam.validate(partner)
@@ -244,13 +256,15 @@ def cmd_verify(args, out) -> int:
             raise
         # W of the partner rung is undefined
         raise InvalidParameters(f"partner rung tau(p) is undefined: {broken}") from None
+    lo, hi, n = args.grid or (*_si_grid(fam, p, partner), 512)
     report = verify_shape_invariance(fam.W, fam.Wprime, p, fam.tau, make_grid(lo, hi, n),
                                      tolerance=args.tolerance)
     if args.json:
-        print(_dump_json(report.to_json()), file=out)
+        print(_dump_json({**report.to_json(), "grid": [lo, hi, n]}), file=out)
     else:
         print(f"family:             {fam.name}", file=out)
         print(f"parameters:         {{{', '.join(f'{k}: {_fmt(v)}' for k, v in p.items())}}}", file=out)
+        print(f"grid:               {_fmt(lo)}:{_fmt(hi)}:{n}", file=out)
         print(f"estimated constant: {_fmt(report.estimated_constant)}", file=out)
         print(f"stored shift:       {_fmt(fam.R(p))}", file=out)
         print(f"max residual:       {_fmt(report.max_residual)}", file=out)

@@ -12,6 +12,7 @@ import pytest
 
 from shapeinv import ansatz, multidim as md, oracle, spectral
 from shapeinv.catalog import FAMILY_NAMES, get_family
+from shapeinv.cli import _si_grid
 from shapeinv.sampling import make_grid
 from shapeinv.verify import verify_generalized_si, verify_shape_invariance
 from shapeinv.radial import (
@@ -35,7 +36,7 @@ def test_criterion_1_catalog_si_certification():
         fam = get_family(name)
         p = fam.reference_params
         rep = verify_shape_invariance(fam.W, fam.Wprime, p,
-                                      fam.tau, make_grid(*fam.domain(p).si_interval, 512),
+                                      fam.tau, make_grid(*_si_grid(fam, p, fam.tau(p)), 512),
                                       tolerance=1e-10)
         assert rep.passed, (name, rep.max_residual)
         worst = max(worst, rep.max_residual)
@@ -51,7 +52,7 @@ def test_criterion_2_ansatz_reconstruction():
     for name in FAMILY_NAMES:
         fam = get_family(name)
         p = fam.reference_params
-        x = make_grid(*fam.domain(p).si_interval, 512)
+        x = make_grid(*_si_grid(fam, p, fam.tau(p)), 512)
         W, _, _ = table_values(name, p, x)
         dev = float(np.max(np.abs(fam.recipe(p).W(x) - W)))
         assert dev < 1e-10, (name, dev)
@@ -92,7 +93,7 @@ def test_criterion_4_intertwining_ladder():
     for name in FAMILY_NAMES:
         fam = get_family(name)
         p = fam.reference_params
-        g = make_grid(*fam.domain(p).si_interval, 4096)
+        g = make_grid(*_si_grid(fam, p, fam.tau(p)), 4096)
         psi0 = spectral.ground_state(lambda x: fam.W(p, x), g)
         ratio = spectral.apply_A(lambda x: fam.W(p, x), psi0).norm() / psi0.norm()
         assert ratio < 1e-5, (name, ratio)

@@ -19,6 +19,7 @@ from shapeinv.catalog import (
     parameter_step,
     partner_potentials,
 )
+from shapeinv.cli import _si_grid
 from shapeinv.sampling import make_grid
 
 EXPECTED_NAMES = {
@@ -115,7 +116,7 @@ def test_energy_shift_matches_grid_difference(name):
     fam = get_family(name)
     p = fam.reference_params
     q = parameter_step(fam, p)
-    x = make_grid(*fam.domain(p).si_interval, 512)
+    x = make_grid(*_si_grid(fam, p, q), 512)
     _, vp = partner_potentials(fam, p, x)
     vm, _ = partner_potentials(fam, q, x)
     diff = vp - vm
@@ -174,7 +175,7 @@ def test_wprime_matches_central_differences():
     for name in EXPECTED_NAMES:
         fam = get_family(name)
         p = fam.reference_params
-        lo, hi = fam.domain(p).si_interval
+        lo, hi = fam.domain(p).oracle_box
         pad = 0.1 * (hi - lo)
         x = make_grid(lo + pad, hi - pad, 512)
         fd = (fam.W(p, x + h) - fam.W(p, x - h)) / (2 * h)
@@ -193,9 +194,13 @@ def test_windows_lie_in_the_domain(name):
     for p in _scaled_params(fam):
         fam.validate(p)
         dom = fam.domain(p)
-        assert dom.contains(dom.si_interval), (p, dom)
         lo, hi = dom.oracle_box
         assert dom.lo <= lo < hi <= dom.hi, (p, dom)
+        try:
+            fam.recipe(fam.tau(p))
+        except ValueError:
+            continue  # verify refuses a partner rung without a W
+        assert dom.contains(_si_grid(fam, p, fam.tau(p))), (p, dom)
 
 
 @pytest.mark.parametrize("name", ["scarf-I-trigonometric", "rosen-morse-I-trigonometric"])
@@ -205,20 +210,33 @@ def test_trigonometric_windows_scale_with_the_domain(name):
     for p in _scaled_params(fam)[1:]:
         dom = fam.domain(p)
         for got, want in [((dom.lo, dom.hi), (ref.lo, ref.hi)),
-                          (dom.si_interval, ref.si_interval),
                           (dom.oracle_box, ref.oracle_box)]:
             assert np.allclose(np.multiply(got, p["a"]), want, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("k", [0.25, 4.0])
+@pytest.mark.parametrize("name, powers", [("scarf-I-trigonometric", {"A": 1, "B": 1, "a": 1}),
+                                          ("rosen-morse-I-trigonometric", {"A": 1, "B": 2, "a": 1})])
+def test_trigonometric_verify_grids_scale_with_the_member(name, powers, k):
+    # W(x; p_k) = k W(k x; p) when each parameter scales by k to its power
+    # (B/A is a W in Rosen-Morse I), so S scales by k^2 and the run verify
+    # cuts from the box shrinks by 1/k
+    fam = get_family(name)
+    ref = fam.reference_params
+    p = {key: k ** powers[key] * v for key, v in ref.items()}
+    got = _si_grid(fam, p, fam.tau(p))
+    assert np.allclose(np.multiply(got, k), _si_grid(fam, ref, fam.tau(ref)), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("a", [1e5, 1e6, 1e8])
 @pytest.mark.parametrize("name", ["scarf-I-trigonometric", "rosen-morse-I-trigonometric"])
 def test_narrow_domains_scale_the_endpoint_margin(name, a):
-    # an absolute 1e-6 would reject the family's own grid from a of about 1.2e5
+    # an absolute 1e-6 would reject the family's own verify grid at these a
     fam = get_family(name)
     p = {**fam.reference_params, "a": a}
     dom = fam.domain(p)
     assert dom.margin == catalog.ENDPOINT_MARGIN * (dom.hi - dom.lo)
-    assert dom.contains(dom.si_interval)
+    assert dom.contains(_si_grid(fam, p, fam.tau(p)))
     x = dom.lo + 0.5 * dom.margin
     with pytest.raises(DomainViolation, match=re.escape(f"by margin {dom.margin}")):
         partner_potentials(fam, p, x)
@@ -231,16 +249,12 @@ def test_domains_of_width_one_or_more_keep_the_absolute_margin():
 
 
 def test_domain_rejects_windows_outside_it():
-    # the oracle box may reach the open endpoints, the verify grid may not
-    DomainInterval(0.0, np.pi, si_interval=(0.1, 3.0), oracle_box=(0.0, np.pi))
+    # the oracle box may reach the open endpoints, not pass them
+    DomainInterval(0.0, np.pi, oracle_box=(0.0, np.pi))
     with pytest.raises(DomainViolation):
-        DomainInterval(0.0, np.pi, si_interval=(0.0, 3.0), oracle_box=(0.0, np.pi))
+        DomainInterval(0.0, np.pi, oracle_box=(-1.0, 3.0))
     with pytest.raises(DomainViolation):
-        DomainInterval(0.0, np.pi, si_interval=(0.1, 3.5), oracle_box=(0.0, np.pi))
-    with pytest.raises(DomainViolation):
-        DomainInterval(0.0, np.pi, si_interval=(0.1, 3.0), oracle_box=(-1.0, 3.0))
-    with pytest.raises(DomainViolation):
-        DomainInterval(0.0, np.inf, si_interval=(-1.0, 3.0), oracle_box=(1e-5, 3.0))
+        DomainInterval(0.0, np.pi, oracle_box=(0.1, 3.5))
 
 
 def _contains_by_numpy(dom, x) -> bool:
@@ -252,10 +266,10 @@ def _contains_by_numpy(dom, x) -> bool:
 
 
 _PARITY_DOMAINS = [
-    DomainInterval(0.0, np.pi, (0.1, 3.0), (0.0, np.pi)),
-    DomainInterval(0.0, np.pi * 1e-6, (1e-8, 3e-6), (0.0, 3e-6)),
-    DomainInterval(0.0, np.inf, (0.1, 10.0), (1e-5, 10.0)),
-    DomainInterval(-np.inf, np.inf, (-3.0, 10.0), (-3.0, 10.0)),
+    DomainInterval(0.0, np.pi, (0.0, np.pi)),
+    DomainInterval(0.0, np.pi * 1e-6, (0.0, 3e-6)),
+    DomainInterval(0.0, np.inf, (1e-5, 10.0)),
+    DomainInterval(-np.inf, np.inf, (-3.0, 10.0)),
 ]
 
 
@@ -281,17 +295,17 @@ def test_contains_and_require_grid_keep_the_array_verdicts(dom):
         except DomainViolation:
             refused = True
         assert refused is not _contains_by_numpy(dom, (lo, hi)), (lo, hi)
-    for x in ([], np.array(points), np.linspace(dom.si_interval[0], dom.si_interval[1], 9),
-              [dom.si_interval[0], np.nan], np.array([[1.0, 2.0], [0.5, 1.5]])):
+    for x in ([], np.array(points), np.linspace(*dom.oracle_box, 9),
+              [dom.oracle_box[0], np.nan], np.array([[1.0, 2.0], [0.5, 1.5]])):
         assert dom.contains(x) is _contains_by_numpy(dom, x), x
 
 
 def test_domain_kind_is_read_off_the_endpoints():
-    assert DomainInterval(-np.inf, np.inf, (-1.0, 1.0), (-1.0, 1.0)).kind == "full-line"
-    assert DomainInterval(0.0, np.inf, (1.0, 2.0), (0.0, 2.0)).kind == "half-line"
-    assert DomainInterval(0.0, np.pi, (1.0, 2.0), (0.0, 2.0)).kind == "finite"
+    assert DomainInterval(-np.inf, np.inf, (-1.0, 1.0)).kind == "full-line"
+    assert DomainInterval(0.0, np.inf, (0.0, 2.0)).kind == "half-line"
+    assert DomainInterval(0.0, np.pi, (0.0, 2.0)).kind == "finite"
     with pytest.raises(ValueError, match="half-line domains start at 0"):
-        DomainInterval(-np.inf, 0.0, (-2.0, -1.0), (-2.0, -1.0))
+        DomainInterval(-np.inf, 0.0, (-2.0, -1.0))
 
 
 def test_descriptor_lists_each_constraint_under_every_parameter_it_names():

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shapeinv.catalog import FAMILY_NAMES, get_family
+from shapeinv.cli import _si_grid
 from shapeinv.sampling import make_grid
 
 x = sp.Symbol("x", real=True)
@@ -112,7 +113,7 @@ def _close(got, terms) -> bool:
 def _assert_stored_forms_match(name, p):
     fam = get_family(name)
     vals = [p[k] for k in fam.param_names]
-    grid = make_grid(*fam.domain(p).si_interval, 512)
+    grid = make_grid(*_si_grid(fam, p, fam.tau(p)), 512)
     W, Wp, R = LAMBDIFIED[name](grid, *vals)
     assert _close(fam.W(p, grid), W), (name, p, "W")
     assert _close(fam.Wprime(p, grid), Wp), (name, p, "W'")

@@ -80,6 +80,27 @@ def test_verify_passes_morse_where_its_fields_are_large():
     assert json.loads(text)["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("a, shift", [("8", 576.0), ("20", 1200.0)])
+def test_verify_refits_morse_where_its_fields_span_decades(a, shift):
+    # on the whole box (-3, 10) S reaches 2.2e24 (a = 8) and 4.2e55 (a = 20),
+    # where the floor 64 eps max S passed refit constants of -5919 and
+    # -1.7e17; the derived grid ends where S passes 1e4 times its least
+    code, text = run(["verify", "morse", "--A", "40", "--B", "40", "--a", a, "--json"])
+    assert code == EXIT_PASS, text
+    rep = json.loads(text)
+    assert rep["verdict"] == "pass"
+    assert rep["estimated_constant"] == pytest.approx(shift, rel=1e-9)
+
+
+def test_verify_states_the_grid_it_judged_on():
+    argv = ["verify", "morse", "--A", "40", "--B", "40", "--a", "8"]
+    lo, hi, n = json.loads(run([*argv, "--json"])[1])["grid"]
+    assert -3.0 < lo < hi == 10.0 and n == 512
+    assert f"grid:               {lo:.12g}:{hi:.12g}:512" in run(argv)[1].splitlines()
+    assert "grid:               -0.25:4:64" in run([*argv, "--grid=-0.25:4:64"])[1].splitlines()
+    assert json.loads(run([*argv, "--grid=-0.25:4:64", "--json"])[1])["grid"] == [-0.25, 4.0, 64]
+
+
 def test_verify_morse_at_a_huge_A_is_unresolved_beside_its_stored_shift():
     # R = a (2A - a) = 2e150 lies far below the rounding floor of W^2 = 1e300,
     # so every part of V_plus - V_minus that varies rounds away
@@ -106,8 +127,9 @@ def test_verify_unknown_family_usage_error():
 
 @pytest.mark.parametrize("a", [0.25, 0.5, 2.0, 4.0])
 def test_trigonometric_families_verify_at_every_scale(a):
-    # the default grid shrinks with the domain (-pi/2a, pi/2a) or (0, pi/a);
-    # closed forms at the reference A = 4, B = 1 and A = B = 1
+    # the default grid is cut from a box that shrinks with the domain
+    # (-pi/2a, pi/2a) or (0, pi/a); closed forms at the reference A = 4,
+    # B = 1 and A = B = 1
     shifts = {"scarf-I-trigonometric": (4 + a) ** 2 - 4**2,
               "rosen-morse-I-trigonometric": (1 + a) ** 2 - 1 / (1 + a) ** 2}
     for name, shift in shifts.items():
@@ -1152,7 +1174,7 @@ from shapeinv.catalog import get_family
 from shapeinv.spectral import apply_A, ground_state, ladder_wavefunctions
 fam = get_family("morse")
 p = fam.reference_params
-x = np.linspace(*fam.domain(p).si_interval, 512)
+x = np.linspace(*fam.domain(p).oracle_box, 512)
 apply_A(fam.recipe(p).W, ground_state(fam.recipe(p).W, x))
 ladder_wavefunctions(fam, p, 3, x)
 print(*sys.modules)

@@ -195,7 +195,7 @@ def test_fix_sign_matches_the_loop_on_eigenstates(n):
     p = fam.reference_params
     cfg = oracle.OracleConfig(box=fam.domain(p).oracle_box, n_points=n, n_levels=4)
     res = oracle.eigensolve(lambda x: fam.W(p, x) ** 2 - fam.Wprime(p, x), cfg)
-    lo, hi = fam.domain(p).si_interval
+    lo, hi = fam.domain(p).oracle_box
     ladder = spectral.ladder_wavefunctions(fam, p, 4, np.linspace(lo, hi, n))
     for psi in [*res.wavefunctions, *ladder]:
         for values in (psi.values, -psi.values):

@@ -5,6 +5,7 @@ import pytest
 
 from shapeinv import spectral
 from shapeinv.catalog import FAMILY_NAMES, get_family
+from shapeinv.cli import _si_grid
 from shapeinv.sampling import (
     NonFiniteValues,
     count_nodes,
@@ -135,11 +136,12 @@ def test_annihilation_sech():
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_annihilation_all_catalog_families(name):
-    # the si interval doubles as the documented wavefunction window: its
-    # inner wall keeps singular superpotentials resolvable by quadrature
+    # the verify grid doubles as the wavefunction window: it ends where S
+    # passes 1e4 times its least, before a singular W's wall, so quadrature
+    # resolves W there
     fam = get_family(name)
     p = fam.reference_params
-    g = make_grid(*fam.domain(p).si_interval, 4096)
+    g = make_grid(*_si_grid(fam, p, fam.tau(p)), 4096)
     psi0 = ground_state(lambda x: fam.W(p, x), g)
     ratio = apply_A(lambda x: fam.W(p, x), psi0).norm() / psi0.norm()
     assert ratio < 1e-5, (name, ratio)
@@ -181,7 +183,7 @@ def test_ladder_eigen_residual(name, levels):
     # amplifies machine noise by 1/h, so ever-finer grids get worse here.
     fam = get_family(name)
     p = fam.reference_params
-    g = make_grid(*fam.domain(p).si_interval, 2048)
+    g = make_grid(*_si_grid(fam, p, fam.tau(p)), 2048)
     h = g[1] - g[0]
     spec = algebraic_spectrum(fam, p, levels)
     wfs = ladder_wavefunctions(fam, p, levels, g)
@@ -215,7 +217,7 @@ def test_csv_export(tmp_path):
 _LADDER_POINTS = {
     "shifted-oscillator": [{"omega": 0.5, "b": 1.5}, {"omega": 3.7, "b": -2.0}],
     "radial-oscillator": [{"omega": 1.0, "ell": 2.0}, {"omega": 4.5, "ell": 0.5}],
-    "coulomb": [{"e2": 1.0, "ell": 1.0}, {"e2": 5.0, "ell": 3.0}],
+    "coulomb": [{"e2": 1.0, "ell": 1.0}, {"e2": 5.0, "ell": 3.0}, {"e2": 0.5, "ell": 2.0}],
     "morse": [{"A": 2.0, "B": 4.0, "a": 1.0}, {"A": 6.5, "B": 2.0, "a": 0.7}],
     "scarf-II-hyperbolic": [{"A": 2.5, "B": -1.0, "a": 0.5}, {"A": 6.0, "B": 10.0, "a": 1.5}],
     "rosen-morse-II-hyperbolic": [{"A": 3.0, "B": -2.0, "a": 1.0}, {"A": 5.0, "B": 10.0, "a": 0.8}],
@@ -228,8 +230,9 @@ _LADDER_POINTS = {
 
 #: the ladders of _LADDER_POINTS that end in NonNormalizable: coulomb's
 #: rungs step ell up, and from the level given on, the ground state of the
-#: rung peaks past the window's outer end at r = 30
-_LADDER_RAISES = {("coulomb", 0): 5, ("coulomb", 1): 2, ("coulomb", 2): 5}
+#: rung, which peaks at r = 2 (ell + 1)^2 / e2, peaks at or past the verify
+#: grid's outer end, the oracle box's r = 50
+_LADDER_RAISES = {("coulomb", 1): 3, ("coulomb", 3): 1}
 
 
 def _holds(values, x, domain) -> bool:
@@ -256,7 +259,7 @@ def test_ladder_is_bit_identical_to_the_first_ladder(name, n_points):
     for point, p in enumerate([fam.reference_params, *_LADDER_POINTS[name]]):
         fam.validate(p)
         domain = fam.domain(p)
-        x = make_grid(*domain.si_interval, n_points)
+        x = make_grid(*_si_grid(fam, p, fam.tau(p)), n_points)
         levels = _LADDER_RAISES.get((name, point), 6)
         for n_levels in range(levels + 1, 7):
             with pytest.raises(NonNormalizable, match="exp\\(-int W\\) peaks on the grid boundary"):
@@ -426,7 +429,7 @@ def test_ladder_ground_state_is_exp_of_minus_the_prepotential():
     for name in FAMILY_NAMES:
         fam = get_family(name)
         p = fam.reference_params
-        x = make_grid(*fam.domain(p).si_interval, 1001)
+        x = make_grid(*_si_grid(fam, p, fam.tau(p)), 1001)
         omega = fam.recipe(p).prepotential(x)
         want = fix_sign(normalize(np.exp(omega.min() - omega), x))
         got = ladder_wavefunctions(fam, p, 1, x)[0].values
@@ -477,7 +480,7 @@ def test_ground_state_memory():
     fam = get_family("morse")
     p = fam.reference_params
     n = 20001
-    x = make_grid(*fam.domain(p).si_interval, n)
+    x = make_grid(*fam.domain(p).oracle_box, n)
     peak = _peak_bytes(lambda: ground_state(fam.recipe(p).W, x))
     assert peak <= 8 * (2 * n - 1) * 8
 
@@ -488,6 +491,6 @@ def test_ladder_memory():
     fam = get_family("morse")
     p = fam.reference_params
     n = 20001
-    x = make_grid(*fam.domain(p).si_interval, n)
+    x = make_grid(*fam.domain(p).oracle_box, n)
     peak = _peak_bytes(lambda: ladder_wavefunctions(fam, p, 6, x))
     assert peak <= 20 * n * 8

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shapeinv.catalog import FAMILY_NAMES, get_family
+from shapeinv.catalog import FAMILY_NAMES, InvalidParameters, get_family
+from shapeinv.cli import _si_grid
 from shapeinv.sampling import NonFiniteValues, make_grid
 from shapeinv.verify import (
     VerificationReport,
@@ -59,7 +60,7 @@ def _half_step(fam, p):
 
 
 def _certify_exact_and_half_step(fam, p):
-    grid = make_grid(*fam.domain(p).si_interval, 512)
+    grid = make_grid(*_si_grid(fam, p, fam.tau(p)), 512)
     rep = verify_shape_invariance(fam.W, fam.Wprime, p, fam.tau, grid)
     assert rep.passed, (fam.name, p, rep)
     assert rep.max_residual <= rep.tolerance == 64 * np.finfo(float).eps * rep.scale
@@ -120,6 +121,52 @@ def test_every_valid_point_certifies_its_tau_and_refuses_a_half_step(name, data)
     _certify_exact_and_half_step(fam, p)
 
 
+#: families whose B (b for the shifted oscillator) may take either sign
+_SIGNED = {"shifted-oscillator", "scarf-II-hyperbolic", "rosen-morse-II-hyperbolic",
+           "scarf-I-trigonometric", "rosen-morse-I-trigonometric"}
+
+
+def _wide_draws(name, n=30):
+    """The valid ones of n seeded draws over decades: a log-uniform in
+    [0.01, 100], the other scales log-uniform in [0.01, 1000], of either
+    sign where the family allows it, and ell uniform in [0, 20]."""
+    fam = get_family(name)
+    rng = np.random.default_rng([11, FAMILY_NAMES.index(name)])
+    for _ in range(n):
+        p = {}
+        for k in fam.param_names:
+            if k == "ell":
+                p[k] = float(rng.uniform(0, 20))
+                continue
+            p[k] = float(np.exp(rng.uniform(np.log(0.01), np.log(100 if k == "a" else 1000))))
+            if k in ("b", "B") and name in _SIGNED and rng.random() < 0.5:
+                p[k] = -p[k]
+        try:
+            fam.validate(p)
+        except InvalidParameters:
+            continue
+        yield p
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_wide_draws_pass_only_with_the_shift_and_refuse_a_half_step(name):
+    # a grid fixed for every p let S span 55 decades on Morse at a = 20, and
+    # the floor 64 eps max S passed a refit constant of -1.7e17 against 1200.
+    # The exact tau is not asserted to pass: generalized Poschl-Teller fails
+    # some exact inputs at B near A, from rounding inside W
+    fam = get_family(name)
+    draws = list(_wide_draws(name))
+    assert len(draws) >= 10
+    for p in draws:
+        grid = make_grid(*_si_grid(fam, p, fam.tau(p)), 512)
+        rep = verify_shape_invariance(fam.W, fam.Wprime, p, fam.tau, grid)
+        R = fam.R(p)
+        if rep.passed:
+            assert abs(rep.estimated_constant - R) <= 1e-6 * max(1.0, abs(R)), (p, rep, R)
+        wrong = verify_shape_invariance(fam.W, fam.Wprime, p, lambda q: _half_step(fam, q), grid)
+        assert not wrong.passed, (p, wrong)
+
+
 def test_half_step_onto_lam_near_zero_is_unresolved():
     # lam of the half step is 1.1e-16, so c/lam is about 1e15: the field
     # scale puts a floor of 1.8e16 under any residual, and the half step is
@@ -127,7 +174,7 @@ def test_half_step_onto_lam_near_zero_is_unresolved():
     fam = get_family("rosen-morse-II-hyperbolic")
     p = {"A": 0.5000000000000001, "B": 0.125, "a": 1.0}
     assert abs(fam.recipe(_half_step(fam, p)).lam) < 1e-15
-    grid = make_grid(*fam.domain(p).si_interval, 512)
+    grid = make_grid(*_si_grid(fam, p, fam.tau(p)), 512)
     assert verify_shape_invariance(fam.W, fam.Wprime, p, fam.tau, grid).passed
     wrong = verify_shape_invariance(fam.W, fam.Wprime, p, lambda q: _half_step(fam, q), grid)
     assert wrong.verdict == "unresolved" and not wrong.passed
@@ -172,7 +219,7 @@ def test_qhj_self_consistency_for_catalog(name):
         lambda x: fam.Wprime(p, x),
         lambda x: fam.W(p, x) ** 2 - fam.Wprime(p, x),
         0.0,
-        make_grid(*fam.domain(p).si_interval, 256),
+        make_grid(*_si_grid(fam, p, fam.tau(p)), 256),
         tolerance=1e-12,
     )
     assert rep.passed, name
@@ -231,7 +278,7 @@ def test_non_finite_values_raise_with_locations():
 
 def test_reports_are_bit_deterministic():
     fam = get_family("gen-poschl-teller")
-    grid = make_grid(*fam.domain(fam.reference_params).si_interval, 512)
+    grid = make_grid(*_si_grid(fam, fam.reference_params, fam.tau(fam.reference_params)), 512)
     a = verify_shape_invariance(fam.W, fam.Wprime, fam.reference_params, fam.tau, grid)
     b = verify_shape_invariance(fam.W, fam.Wprime, fam.reference_params, fam.tau, grid)
     assert a == b  # dataclass equality on floats: bit-identical
