@@ -43,7 +43,7 @@ print(f"  R(p)          = {energy_shift(morse, p):.6f}   (= A^2 - (A-a)^2)")
 
 # Certify every family as `sip verify` does: the difference of partners
 # across one ladder step must be flat to rounding on the grid verify cuts
-# from the family's oracle box, where the fields are smallest.
+# from the family's window, where the fields are smallest.
 print("\nShape-invariance certificates (sip verify, 512-point grids):")
 for name, _, _ in list_families():
     buf = StringIO()

@@ -1,8 +1,9 @@
-"""Algebraic spectra against the brute-force eigensolver, plus wavefunctions.
+"""Algebraic spectra against the independent eigensolver, plus wavefunctions.
 
 Energies come for free from shape invariance: E_n is the cumulative sum of
 energy shifts down the parameter ladder.  The oracle knows none of that:
-it discretizes -psi'' + V psi = E psi on a Dirichlet box and diagonalizes.
+it collocates -psi'' + V psi = E psi on the family's whole domain, mapped
+so that bound states decay double-exponentially, and diagonalizes.
 Agreement of the two routes, and of the ladder-built wavefunctions with
 the oracle eigenvectors, is the package's core correctness claim.
 
@@ -16,9 +17,9 @@ from shapeinv import (
     OracleConfig,
     algebraic_spectrum,
     compare_spectra,
-    eigensolve,
     get_family,
     ladder_wavefunctions,
+    solve,
 )
 from shapeinv.spectral import wavefunctions_to_csv
 
@@ -32,8 +33,8 @@ for name, p, levels in [
 ]:
     fam = get_family(name)
     alg = algebraic_spectrum(fam, p, levels)
-    cfg = OracleConfig(box=fam.domain(p).oracle_box, n_points=2000, n_levels=levels)
-    res = eigensolve(lambda x: fam.W(p, x) ** 2 - fam.Wprime(p, x), cfg)
+    res = solve(lambda x: fam.W(p, x) ** 2 - fam.Wprime(p, x), fam.domain(p),
+                OracleConfig(n_levels=levels))
     cmp = compare_spectra(alg, res.spectrum, tolerance=1e-3)
     print(f"{name} ({levels} levels)")
     print(f"  ladder sums:  {[f'{e:.6f}' for e in alg.energies]}")
@@ -52,8 +53,8 @@ print(f"morse at A=2: requested 10 levels, got {s.energies} "
 # (-d/dx + W) back down.  Node counts label the levels.
 fam = get_family("morse")
 p = {"A": 4.0, "B": 4.0, "a": 1.0}
-cfg = OracleConfig(box=fam.domain(p).oracle_box, n_points=2400, n_levels=4)
-res = eigensolve(lambda x: fam.W(p, x) ** 2 - fam.Wprime(p, x), cfg)
+res = solve(lambda x: fam.W(p, x) ** 2 - fam.Wprime(p, x), fam.domain(p),
+            OracleConfig(n_levels=4))
 wfs = ladder_wavefunctions(fam, p, 4, res.wavefunctions[0].x)
 print("morse ladder wavefunctions vs oracle eigenvectors:")
 for n, w in enumerate(wfs):

@@ -4,7 +4,7 @@ A numpy/scipy library for supersymmetric quantum mechanics in units
 hbar = 2m = 1: a catalog of the ten classic shape-invariant superpotential
 families, a constructive route from free-particle seeds to all of them,
 grid verifiers for the defining identities, an algebraic spectral engine
-with intertwining wavefunction ladders, an independent finite-difference
+with intertwining wavefunction ladders, an independent sinc-collocation
 eigensolver oracle, axially symmetric partner fields in three dimensions,
 and factorization of measure-weighted radial operators with a spherical
 Bessel oracle.
@@ -25,14 +25,14 @@ __version__ = "0.1.0"
 import os as _os
 
 # No shapeinv routine calls BLAS on operands large enough for threads to
-# help, yet OpenBLAS starts a thread pool whenever numpy, or scipy's LAPACK
-# wrapper module that the oracle loads, brings in its copy, and the
-# spinning worker it starts costs a cold `sip` 60-80 ms per library on a
-# 2-CPU machine, or nothing, depending on where the scheduler puts it.  So,
-# unless the caller chose a thread count, both load with one thread.
-# numpy loads with the first submodule that computes (cli and catalog
-# load none), after this line has run; the setting holds for every library
-# loaded after it, and child processes inherit it.
+# help (the oracle's largest matrix is 129 x 129), yet OpenBLAS starts a
+# thread pool when numpy brings in its copy, and the spinning worker it
+# starts costs a cold `sip` 60-80 ms on a 2-CPU machine, or nothing,
+# depending on where the scheduler puts it.  So, unless the caller chose a
+# thread count, it loads with one thread.  numpy loads with the first
+# submodule that computes (cli and catalog load none), after this line has
+# run; the setting holds for every library loaded after it, and child
+# processes inherit it.
 _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import importlib as _importlib
@@ -53,8 +53,7 @@ _SOURCE = {
                    "pole_free_grid"),
         "spectral": ("Spectrum", "Wavefunction", "algebraic_spectrum", "ground_state", "apply_A",
                      "apply_Adagger", "ladder_wavefunctions"),
-        "oracle": ("OracleConfig", "OracleResult", "eigensolve", "convergence_factors",
-                   "compare_spectra"),
+        "oracle": ("OracleConfig", "OracleResult", "solve", "compare_spectra"),
         "multidim": ("Region", "ScalarField2D", "laplace_seed", "plane_wave_seed", "make_grid2d",
                      "partner_fields"),
         "radial": ("MeasureWeight", "GeneralizedFactorization", "r_squared_weight",

@@ -24,9 +24,9 @@ Conventions
 - Reference parameters are small integers (or simple fractions) chosen
   inside each family's validity region so analytic cross-checks stay
   human-verifiable; their keys, in order, are the family's parameter names.
-- domain(p) holds the open interval and the oracle box at p, from which
-  verify cuts its default grid; for the trigonometric families both scale
-  with 1/a.  A parameter's descriptor lists every constraint naming it.
+- domain(p) holds the open interval at p and the window verify cuts its
+  default grid from; for the trigonometric families both scale with 1/a.
+  A parameter's descriptor lists every constraint naming it.
 - The table (names, constraints, tau, domains) needs only `math`.  The
   first recipe built imports `ansatz`, and numpy with it, so listing the
   catalog or parsing a sip command line loads no numerics.
@@ -66,29 +66,29 @@ class InvalidParameters(ValueError):
 
 
 class DomainViolation(ValueError):
-    """Evaluation point, grid or box lies outside the family's domain interval."""
+    """Evaluation point, grid or window lies outside the family's domain interval."""
 
 
 @dataclass(frozen=True)
 class DomainInterval:
     """The open interval (lo, hi) a family lives on, with its one window.
 
-    ``oracle_box`` is the eigensolver's default Dirichlet box and may reach
-    the endpoints, because the oracle evaluates V only at points strictly
-    between its walls.  verify cuts its default grid from the same box,
-    where the fields are smallest.
+    ``window`` is the span verify cuts its default grid from, where the
+    fields are smallest; it lies within the closed domain.
     """
 
     lo: float
     hi: float
-    oracle_box: tuple
+    window: tuple
 
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError("domain requires lo < hi")
         if self.kind == "half-line" and self.lo != 0.0:
             raise ValueError("half-line domains start at 0")
-        self.require_box(*self.oracle_box)
+        lo, hi = self.window
+        if not (self.lo <= lo and hi <= self.hi):
+            raise DomainViolation(f"window [{lo}, {hi}] leaves the domain [{self.lo}, {self.hi}]")
 
     @property
     def kind(self) -> str:
@@ -104,7 +104,7 @@ class DomainInterval:
         """ENDPOINT_MARGIN, scaled down for a domain narrower than 1.
 
         The trigonometric domains shrink as 1/a, and with them their
-        boxes and verify grids; an absolute margin would reject those
+        windows and verify grids; an absolute margin would reject those
         grids at large a.
         """
         return ENDPOINT_MARGIN * min(1.0, self.hi - self.lo)
@@ -128,11 +128,6 @@ class DomainInterval:
         if not (self.contains(lo) and self.contains(hi)):
             raise DomainViolation(f"grid {lo}:{hi} leaves the domain ({self.lo}, {self.hi})")
 
-    def require_box(self, lo: float, hi: float) -> None:
-        """Raise DomainViolation unless the box [lo, hi] lies within the closed domain."""
-        if not (self.lo <= lo and hi <= self.hi):
-            raise DomainViolation(f"box [{lo}, {hi}] leaves the domain [{self.lo}, {self.hi}]")
-
 
 #: the only name a constraint reads besides its family's parameters
 _CONSTRAINT_SCOPE = {"__builtins__": {}, "abs": abs}
@@ -153,7 +148,7 @@ class PotentialFamily:
     the energy shift R follow from it.  W and Wprime accept (params, x)
     with x scalar or ndarray.  ``domain`` is a function of the parameters
     because the trigonometric families live on intervals whose endpoints,
-    and so their boxes, scale with 1/a.
+    and so their windows, scale with 1/a.
     """
 
     name: str

@@ -218,19 +218,43 @@ def cmd_list(args, out) -> int:
 
 
 def _si_grid(fam, p, q) -> tuple:
-    """(lo, hi): of 513 points on the oracle box, the run around the least S = W_p^2 + |W_p'| +
-    W_q^2 + |W_q'| where S <= 1e4 min S, a lone point widened to its neighbours.  Where S spans
-    many decades the judge's floor, 64 eps max S, would pass almost any residual."""
+    """(lo, hi): of 513 points on the domain's window, the longest run on which S = W_p^2 +
+    |W_p'| + W_q^2 + |W_q'| stays within max S <= 1e4 min S, a lone point widened to its
+    neighbours.  Where S spans many decades the judge's floor, 64 eps max S, would pass almost
+    any residual.  The run around the least S is not enough: where W -> 0 in a tail (Rosen-Morse
+    II at B -> A^2) it sits in that tail, where nothing varies and a wrong tau goes unseen."""
+    from collections import deque
+
     import numpy as np
 
-    x = np.linspace(*fam.domain(p).oracle_box, 513)
-    with np.errstate(all="ignore"):  # a NaN or inf S is outside the run unless every S is inf
+    x = np.linspace(*fam.domain(p).window, 513)
+    with np.errstate(all="ignore"):  # a NaN, inf or zero S is outside every run
         s = sum(r.W(x) ** 2 + abs(r.Wprime(x)) for r in (fam.recipe(p), fam.recipe(q)))
-        i = int(np.nanargmin(s))
-        out = np.flatnonzero(~(s <= 1e4 * s[i]))
-    lo, hi = out[out < i].max(initial=-1) + 1, out[out > i].min(initial=len(x)) - 1
+        logs = np.log(s).tolist()
+    # two pointers; big and small hold the run's indices of falling and rising log S
+    cap, start, (lo, hi), big, small = math.log(1e4), 0, (0, 0), deque(), deque()
+    for j, v in enumerate(logs):
+        if not math.isfinite(v):
+            start = j + 1
+            big.clear()
+            small.clear()
+            continue
+        while big and logs[big[-1]] <= v:
+            big.pop()
+        while small and logs[small[-1]] >= v:
+            small.pop()
+        big.append(j)
+        small.append(j)
+        while logs[big[0]] - logs[small[0]] > cap:
+            start += 1
+            if big[0] < start:
+                big.popleft()
+            if small[0] < start:
+                small.popleft()
+        if j - start > hi - lo:
+            lo, hi = start, j
     if lo == hi:
-        lo, hi = max(i - 1, 0), min(i + 1, len(x) - 1)
+        lo, hi = max(lo - 1, 0), min(hi + 1, len(x) - 1)
     return float(x[lo]), float(x[hi])
 
 
@@ -292,14 +316,10 @@ def cmd_spectrum(args, out) -> int:
     if args.oracle:
         from . import oracle
 
-        dom = fam.domain(p)
-        box = dom.oracle_box if args.box is None else tuple(args.box)
-        dom.require_box(*box)
-        cfg = oracle.OracleConfig(box=box, n_points=args.points,
-                                  n_levels=len(spec.energies))
-        res = oracle.eigensolve(lambda x: fam.W(p, x) ** 2 - fam.Wprime(p, x), cfg)
+        cfg = oracle.OracleConfig(n_levels=len(spec.energies), max_points=args.points)
+        res = oracle.solve(lambda x: fam.W(p, x) ** 2 - fam.Wprime(p, x), fam.domain(p), cfg)
         comparison = oracle.compare_spectra(spec, res.spectrum, tolerance=args.tolerance)
-        payload["oracle"] = res.spectrum.to_json()
+        payload["oracle"] = {**res.spectrum.to_json(), "estimate": res.estimate.tolist()}
         payload["comparison"] = comparison.to_json()
         lines[0] += f"  {'oracle gap':>16}  {'deviation':>12}"
         gaps = res.spectrum.gaps()
@@ -505,8 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--offset", type=_finite, default=0.0,
                    help="additive shift applied to printed energies")
-    p.add_argument("--box", nargs=2, type=float, default=None, metavar=("LO", "HI"))
-    p.add_argument("--points", type=int, default=2000)
+    p.add_argument("--points", type=int, default=129,
+                   help="cap on the oracle's collocation size; it solves at 65 and 129 points")
     p.add_argument("--tolerance", type=_tolerance, default=1e-3)
     p.add_argument("--json", action="store_true")
 

@@ -1,213 +1,255 @@
-"""Independent brute-force eigensolver for -psi'' + V psi = E psi.
+"""Independent spectral eigensolver for -u'' + V u = E u on a domain.
 
-Uniform-grid finite differences with Dirichlet walls: the symmetric
-tridiagonal matrix has 2/h^2 + V(x_i) on the diagonal and -1/h^2 off it.
-The lowest eigenvalues come from a deterministic bisection, LAPACK's
-dstebz (no randomized methods).  Eigenvectors cost an inverse iteration,
-dstein, and a normalization per level on top of that, and most callers
-read only the energies, so they are computed on the first read of
-``OracleResult.wavefunctions``: the same bisection run again, then the
-vectors, each normalized by the trapezoid rule and sign-fixed.  Both
-routines are called through scipy's compiled LAPACK wrappers with the
-arguments scipy's ``eigh_tridiagonal`` passes them, so the results are
-bit-identical to it, without importing scipy's packages (see _lapack).
+Double-exponential sinc collocation (Eggert, Jarratt & Lund, J. Comput. Phys.
+69 (1987) 209) on the maps of Takahasi & Mori (Publ. RIMS 9 (1974) 721):
+x = x0 + sinh t on the full line, x0 where V is least on a scan; exp(t - e^-t)
+on the half line (0, inf); mid + (L/2) tanh((pi/2) sinh t) on an interval.
+With u = psi'^(1/2) w, -w'' + Q w = E psi'^2 w, Q = psi'^2 V + l'^2/4 - l''/2,
+l = log psi', and every bound state decays double-exponentially in t.  The
+levels of the collocated pencil A w = E B w, B = diag(psi'^2), are those of
+B^(-1/2) A B^(-1/2), strongly graded where psi' is small; eigvalsh keeps the
+lowest accurate with the nodes ordered by decreasing diagonal (not in node
+order), and gives the same bits for any BLAS thread count, which an LU or
+Cholesky factorization under OpenBLAS does not.  Vectors come from the
+shift-invert form, which keeps w accurate where psi' is small.
 
-This is the validation oracle for every algebraic result in the package;
-it shares nothing with the ladder construction except the potential.  Its
-own calibration gates are the particle in a box (E_n = (n+1)^2 on [0, pi])
-and V = x^2 (E_n = 2n + 1 in hbar = 2m = 1 units).  The convergence check
-(OracleConfig.check_convergence) solves again at twice the resolution and
-flags levels whose energy moves by more than convergence_tol.  The scheme
-is second order, so each halving of h should shrink the energy changes by
-about 4x; convergence_factors measures those ratios.
+The window comes from V alone: on a scan of Q / psi'^2, WKB with the Langer
+term (the l' part of Q) puts the top level at int sqrt(E psi'^2 - Q) dt =
+(n + 1/2) pi, and the window ends DECAY e-folds out from its turning points.
+The pencil is solved at 65 points, the window set again from the solved top
+level, and solved at 129: their distance is the convergence estimate.  V
+overflowing in the scan's tails is forbidden region; a NaN/inf between finite
+values is an error.  Near a finite wall w, V is read down to WALL_ULPS float
+spacings of w, where x(t) still resolves the distance d; past that Q / psi'^2
+goes on as the wall's c / d^2.
+
+The oracle shares nothing with the ladder construction but V.  Its
+calibration gates are the particle in a box (E_n = (n+1)^2 on (0, pi)) and
+V = x^2 (E_n = 2n + 1), in units hbar = 2m = 1.
 """
 
 from __future__ import annotations
 
 import functools
-import sys
-import threading
+import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
+from .catalog import DomainInterval
 from .sampling import fix_sign, normalize, require_finite
 from .spectral import Spectrum, Wavefunction
 
-__all__ = [
-    "OracleConfig",
-    "OracleResult",
-    "SpectrumComparison",
-    "eigensolve",
-    "convergence_factors",
-    "compare_spectra",
-]
+__all__ = ["OracleConfig", "OracleResult", "SpectrumComparison", "solve", "compare_spectra"]
+
+SIZES = (65, 129)  # collocation sizes: the energies come from the second
+SCAN = 2001  # points of each scan of Q / psi'^2
+DECAY = 20.0  # WKB decay exponent at which the window ends
+WALL_ULPS = 2.0**20  # there x(t) resolves the distance to a finite wall to 1e-6
+D_MIN = 1e-150  # least distance to a wall at 0: psi'^2 stays a normal float
+T_HALF = -5.8276509945195745  # the t of the half-line map at which x = D_MIN
+T_MAX = 350.0  # psi'^2 stays finite for |t| < T_MAX on the full and half lines
+FINE = 8  # samples of an eigenfunction per collocation step
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    box: tuple  # finite (lo, hi); walls sit just outside the grid
-    n_points: int = 2000
     n_levels: int = 4
-    check_convergence: bool = False
-    convergence_tol: float = 1e-3
+    max_points: int = SIZES[-1]  # cap on the collocation size
 
     def __post_init__(self):
-        lo, hi = self.box
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ValueError("oracle box must be finite with lo < hi")
-        if self.n_points < 500:
-            raise ValueError("n_points must be >= 500")
-        if self.n_levels < 1:
-            raise ValueError("n_levels must be >= 1")
-        if self.n_levels > self.n_points:
-            raise ValueError(f"n_levels ({self.n_levels}) must be <= n_points "
-                             f"({self.n_points}): the grid has only n_points levels")
+        if not 1 <= self.n_levels <= SIZES[0] <= self.max_points:
+            raise ValueError(f"n_levels ({self.n_levels}) must be from 1 to {SIZES[0]}, and "
+                             f"max_points ({self.max_points}) at least {SIZES[0]}, "
+                             f"the oracle's coarse collocation size")
+
+
+def _coords(domain: DomainInterval, x0: float = 0.0):
+    """t -> (x, psi', l'^2/4 - l''/2) of the domain's map, and its float-safe t-range."""
+    lo, hi = domain.lo, domain.hi
+    if domain.kind == "full-line":
+        def coords(t):
+            c = np.cosh(t)
+            return x0 + np.sinh(t), c, 0.25 * np.tanh(t) ** 2 - 0.5 / c**2
+        return coords, (-T_MAX, T_MAX)
+    if domain.kind == "half-line":
+        def coords(t):
+            e = np.exp(-t)
+            x = np.exp(t - e)
+            dl, ddl = 1.0 + e * e / (1.0 + e), e / (1.0 + e) ** 2 - e
+            return x, x * (1.0 + e), 0.25 * dl * dl - 0.5 * ddl
+        return coords, (T_HALF, T_MAX)
+
+    def coords(t):
+        y, c = 0.5 * np.pi * np.sinh(t), np.cosh(t)
+        th, sech2 = np.tanh(y), 1.0 / np.cosh(y) ** 2
+        # x from the nearer wall, so that it carries the distance to it
+        x = np.where(t < 0, lo + (hi - lo) / (1.0 + np.exp(-2.0 * y)),
+                     hi - (hi - lo) / (1.0 + np.exp(2.0 * y)))
+        dl = np.tanh(t) - np.pi * c * th
+        ddl = 1.0 / c**2 - np.pi * np.sinh(t) * th - 0.5 * np.pi**2 * c**2 * sech2
+        return x, 0.25 * np.pi * (hi - lo) * c * sech2, 0.25 * dl * dl - 0.5 * ddl
+    return coords, (-_at(hi - lo, D_MIN), _at(hi - lo, D_MIN))
+
+
+def _at(width: float, d: float) -> float:
+    """The t > 0 at which the finite map comes within d of its upper wall."""
+    return math.asinh(math.log(width / d - 1.0) / math.pi)
+
+
+class _Problem:
+    """V on a domain's map: Q / psi'^2 at any t, its scans and its pencils."""
+
+    def __init__(self, V: Callable, domain: DomainInterval):
+        self.V, self.reach, self.walls = V, (-math.inf, math.inf), (math.inf, math.inf)
+        self.coords, self.span = _coords(domain)
+        if domain.kind == "full-line":
+            t, v, _ = self.scan(np.linspace(*self.span, SCAN))
+            self.coords, _ = _coords(domain, float(self.coords(t[np.argmin(v)])[0]))
+        elif domain.kind == "finite":
+            width = domain.hi - domain.lo
+            self.reach = tuple(s * _at(width, max(WALL_ULPS * float(np.spacing(abs(w))), D_MIN))
+                               for s, w in ((-1.0, domain.lo), (1.0, domain.hi)))
+            t = np.array(self.reach)
+            _, v, dpsi = self.values(t)
+            walls = v * (dpsi / np.cosh(t)) ** 2  # c of c / d^2, with psi' ~ pi d cosh t
+            self.walls = tuple(np.where(np.isfinite(walls), walls, np.inf))
+
+    def values(self, t, check: bool = False):
+        """(x, Q / psi'^2, psi') at t; with check, a NaN/inf of V raises."""
+        x, dpsi, extra = self.coords(t)
+        inside = (t >= self.reach[0]) & (t <= self.reach[1])
+        with np.errstate(all="ignore"):  # require_finite reports a NaN/inf
+            v = np.where(t < 0, *self.walls) * (np.cosh(t) / dpsi) ** 2
+            vx = np.asarray(self.V(x[inside]), dtype=float)
+            if check:
+                require_finite(x[inside], vx, "values of V")
+            v[inside] = vx + extra[inside] / dpsi[inside] ** 2
+        return x, v, dpsi
+
+    def scan(self, t):
+        """(t, Q / psi'^2, psi'); non-finite values at the ends are forbidden region."""
+        x, v, dpsi = self.values(t)
+        finite = np.flatnonzero(np.isfinite(v))
+        inner = slice(finite[0], finite[-1] + 1) if finite.size else slice(None)
+        require_finite(x[inner], v[inner], "values of V")
+        v[~np.isfinite(v)] = np.inf
+        return t, v, dpsi
+
+    def pencil(self, window, n: int, k: int):
+        """Lowest k levels at n nodes on the window."""
+        t = np.linspace(*window, n)
+        h, (_, v, dpsi) = t[1] - t[0], self.values(t, check=True)
+        s = _sinc_d2(n) / (h * h) / dpsi[:, None] / dpsi[None, :]
+        s[np.diag_indices(n)] += v
+        order = np.argsort(-np.diag(s))
+        return np.linalg.eigvalsh(s[np.ix_(order, order)])[:k]
+
+    def states(self, window, n: int, k: int) -> list:
+        """Lowest k normalized u(x) = psi'(t)^(1/2) sum_k w_k S_k(t), FINE samples a step
+        where x(t) resolves the distance to a wall, leftmost maximum of |u| positive."""
+        t = np.linspace(*window, n)
+        h, (_, v, dpsi) = t[1] - t[0], self.values(t, check=True)
+        a = _sinc_d2(n) / (h * h)
+        a[np.diag_indices(n)] += (v - v.min()) * dpsi**2  # A + sigma B, positive definite
+        inv = np.linalg.inv(a)
+        z = np.linalg.eigh(inv * dpsi[:, None] * dpsi[None, :])[1][:, ::-1][:, :k]
+        tf = np.linspace(max(window[0], self.reach[0]), min(window[1], self.reach[1]),
+                         FINE * (n - 1) + 1)
+        x, dpsi_f, _ = self.coords(tf)
+        sinc = np.sinc(np.subtract.outer(tf, t) / h)
+        u = np.sqrt(dpsi_f)[:, None] * (sinc @ (inv @ (dpsi[:, None] * z)))
+        return [Wavefunction(x=x, values=fix_sign(normalize(u[:, j], x)), level=j)
+                for j in range(k)]
+
+
+@functools.cache
+def _sinc_d2(n: int) -> np.ndarray:
+    """Minus the sinc second-derivative matrix at unit step (read-only)."""
+    d = np.subtract.outer(np.arange(n), np.arange(n))
+    with np.errstate(divide="ignore"):
+        out = np.where(d % 2, -2.0, 2.0) / (d * d)
+    np.fill_diagonal(out, np.pi**2 / 3.0)
+    out.setflags(write=False)
+    return out
+
+
+def _wkb_energy(scan, n: int) -> float:
+    """E with int sqrt(E psi'^2 - Q) dt = (n + 1/2) pi on the scan, by bisection."""
+    t, v, dpsi = scan
+    dt = np.diff(t)
+    weights = dpsi * 0.5 * (np.append(dt, 0.0) + np.insert(dt, 0, 0.0))  # trapezoid rule
+    target = (n + 0.5) * math.pi
+    lo = float(v.min())
+    step = max(1.0, abs(lo))
+    hi = lo + step
+    while weights @ np.sqrt(np.maximum(hi - v, 0.0)) < target and step < 1e300:
+        lo, step = hi, 2.0 * step
+        hi = lo + step
+    while hi - lo > 1e-6 * max(1.0, abs(hi)):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if weights @ np.sqrt(np.maximum(mid - v, 0.0)) < target else (lo, mid)
+    return hi
+
+
+def _window(scan, e: float) -> tuple:
+    """(t_a, t_b): DECAY WKB e-folds out from the outermost turning points at E,
+    E first held 1e-6 of the well's depth below the ends' lower Q / psi'^2."""
+    t, v, dpsi = scan
+    edge = min(v[0], v[-1])
+    if edge < np.inf:
+        e = min(e, edge - 1e-6 * (edge - v.min()))
+    allowed = np.flatnonzero(v < e)
+    i1, i2 = (allowed[0], allowed[-1]) if allowed.size else (np.argmin(v),) * 2
+    kappa = dpsi * np.sqrt(np.maximum(v - e, 0.0))
+    ends = []
+    for side in (slice(i1, None, -1), slice(i2, None)):
+        ts, ks, vs = t[side], kappa[side], v[side]
+        decay = np.cumsum(0.5 * (ks[1:] + ks[:-1]) * np.abs(np.diff(ts)))
+        j = min(int(np.searchsorted(decay, DECAY)) + 1, ts.size - 1)
+        while j > 0 and not np.isfinite(vs[j]):  # end on a point where V is finite
+            j -= 1
+        ends.append(float(ts[j]))
+    return tuple(ends)
 
 
 @dataclass
 class OracleResult:
-    """Energies of an eigensolve, with its eigenfunctions on demand.
+    """Energies of a solve and |E(129) - E(65)| per level as ``estimate``.
 
-    The energies, and the convergence check when asked for, are computed by
-    eigensolve.  The eigenfunctions are computed on the first read of
-    ``wavefunctions``, which solves again with vectors for the potential
-    and config kept here, and are cached from then on.
+    The eigenfunctions are solved for on the first read of ``wavefunctions``,
+    with the final pencil's window and size, and cached.
     """
 
     spectrum: Spectrum
-    potential: Callable = field(repr=False, compare=False)
-    config: OracleConfig = field(repr=False, compare=False)
-    convergence_deltas: Optional[np.ndarray] = None
-    converged: Optional[bool] = None
+    estimate: np.ndarray
+    _states: Callable = field(repr=False, compare=False)
 
     @functools.cached_property
     def wavefunctions(self) -> list:
-        """Normalized eigenfunctions, leftmost maximum of |psi| positive."""
-        cfg = self.config
-        x, diag, off = _matrix(self.potential, *cfg.box, cfg.n_points)
-        # the bisection of _energies, block-ordered, then inverse iteration
-        w, iblock, isplit = _bisect(diag, off, cfg.n_levels, "B")
-        v, info = _lapack().dstein(diag, off, w, iblock, isplit)
-        _check(info, "dstein")
-        v = v[:, np.argsort(w)]
-        return [Wavefunction(x=x, values=fix_sign(normalize(v[:, n], x)), level=n)
-                for n in range(cfg.n_levels)]
+        return self._states()
 
 
-def _matrix(V: Callable, lo: float, hi: float, n: int):
-    """Interior grid, diagonal and off-diagonal of the box Hamiltonian."""
-    # interior points only; psi = 0 at the walls lo, hi
-    x = np.linspace(lo, hi, n + 2)[1:-1]
-    h = x[1] - x[0]
-    with np.errstate(all="ignore"):  # require_finite reports a NaN/inf
-        diag = 2.0 / h**2 + np.asarray(V(x), dtype=float)
-    return x, require_finite(x, diag, "values of V"), np.full(n - 1, -1.0 / h**2)
+def solve(V: Callable, domain: DomainInterval, cfg: OracleConfig) -> OracleResult:
+    """Lowest cfg.n_levels eigenvalues of -d^2/dx^2 + V on the open domain.
 
-
-_FLAPACK = "scipy.linalg._flapack"
-_flapack_lock = threading.Lock()
-
-
-def _lapack():
-    """scipy's compiled LAPACK wrapper module, loaded once per process.
-
-    The oracle needs two of its routines, dstebz and dstein.  Reaching them
-    through scipy's linalg package runs its __init__, which took 240-290 ms
-    of a cold 0.45 s ``sip spectrum morse --oracle`` (python -X importtime,
-    scipy 1.17, 2-CPU x86_64 machine), 160-200 ms of it in
-    scipy._lib._array_api wrapping numpy submodules the oracle never uses.
-    This one extension loads in 4-7 ms, and ``import scipy`` would add
-    13-18 ms, so the extension is found in scipy's package directory
-    without running the package's __init__, except on Windows, where that
-    __init__ puts the wheel's bundled libraries on the DLL path.
-    The module is registered in sys.modules under its own name, so a later
-    import of the linalg package reuses it, and one that package loaded
-    first is used as it is.
+    V takes an array of points inside the domain.  The eigenfunctions are
+    solved for when the result's ``wavefunctions`` is first read.
     """
-    with _flapack_lock:
-        module = sys.modules.get(_FLAPACK)
-        if module is None:
-            import importlib.machinery
-            import importlib.util
-            import os
-
-            if os.name == "nt":
-                import scipy  # noqa: F401
-            scipy_spec = importlib.util.find_spec("scipy")
-            roots = scipy_spec.submodule_search_locations if scipy_spec else ()
-            dirs = [os.path.join(path, "linalg") for path in roots]
-            spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, dirs)
-            if spec is None:
-                raise ImportError(f"{_FLAPACK} not found in {dirs}")
-            module = importlib.util.module_from_spec(spec)
-            sys.modules[_FLAPACK] = module
-            spec.loader.exec_module(module)
-        return module
-
-
-def _check(info: int, routine: str):
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info={info})")
-
-
-def _bisect(diag, off, k: int, order: str):
-    """dstebz for the lowest k eigenvalues, as eigh_tridiagonal calls it.
-
-    order "E" sorts them; "B" groups them by block, as dstein needs.
-    """
-    m, w, iblock, isplit, info = _lapack().dstebz(diag, off, 2, 0.0, 1.0, 1, k, 0.0, order)
-    _check(info, "dstebz")
-    return w[:m], iblock, isplit
-
-
-def _energies(V: Callable, lo: float, hi: float, n: int, k: int):
-    """Lowest k eigenvalues by bisection (LAPACK dstebz).
-
-    The vector solve runs the same bisection before its inverse iteration,
-    so its energies are bit-identical to these.
-    """
-    _, diag, off = _matrix(V, lo, hi, n)
-    return _bisect(diag, off, k, "E")[0]
-
-
-def eigensolve(V: Callable, cfg: OracleConfig) -> OracleResult:
-    """Lowest cfg.n_levels eigenvalues of -d^2/dx^2 + V on the box.
-
-    With check_convergence, the energies are recomputed at twice the
-    resolution and levels moving by more than convergence_tol are flagged
-    (converged=False); the result itself always comes from the requested
-    resolution.  The eigenfunctions are solved for when the result's
-    ``wavefunctions`` is first read, evaluating V again on the same grid.
-    """
-    lo, hi = cfg.box
-    w = _energies(V, lo, hi, cfg.n_points, cfg.n_levels)
-    deltas = None
-    converged = None
-    if cfg.check_convergence:
-        w2 = _energies(V, lo, hi, 2 * cfg.n_points, cfg.n_levels)
-        deltas = np.abs(w2 - w)
-        converged = bool(np.all(deltas < cfg.convergence_tol))
-    spectrum = Spectrum(energies=list(w), provenance="oracle")
-    return OracleResult(spectrum=spectrum, potential=V, config=cfg,
-                        convergence_deltas=deltas, converged=converged)
-
-
-def convergence_factors(V: Callable, cfg: OracleConfig, doublings: int = 2) -> np.ndarray:
-    """Ratios |E(2N)-E(N)| / |E(4N)-E(2N)| ... per level.
-
-    A second-order scheme gives factors near 4; anything comfortably above
-    3 certifies the box resolution is in the asymptotic regime.
-    """
-    lo, hi = cfg.box
-    runs = []
-    n = cfg.n_points
-    for _ in range(doublings + 1):
-        runs.append(_energies(V, lo, hi, n, cfg.n_levels))
-        n *= 2
-    diffs = [np.abs(b - a) for a, b in zip(runs[:-1], runs[1:])]
-    return np.asarray([d1 / d2 for d1, d2 in zip(diffs[:-1], diffs[1:])])
+    problem = _Problem(V, domain)
+    k = cfg.n_levels
+    coarse, fine = (min(n, cfg.max_points) for n in SIZES)
+    scan = problem.scan(np.linspace(*problem.span, SCAN))
+    window = _window(scan, _wkb_energy(scan, k - 1))
+    refined = problem.scan(np.linspace(*window, SCAN))  # the window's points in place
+    scan = tuple(np.concatenate([a[scan[0] < window[0]], r, a[scan[0] > window[1]]])
+                 for a, r in zip(scan, refined))
+    e_coarse = problem.pencil(_window(scan, _wkb_energy(scan, k - 1)), coarse, k)
+    window = _window(scan, float(e_coarse[-1]))
+    e = problem.pencil(window, fine, k)
+    return OracleResult(Spectrum(energies=[float(x) for x in e], provenance="oracle"),
+                        np.abs(e - e_coarse), lambda: problem.states(window, fine, k))
 
 
 @dataclass

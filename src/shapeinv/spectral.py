@@ -62,7 +62,7 @@ class Spectrum:
     """Ordered bound-state energies with provenance.
 
     provenance is "algebraic" (ladder sums, E_0 = 0 by convention) or
-    "oracle" (grid eigensolver).  level_params records the parameter ladder
+    "oracle" (sinc eigensolver).  level_params records the parameter ladder
     tau^0(p), tau^1(p), ... actually used.  truncated marks a ladder that
     ended before the requested level count.
     """

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from shapeinv import ansatz, multidim as md, oracle, spectral
-from shapeinv.catalog import FAMILY_NAMES, get_family
+from shapeinv.catalog import FAMILY_NAMES, DomainInterval, get_family
 from shapeinv.cli import _si_grid
 from shapeinv.sampling import make_grid
 from shapeinv.verify import verify_generalized_si, verify_shape_invariance
@@ -65,24 +65,19 @@ def test_criterion_2_ansatz_reconstruction():
 
 def test_criterion_3_spectrum_agreement():
     t0 = time.perf_counter()
-    cases = [
-        ("shifted-oscillator", {"omega": 2.0, "b": 0.0}, 4, [0.0, 2.0, 4.0, 6.0]),
-        ("radial-oscillator", {"omega": 2.0, "ell": 0.0}, 3, [0.0, 4.0, 8.0]),
-        ("morse", {"A": 4.0, "B": 4.0, "a": 1.0}, 4, [0.0, 7.0, 12.0, 15.0]),
-    ]
     worst = 0.0
-    for name, p, levels, gaps in cases:
+    for name in FAMILY_NAMES:
         fam = get_family(name)
-        alg = spectral.algebraic_spectrum(fam, p, levels)
-        assert alg.energies == gaps
-        cfg = oracle.OracleConfig(box=fam.domain(p).oracle_box, n_points=2000, n_levels=levels)
-        res = oracle.eigensolve(lambda x: fam.W(p, x) ** 2 - fam.Wprime(p, x), cfg)
+        p = fam.reference_params
+        alg = spectral.algebraic_spectrum(fam, p, 4)
+        cfg = oracle.OracleConfig(n_levels=len(alg.energies))
+        res = oracle.solve(lambda x: fam.W(p, x) ** 2 - fam.Wprime(p, x), fam.domain(p), cfg)
         cmp = oracle.compare_spectra(alg, res.spectrum, tolerance=1e-3)
         assert cmp.passed, (name, cmp.deviations)
         worst = max(worst, max(cmp.deviations))
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
-    _report("3 (algebraic vs oracle gaps @ 1e-3)", elapsed, 10,
+    _report("3 (algebraic vs oracle gaps, 10 families @ 1e-3)", elapsed, 10,
             f"worst gap deviation {worst:.2e}")
 
 
@@ -103,8 +98,8 @@ def test_criterion_4_intertwining_ladder():
     for name, levels in (("shifted-oscillator", 4), ("morse", 4)):
         fam = get_family(name)
         p = fam.reference_params
-        cfg = oracle.OracleConfig(box=fam.domain(p).oracle_box, n_points=2400, n_levels=levels)
-        res = oracle.eigensolve(lambda x: fam.W(p, x) ** 2 - fam.Wprime(p, x), cfg)
+        cfg = oracle.OracleConfig(n_levels=levels)
+        res = oracle.solve(lambda x: fam.W(p, x) ** 2 - fam.Wprime(p, x), fam.domain(p), cfg)
         wfs = spectral.ladder_wavefunctions(fam, p, levels, res.wavefunctions[0].x)
         for n, w in enumerate(wfs):
             assert w.nodes() == n, (name, n, w.nodes())
@@ -171,26 +166,27 @@ def test_criterion_6_radial_factorization():
 
 def test_criterion_7_oracle_calibration_gate():
     t0 = time.perf_counter()
-    box = oracle.OracleConfig(box=(0.0, np.pi), n_points=2000, n_levels=4)
-    res = oracle.eigensolve(lambda x: np.zeros_like(x), box)
+    cfg = oracle.OracleConfig(n_levels=4)
+    box = DomainInterval(0.0, np.pi, (0.0, np.pi))
+    res = oracle.solve(lambda x: np.zeros_like(x), box, cfg)
     exact = np.array([1.0, 4.0, 9.0, 16.0])
     rel_box = np.max(np.abs(np.asarray(res.spectrum.energies) - exact) / exact)
-    assert rel_box < 1e-4
+    assert rel_box < 1e-10
+    # the 65- and 129-point solves agree
+    assert np.all(res.estimate < 1e-9)
+    est = res.estimate.max()
 
-    quad = oracle.OracleConfig(box=(-10.0, 10.0), n_points=2000, n_levels=4)
-    res = oracle.eigensolve(lambda x: x * x, quad)
+    line = DomainInterval(-np.inf, np.inf, (-10.0, 10.0))
+    res = oracle.solve(lambda x: x * x, line, cfg)
     exact = np.array([1.0, 3.0, 5.0, 7.0])
     rel_quad = np.max(np.abs(np.asarray(res.spectrum.energies) - exact) / exact)
-    assert rel_quad < 1e-4
-
-    factors = oracle.convergence_factors(lambda x: x * x, quad)
-    assert np.all(factors >= 3.0)
-    factors_box = oracle.convergence_factors(lambda x: np.zeros_like(x), box)
-    assert np.all(factors_box >= 3.0)
+    assert rel_quad < 1e-10
+    assert np.all(res.estimate < 1e-9)
+    est = max(est, res.estimate.max())
     elapsed = time.perf_counter() - t0
-    _report("7 (oracle calibration, convergence factor >= 3)", elapsed, 30,
-            f"rel errors {rel_box:.2e}/{rel_quad:.2e}, min factor "
-            f"{min(factors.min(), factors_box.min()):.2f}")
+    assert elapsed < 1.0
+    _report("7 (oracle calibration @ 1e-10, 65 vs 129 points @ 1e-9)", elapsed, 1,
+            f"rel errors {rel_box:.2e}/{rel_quad:.2e}, estimate {est:.2e}")
 
 
 def test_criterion_8_generalized_si_residual():

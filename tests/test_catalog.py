@@ -175,7 +175,7 @@ def test_wprime_matches_central_differences():
     for name in EXPECTED_NAMES:
         fam = get_family(name)
         p = fam.reference_params
-        lo, hi = fam.domain(p).oracle_box
+        lo, hi = fam.domain(p).window
         pad = 0.1 * (hi - lo)
         x = make_grid(lo + pad, hi - pad, 512)
         fd = (fam.W(p, x + h) - fam.W(p, x - h)) / (2 * h)
@@ -194,7 +194,7 @@ def test_windows_lie_in_the_domain(name):
     for p in _scaled_params(fam):
         fam.validate(p)
         dom = fam.domain(p)
-        lo, hi = dom.oracle_box
+        lo, hi = dom.window
         assert dom.lo <= lo < hi <= dom.hi, (p, dom)
         try:
             fam.recipe(fam.tau(p))
@@ -210,7 +210,7 @@ def test_trigonometric_windows_scale_with_the_domain(name):
     for p in _scaled_params(fam)[1:]:
         dom = fam.domain(p)
         for got, want in [((dom.lo, dom.hi), (ref.lo, ref.hi)),
-                          (dom.oracle_box, ref.oracle_box)]:
+                          (dom.window, ref.window)]:
             assert np.allclose(np.multiply(got, p["a"]), want, rtol=1e-15, atol=0)
 
 
@@ -220,7 +220,7 @@ def test_trigonometric_windows_scale_with_the_domain(name):
 def test_trigonometric_verify_grids_scale_with_the_member(name, powers, k):
     # W(x; p_k) = k W(k x; p) when each parameter scales by k to its power
     # (B/A is a W in Rosen-Morse I), so S scales by k^2 and the run verify
-    # cuts from the box shrinks by 1/k
+    # cuts from the window shrinks by 1/k
     fam = get_family(name)
     ref = fam.reference_params
     p = {key: k ** powers[key] * v for key, v in ref.items()}
@@ -249,12 +249,12 @@ def test_domains_of_width_one_or_more_keep_the_absolute_margin():
 
 
 def test_domain_rejects_windows_outside_it():
-    # the oracle box may reach the open endpoints, not pass them
-    DomainInterval(0.0, np.pi, oracle_box=(0.0, np.pi))
+    # the window may reach the open endpoints, not pass them
+    DomainInterval(0.0, np.pi, window=(0.0, np.pi))
     with pytest.raises(DomainViolation):
-        DomainInterval(0.0, np.pi, oracle_box=(-1.0, 3.0))
+        DomainInterval(0.0, np.pi, window=(-1.0, 3.0))
     with pytest.raises(DomainViolation):
-        DomainInterval(0.0, np.pi, oracle_box=(0.1, 3.5))
+        DomainInterval(0.0, np.pi, window=(0.1, 3.5))
 
 
 def _contains_by_numpy(dom, x) -> bool:
@@ -295,8 +295,8 @@ def test_contains_and_require_grid_keep_the_array_verdicts(dom):
         except DomainViolation:
             refused = True
         assert refused is not _contains_by_numpy(dom, (lo, hi)), (lo, hi)
-    for x in ([], np.array(points), np.linspace(*dom.oracle_box, 9),
-              [dom.oracle_box[0], np.nan], np.array([[1.0, 2.0], [0.5, 1.5]])):
+    for x in ([], np.array(points), np.linspace(*dom.window, 9),
+              [dom.window[0], np.nan], np.array([[1.0, 2.0], [0.5, 1.5]])):
         assert dom.contains(x) is _contains_by_numpy(dom, x), x
 
 

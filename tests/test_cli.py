@@ -82,7 +82,7 @@ def test_verify_passes_morse_where_its_fields_are_large():
 
 @pytest.mark.parametrize("a, shift", [("8", 576.0), ("20", 1200.0)])
 def test_verify_refits_morse_where_its_fields_span_decades(a, shift):
-    # on the whole box (-3, 10) S reaches 2.2e24 (a = 8) and 4.2e55 (a = 20),
+    # on the whole window (-3, 10) S reaches 2.2e24 (a = 8) and 4.2e55 (a = 20),
     # where the floor 64 eps max S passed refit constants of -5919 and
     # -1.7e17; the derived grid ends where S passes 1e4 times its least
     code, text = run(["verify", "morse", "--A", "40", "--B", "40", "--a", a, "--json"])
@@ -127,7 +127,7 @@ def test_verify_unknown_family_usage_error():
 
 @pytest.mark.parametrize("a", [0.25, 0.5, 2.0, 4.0])
 def test_trigonometric_families_verify_at_every_scale(a):
-    # the default grid is cut from a box that shrinks with the domain
+    # the default grid is cut from a window that shrinks with the domain
     # (-pi/2a, pi/2a) or (0, pi/a); closed forms at the reference A = 4,
     # B = 1 and A = B = 1
     shifts = {"scarf-I-trigonometric": (4 + a) ** 2 - 4**2,
@@ -155,19 +155,27 @@ def test_verify_grid_outside_the_domain_is_a_usage_error():
     assert text.startswith("error: ")
 
 
-def test_oracle_box_outside_the_domain_is_a_usage_error():
-    code, text = run(["spectrum", "rosen-morse-I-trigonometric", "--oracle", "--box", "-1", "4"])
-    assert code == EXIT_USAGE
-    assert text.startswith("error: ")
+def test_oracle_box_may_reach_the_domain_endpoints(monkeypatch):
+    # the oracle's map runs onto both endpoints of (0, pi) and evaluates V
+    # only strictly between them: down to 1e-150 from 0, and no nearer to pi
+    # than x resolves the distance to it
+    import numpy as np
 
+    from shapeinv import oracle
 
-def test_oracle_box_may_reach_the_domain_endpoints():
-    # the oracle evaluates V only between its walls, and walls on the
-    # endpoints match the states' own zeros there
-    code, text = run(["spectrum", "rosen-morse-I-trigonometric", "--oracle",
-                      "--box", "0", repr(math.pi), "--json"])
+    seen = []
+    solve = oracle.solve
+
+    def recording(V, domain, cfg):
+        return solve(lambda x: seen.append(np.array(x)) or V(x), domain, cfg)
+
+    monkeypatch.setattr(oracle, "solve", recording)
+    code, text = run(["spectrum", "rosen-morse-I-trigonometric", "--oracle", "--json"])
     assert code == EXIT_PASS
     assert json.loads(text)["comparison"]["passed"] is True
+    x = np.concatenate(seen)
+    assert 0 < x.min() < 1e-100
+    assert math.pi - 1e-6 < x.max() <= math.pi - oracle.WALL_ULPS * np.spacing(math.pi)
 
 
 def _options(command):
@@ -702,7 +710,7 @@ def test_a_failed_write_leaves_no_temporary_file(tmp_path):
 HUGE = str(2 ** 57)
 
 
-@pytest.mark.parametrize("argv", [["spectrum", "morse", "--oracle", "--points", HUGE],
+@pytest.mark.parametrize("argv", [["radial", "--ell", "3", "--grid", f"0.5:20:{HUGE}"],
                                   ["verify", "morse", "--grid", f"0:1:{HUGE}"]])
 def test_an_allocation_too_large_is_an_error_line(argv):
     code, text = run(argv)
@@ -797,7 +805,7 @@ verify morse --bogus 1
 verify "morse
 --batch jobs.txt
 radial --ell 2 --grid 0.5:20:64 --out blocker/x
-spectrum morse --oracle --points {HUGE}
+radial --ell 2 --grid 0.5:20:{HUGE} --out out
 construct --K 0 --branch linear --alpha 1.5 --lambda 1 --grid 0.1:3:64 --out out
 """
 
@@ -1090,8 +1098,7 @@ def _threads_after_oracle(tmp_path, blas_threads):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
 def test_cold_start_runs_one_thread(tmp_path):
-    # numpy's OpenBLAS and scipy's, which its LAPACK wrappers load, neither
-    # with a thread pool
+    # numpy's OpenBLAS, which the oracle's solves use, without a thread pool
     result = _threads_after_oracle(tmp_path, None)
     assert result == {"code": EXIT_PASS, "env": "1", "threads": 1}
 
@@ -1102,26 +1109,27 @@ def test_chosen_blas_thread_count_is_kept(tmp_path):
     assert result["env"] == "2"
 
 
-_ORACLE_THEN_LINALG = """
-import json, sys
-from io import StringIO
-from shapeinv.cli import run_command
-code = run_command(["spectrum", "morse", "--oracle", "--json"], StringIO())
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-module = sys.modules["scipy.linalg._flapack"]
-import scipy.linalg.lapack
-print(json.dumps({"code": code, "scipy": loaded, "reused": scipy.linalg.lapack._flapack is module}))
-"""
+def test_oracle_energies_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS's own LU and Cholesky change their last bits with the thread
+    # count at the oracle's 129 points; the graded eigvalsh does not
+    jobs = tmp_path / "jobs.txt"
+    jobs.write_text("".join(f"spectrum {name} --oracle --json -n 6\n" for name in FAMILY_NAMES))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(_fresh_env(), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "shapeinv.cli", "--batch", str(jobs)],
+                              capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        outputs.append((proc.returncode, proc.stdout))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].count('"passed": true') == len(FAMILY_NAMES)
 
 
-@pytest.mark.skipif(os.name == "nt", reason="on Windows the oracle runs scipy's __init__ for its DLLs")
 def test_oracle_imports_no_scipy_subpackage(tmp_path):
-    # the LAPACK wrapper module alone, not even the scipy package; the linalg
-    # package, imported later in the same process, takes that module as it is
-    proc = subprocess.run([sys.executable, "-c", _ORACLE_THEN_LINALG], capture_output=True,
-                          text=True, env=_fresh_env(), cwd=tmp_path, timeout=120, check=True)
-    assert json.loads(proc.stdout) == {
-        "code": EXIT_PASS, "scipy": ["scipy.linalg._flapack"], "reused": True}
+    # the oracle solves through numpy.linalg alone, so no scipy module loads
+    codes, scipy_modules = _modules_after([["spectrum", "morse", "--oracle", "--json"]],
+                                          tmp_path, "scipy")
+    assert codes == [EXIT_PASS]
+    assert scipy_modules == set()
 
 
 #: what every subcommand loads: the CLI and the catalog's table
@@ -1174,7 +1182,7 @@ from shapeinv.catalog import get_family
 from shapeinv.spectral import apply_A, ground_state, ladder_wavefunctions
 fam = get_family("morse")
 p = fam.reference_params
-x = np.linspace(*fam.domain(p).oracle_box, 512)
+x = np.linspace(*fam.domain(p).window, 512)
 apply_A(fam.recipe(p).W, ground_state(fam.recipe(p).W, x))
 ladder_wavefunctions(fam, p, 3, x)
 print(*sys.modules)
@@ -1222,13 +1230,16 @@ def test_piped_output_is_complete(tmp_path, outdir):
 
 def test_more_oracle_levels_than_points_is_a_usage_error(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "shapeinv.cli", "spectrum",
-                           "shifted-oscillator", "-n", "600", "--oracle", "--points", "500"],
+                           "shifted-oscillator", "-n", "600", "--oracle"],
                           capture_output=True, text=True, env=_fresh_env(), cwd=tmp_path,
                           timeout=120)
     assert proc.returncode == EXIT_USAGE
-    assert proc.stdout == ("error: n_levels (600) must be <= n_points (500): "
-                           "the grid has only n_points levels\n")
+    assert proc.stdout == ("error: n_levels (600) must be from 1 to 65, and max_points (129) "
+                           "at least 65, the oracle's coarse collocation size\n")
     assert proc.stderr == ""
+    code, text = run(["spectrum", "morse", "--oracle", "--points", "64"])
+    assert code == EXIT_USAGE
+    assert "max_points (64) at least 65" in text
 
 
 #: inputs whose float arithmetic overflows, or divides by zero at the partner rung;

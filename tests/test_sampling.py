@@ -193,9 +193,9 @@ def test_fix_sign_edge_cases_match_the_loop(values):
 def test_fix_sign_matches_the_loop_on_eigenstates(n):
     fam = get_family("morse")
     p = fam.reference_params
-    cfg = oracle.OracleConfig(box=fam.domain(p).oracle_box, n_points=n, n_levels=4)
-    res = oracle.eigensolve(lambda x: fam.W(p, x) ** 2 - fam.Wprime(p, x), cfg)
-    lo, hi = fam.domain(p).oracle_box
+    res = oracle.solve(lambda x: fam.W(p, x) ** 2 - fam.Wprime(p, x), fam.domain(p),
+                       oracle.OracleConfig(n_levels=4))
+    lo, hi = fam.domain(p).window
     ladder = spectral.ladder_wavefunctions(fam, p, 4, np.linspace(lo, hi, n))
     for psi in [*res.wavefunctions, *ladder]:
         for values in (psi.values, -psi.values):

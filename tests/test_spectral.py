@@ -231,7 +231,7 @@ _LADDER_POINTS = {
 #: the ladders of _LADDER_POINTS that end in NonNormalizable: coulomb's
 #: rungs step ell up, and from the level given on, the ground state of the
 #: rung, which peaks at r = 2 (ell + 1)^2 / e2, peaks at or past the verify
-#: grid's outer end, the oracle box's r = 50
+#: grid's outer end, the window's r = 50
 _LADDER_RAISES = {("coulomb", 1): 3, ("coulomb", 3): 1}
 
 
@@ -480,7 +480,7 @@ def test_ground_state_memory():
     fam = get_family("morse")
     p = fam.reference_params
     n = 20001
-    x = make_grid(*fam.domain(p).oracle_box, n)
+    x = make_grid(*fam.domain(p).window, n)
     peak = _peak_bytes(lambda: ground_state(fam.recipe(p).W, x))
     assert peak <= 8 * (2 * n - 1) * 8
 
@@ -491,6 +491,6 @@ def test_ladder_memory():
     fam = get_family("morse")
     p = fam.reference_params
     n = 20001
-    x = make_grid(*fam.domain(p).oracle_box, n)
+    x = make_grid(*fam.domain(p).window, n)
     peak = _peak_bytes(lambda: ladder_wavefunctions(fam, p, 6, x))
     assert peak <= 20 * n * 8

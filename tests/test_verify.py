@@ -180,6 +180,18 @@ def test_half_step_onto_lam_near_zero_is_unresolved():
     assert wrong.verdict == "unresolved" and not wrong.passed
 
 
+def test_a_tail_where_W_vanishes_is_not_the_whole_grid():
+    # at B -> A^2 both W_p and W_q fall like e^{2ax} as x -> -inf, so the least
+    # S is at the window's left end; the run within 1e4 of it, (-12, -6.94),
+    # held tanh^2 within 4e-6 of 1 and the half step (A -> 5e-6, W ~ 5e4) went
+    # unresolved.  The longest run within 1e4 reaches across the well
+    fam = get_family("rosen-morse-II-hyperbolic")
+    p = {"A": 0.5, "B": 0.2499975, "a": 0.99999}
+    lo, hi = _si_grid(fam, p, fam.tau(p))
+    assert lo < -1 and hi > 1
+    _certify_exact_and_half_step(fam, p)
+
+
 def test_qhj_oscillator():
     rep = verify_qhj(lambda x: x, lambda x: np.ones_like(x), lambda x: x * x, 1.0,
                      make_grid(-5, 5, 256))
